@@ -457,7 +457,11 @@ class DiscoveryEngine:
                 tol=tol,
                 max_sweeps=config.max_sweeps,
             )
-        self.profile.add_fit(time.perf_counter() - fit_start, fit.sweeps)
+        self.profile.add_fit(
+            time.perf_counter() - fit_start,
+            fit.sweeps,
+            fit.sweeps * fit.sweep_cells,
+        )
         return fit
 
     def _at_capacity(self, constraints: ConstraintSet) -> bool:

@@ -295,6 +295,30 @@ class ConstraintSet:
         }
         return clone
 
+    def restricted(self, schema: Schema) -> "ConstraintSet":
+        """The constraints that lie wholly inside ``schema``'s attributes.
+
+        ``schema`` is a sub-schema of this set's (see
+        :meth:`Schema.subschema`).  Entries keep their insertion order and
+        are shared, not re-validated: they were checked when added here.
+        """
+        names = set(schema.names)
+        clone = ConstraintSet(schema)
+        clone._margins = {
+            k: v for k, v in self._margins.items() if k in names
+        }
+        clone._cells = {
+            k: c
+            for k, c in self._cells.items()
+            if names.issuperset(c.attributes)
+        }
+        clone._subset_margins = {
+            k: v
+            for k, v in self._subset_margins.items()
+            if names.issuperset(k)
+        }
+        return clone
+
     # -- consistency --------------------------------------------------------------
 
     def validate_complete(self) -> None:

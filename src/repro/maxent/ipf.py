@@ -16,19 +16,46 @@ multiplies the corresponding ``a`` factor, and complement scalings are
 absorbed into ``a0``.  This converges to the same fixed point as the paper's
 Gauss–Seidel scheme (:mod:`repro.maxent.gevarter`); the tests assert so.
 
-The sweeps are allocation-lean: the working tensor is created once and every
-scaling happens in place (broadcast ``*=`` on the tensor or on a slice), so a
-sweep allocates only the small per-constraint ratio arrays instead of one
-full-tensor copy per update.  The convergence check reuses the margin sums it
-computes: the first-order sums measured for the violation are handed to the
-next sweep, whose leading axis would otherwise recompute the identical
-reduction on the unchanged tensor.  Both changes are bitwise no-ops on the
-iteration path — same IEEE operations, same order — so fitted models are
-unchanged to the last ulp.
+The fit runs per connected component of the *constraint graph*: attributes
+are its nodes, and every cell or table factor the model carries (each cell
+constraint and subset margin has one) joins the attributes it names.  By
+the product form (Eq 12), attributes in different components are
+independent factors — the observation the paper's Appendix B recursion
+exploits — so the joint is the outer product of one small tensor per
+component, and each update touches only its own component's tensor.  Every
+component tensor is scaled to mass 1 up front (the scale goes to ``a0``,
+as the joint's normalization would put it) and every update keeps it
+there, so a component's sums equal the joint's marginal sums and the
+``2^n`` joint is never built.  A connected constraint set is one component:
+the plain dense sweep.
+
+Components sweep in lockstep, phase by phase: first-order margins, subset
+margins, cells, then the convergence check.  The global violation is the
+worst component violation or ``|prod(component masses) - 1|``, whichever
+is bigger, so ``sweeps``, ``history``, convergence and
+:class:`ConvergenceError` mean what they mean on the dense joint.  When
+several components hit a structural conflict in one phase, the one the
+dense sweep would have met first is raised.
+
+The fit contract, tested against a frozen dense oracle:
+
+- adopted constraints and sweep counts are identical across the scenario
+  fleet;
+- the fitted joint is within 1e-12 of the dense fit's;
+- fits are deterministic across processes.  Every loop runs in insertion
+  order (margins in schema order, cells and subset margins in dict order)
+  and never over a set, since float products do not reassociate and a
+  set's order follows ``PYTHONHASHSEED``.
+
+Sweeps are allocation-lean: each component tensor is created once and every
+scaling happens in place.  The first-order sums the convergence check
+measures on a component's leading axis are handed to the next sweep, whose
+leading axis would otherwise recompute them on the unchanged tensor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +86,10 @@ class FitResult:
     trace:
         Optional per-sweep snapshots of all named ``a`` values (Table-2
         style); empty unless tracing was requested.
+    sweep_cells:
+        Tensor cells one sweep works on: the summed size of the
+        per-component tensors (the whole joint when the constraint graph
+        is connected).  0 from solvers that do not report it.
     """
 
     model: MaxEntModel
@@ -67,6 +98,7 @@ class FitResult:
     max_violation: float
     history: list[float] = field(default_factory=list)
     trace: list[dict[str, float]] = field(default_factory=list)
+    sweep_cells: int = 0
 
 
 def warm_start_model(
@@ -148,37 +180,39 @@ def fit_ipf(
         if names not in model.table_factors:
             model.table_factors[names] = np.ones(target.shape)
 
-    # The working tensor is allocated once; every subsequent scaling is an
-    # in-place broadcast multiply.
-    tensor = model.unnormalized()
-    tensor *= model.a0
-    total = tensor.sum()
+    components = [
+        _Component(model, constraints, schema.subschema(names))
+        for names in _connected_components(schema, model)
+    ]
+    masses = [float(component.tensor.sum()) for component in components]
+    total = model.a0 * math.prod(masses)
     if total <= 0:
         raise ConstraintError("initial model has zero total mass")
-    model.a0 /= total
-    tensor /= total
+    for component, mass in zip(components, masses):
+        component.tensor /= mass
+    scale = model.a0 / total
 
-    cell_slicers = {
-        cell.key: _slicer(schema, cell.attributes, cell.values)
-        for cell in constraints.cells
-    }
+    # Where each constraint sits in the dense sweep's visiting order.
+    positions = {name: axis for axis, name in enumerate(schema.names)}
+    positions.update(
+        (names, i) for i, names in enumerate(constraints.subset_margins)
+    )
+    positions.update((cell.key, i) for i, cell in enumerate(constraints.cells))
 
     history: list[float] = []
     trace: list[dict[str, float]] = []
     converged = False
     sweeps = 0
-    violation, lead_sums = _max_violation(
-        tensor, constraints, cell_slicers, schema
-    )
+    violation = _lockstep_violation(components)
     for sweeps in range(1, max_sweeps + 1):
-        _margin_sweep(tensor, constraints, model, schema, lead_sums)
-        _subset_margin_sweep(tensor, constraints, model, schema)
-        _cell_sweep(tensor, constraints, model, cell_slicers)
-        violation, lead_sums = _max_violation(
-            tensor, constraints, cell_slicers, schema
-        )
+        _lockstep(components, positions, _Component.margin_sweep)
+        _lockstep(components, positions, _Component.subset_margin_sweep)
+        _lockstep(components, positions, _Component.cell_sweep)
+        violation = _lockstep_violation(components)
         history.append(violation)
         if record_trace:
+            _write_back(model, components)
+            model.a0 = scale * math.prod(c.model.a0 for c in components)
             trace.append(model.a_values())
         if violation < tol:
             converged = True
@@ -189,7 +223,10 @@ def fit_ipf(
             f"IPF did not converge in {max_sweeps} sweeps "
             f"(max violation {violation:.3g}, tol {tol:.3g})"
         )
-    model.normalize()
+    _write_back(model, components)
+    for component in components:
+        component.model.normalize()
+    model.a0 = math.prod(component.model.a0 for component in components)
     return FitResult(
         model=model,
         converged=converged,
@@ -197,7 +234,134 @@ def fit_ipf(
         max_violation=violation,
         history=history,
         trace=trace,
+        sweep_cells=sum(component.tensor.size for component in components),
     )
+
+
+class _Component:
+    """One connected component of the constraint graph.
+
+    Holds the component's sub-schema, its share of the constraints, a
+    sub-model with its share of the factors (``a0`` starts at 1 and
+    collects the component's complement scalings) and its tensor.
+    """
+
+    def __init__(self, model, constraints, schema):
+        names = set(schema.names)
+        self.schema = schema
+        self.constraints = constraints.restricted(schema)
+        self.model = MaxEntModel(
+            schema,
+            {name: model.margin_factors[name] for name in schema.names},
+            {
+                key: factor
+                for key, factor in model.cell_factors.items()
+                if names.issuperset(key[0])
+            },
+            1.0,
+            {
+                subset: array
+                for subset, array in model.table_factors.items()
+                if names.issuperset(subset)
+            },
+        )
+        self.tensor = self.model.unnormalized()
+        self.slicers = {
+            cell.key: _slicer(schema, cell.attributes, cell.values)
+            for cell in self.constraints.cells
+        }
+        self.lead_sums = None
+
+    def margin_sweep(self) -> None:
+        _margin_sweep(
+            self.tensor,
+            self.constraints,
+            self.model,
+            self.schema,
+            self.lead_sums,
+        )
+
+    def subset_margin_sweep(self) -> None:
+        _subset_margin_sweep(self.tensor, self.constraints, self.model, self.schema)
+
+    def cell_sweep(self) -> None:
+        _cell_sweep(self.tensor, self.constraints, self.model, self.slicers)
+
+    def violation(self) -> float:
+        """This component's max violation; keeps its leading-axis sums."""
+        violation, self.lead_sums = _max_violation(
+            self.tensor, self.constraints, self.slicers, self.schema
+        )
+        return violation
+
+
+def _connected_components(schema, model) -> list[tuple[str, ...]]:
+    """Attribute groups joined by the model's cell and table factors.
+
+    Groups come in the order of their first attribute, each in schema
+    order.
+    """
+    parent = {name: name for name in schema.names}
+
+    def find(name):
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    joins = [names for names, _ in model.cell_factors]
+    joins.extend(model.table_factors)
+    for names in joins:
+        for name in names[1:]:
+            parent[find(name)] = find(names[0])
+    groups: dict[str, list[str]] = {}
+    for name in schema.names:
+        groups.setdefault(find(name), []).append(name)
+    return [tuple(group) for group in groups.values()]
+
+
+def _lockstep(components, positions, sweep) -> None:
+    """Run one sweep phase on every component.
+
+    A structural conflict stops the fit.  If several components hit one,
+    the conflict the dense sweep visits first is raised, so the error
+    names the same constraint.
+    """
+    conflicts = []
+    for component in components:
+        try:
+            sweep(component)
+        except ConstraintError as error:
+            conflicts.append(error)
+    if conflicts:
+        raise min(conflicts, key=lambda error: positions[error.constraint])
+
+
+def _lockstep_violation(components) -> float:
+    """Worst component violation, or the joint's mass error if bigger.
+
+    A single component's violation already covers its mass.
+    """
+    worst = max(component.violation() for component in components)
+    if len(components) > 1:
+        mass = math.prod(float(c.tensor.sum()) for c in components)
+        worst = max(worst, abs(mass - 1.0))
+    return worst
+
+
+def _write_back(model, components) -> None:
+    """Copy the components' factors into ``model``'s existing keys."""
+    for component in components:
+        model.margin_factors.update(component.model.margin_factors)
+        model.cell_factors.update(component.model.cell_factors)
+        model.table_factors.update(component.model.table_factors)
+
+
+def _conflict(message: str, constraint) -> ConstraintError:
+    """A structural-conflict error tagged with the constraint it names."""
+    error = ConstraintError(message)
+    error.constraint = constraint
+    return error
 
 
 def _slicer(schema, names, values) -> tuple:
@@ -230,9 +394,10 @@ def _margin_sweep(
         infeasible = (~positive) & (target > 0)
         if infeasible.any():
             value = int(np.flatnonzero(infeasible)[0])
-            raise ConstraintError(
+            raise _conflict(
                 f"margin target P({attribute.name}={value}) > 0 but the "
-                f"model assigns it zero mass (structural conflict)"
+                f"model assigns it zero mass (structural conflict)",
+                attribute.name,
             )
         ratio[~positive] = 0.0
         shape = [1] * len(schema)
@@ -251,9 +416,10 @@ def _subset_margin_sweep(tensor, constraints, model, schema) -> None:
         ratio[positive] = target[positive] / current[positive]
         infeasible = (~positive) & (target > 0)
         if infeasible.any():
-            raise ConstraintError(
+            raise _conflict(
                 f"subset margin for {names} puts mass on a cell the model "
-                f"assigns zero (structural conflict)"
+                f"assigns zero (structural conflict)",
+                names,
             )
         ratio[~positive] = 0.0
         shape = [1] * len(schema)
@@ -279,9 +445,10 @@ def _cell_sweep(tensor, constraints, model, cell_slicers) -> None:
                 model.a0 *= rescale
             continue
         if share <= 0.0:
-            raise ConstraintError(
+            raise _conflict(
                 f"cell target {cell.key} = {target} > 0 but the model "
-                f"assigns it zero mass (structural conflict)"
+                f"assigns it zero mass (structural conflict)",
+                cell.key,
             )
         ratio_in = target / share
         ratio_out = (1.0 - target) / (1.0 - share)

@@ -27,10 +27,14 @@ GET (WS)    ``/kb/{name}/subscribe``       revision-change notifications
 Every library :class:`~repro.exceptions.ReproError` maps to a typed JSON
 envelope ``{"error": {"type", "message", "status"}}`` via
 :mod:`repro.serve.errors`; unexpected exceptions become opaque 500s so a
-handler bug cannot leak a traceback to the wire.
+handler bug cannot leak a traceback to the wire.  The traceback goes to
+the ``repro.serve`` logger instead, tagged with the request's method and
+path.
 """
 
 from __future__ import annotations
+
+import logging
 
 from repro.exceptions import ReproError
 from repro.serve.errors import ApiError, error_body
@@ -38,6 +42,8 @@ from repro.serve.registry import HostedKB, KnowledgeBaseRegistry
 from repro.serve.transport import Request, Response, json_response
 
 __all__ = ["ServeApp"]
+
+logger = logging.getLogger("repro.serve")
 
 
 class ServeApp:
@@ -54,6 +60,9 @@ class ServeApp:
             status, body = error_body(error)
             return Response(status=status, body=body)
         except Exception:  # noqa: BLE001 — the wire never sees tracebacks
+            logger.exception(
+                "unhandled error serving %s %s", request.method, request.path
+            )
             status, body = error_body(
                 ApiError(500, "internal server error", kind="ServerError")
             )

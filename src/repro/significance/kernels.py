@@ -172,6 +172,11 @@ class DiscoveryProfile:
     :meth:`stage_percentile_ms` is what the scenario fleet's latency SLOs
     read.
 
+    ``fit_cells`` counts the tensor cells the fit swept, summed over
+    sweeps and fits: a sweep works on one small tensor per connected
+    component of the constraint graph, so this is what shows the fit's
+    cost following the adopted structure rather than the joint's size.
+
     ``scan_paths`` records, per scanned order, which scan implementation
     the engine chose (``"serial"`` kernel, ``"sharded"`` executor, or the
     ``"reference"`` oracle) and the candidate-pool size that drove the
@@ -195,6 +200,7 @@ class DiscoveryProfile:
     fit_seconds: float = 0.0
     fit_calls: int = 0
     fit_sweeps: int = 0
+    fit_cells: int = 0
     scan_paths: list[dict] = field(default_factory=list)
     scan_call_seconds: list[float] = field(default_factory=list)
     verify_call_seconds: list[float] = field(default_factory=list)
@@ -236,10 +242,11 @@ class DiscoveryProfile:
         self.verify_cells += cells
         self.verify_call_seconds.append(seconds)
 
-    def add_fit(self, seconds: float, sweeps: int) -> None:
+    def add_fit(self, seconds: float, sweeps: int, cells: int = 0) -> None:
         self.fit_seconds += seconds
         self.fit_calls += 1
         self.fit_sweeps += sweeps
+        self.fit_cells += cells
         self.fit_call_seconds.append(seconds)
 
     @property
@@ -287,7 +294,7 @@ class DiscoveryProfile:
             ("scan", self.scan_seconds, self.scan_calls,
              f"{self.scan_cells} cells"),
             ("fit", self.fit_seconds, self.fit_calls,
-             f"{self.fit_sweeps} sweeps"),
+             f"{self.fit_sweeps} sweeps, {self.fit_cells} cells"),
             ("verify", self.verify_seconds, self.verify_calls,
              f"{self.verify_cells} cells"),
         ):

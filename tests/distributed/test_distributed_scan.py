@@ -58,8 +58,12 @@ def build_world(seed: int = 7, fitted: bool = False):
         {name: table.first_order_probabilities(name) for name in schema.names},
     )
     if fitted:
+        # A cell constraint makes the fitted model differ from the
+        # independent one; a margins-only fit reproduces it exactly.
+        with_cell = constraints.copy()
+        with_cell.add_cell(with_cell.cell_from_table(table, ("A0", "A1"), (0, 0)))
         model = fit_ipf(
-            constraints,
+            with_cell,
             initial=model,
             max_sweeps=40,
             require_convergence=False,

@@ -23,6 +23,7 @@ from repro.exceptions import ConstraintError, DataError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
+from repro.scenarios.registry import get_scenario
 from repro.significance.kernels import DiscoveryProfile, OrderScanKernel
 from repro.significance.mml import (
     most_significant,
@@ -274,6 +275,29 @@ class TestEngineEquivalence:
         assert profile.verify_calls > 0  # each order ends with one
         assert profile.total_seconds > 0.0
         assert len(profile.rows()) == 3
+
+    def test_profile_counts_fit_cells(self, table):
+        profile = DiscoveryEngine(DiscoveryConfig(max_order=2)).run(
+            table
+        ).profile
+        assert 0 < profile.fit_cells
+        assert profile.fit_cells <= profile.fit_sweeps * table.schema.num_cells
+        fit_row = profile.rows()[1]
+        assert fit_row[0] == "fit"
+        assert fit_row[2] == (
+            f"{profile.fit_sweeps} sweeps, {profile.fit_cells} cells"
+        )
+
+    def test_fit_cells_follow_the_components_not_the_joint(self):
+        # 16 binary attributes joined by 4 planted pairs: each sweep works
+        # on a few small component tensors, never the 65,536-cell joint.
+        scenario = get_scenario("stress-wide-16")
+        table = scenario.build(smoke=True).table
+        profile = DiscoveryEngine(
+            DiscoveryConfig(max_order=scenario.max_order)
+        ).run(table).profile
+        assert profile.fit_sweeps > 0
+        assert profile.fit_cells <= 64 * profile.fit_sweeps
 
 
 class TestScanOrderErrors:

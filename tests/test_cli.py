@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -47,7 +49,7 @@ def test_discover_profile(capsys):
     assert "discovery stage timings" in output
     for stage in ("scan", "fit", "verify"):
         assert stage in output
-    assert "sweeps" in output
+    assert re.search(r"\d+ sweeps, \d+ cells", output)
     # The rendered table carries the per-stage work and share columns.
     assert "cells" in output
     assert "%" in output
