@@ -59,9 +59,8 @@ class QuerySession:
         ``HOST:PORT`` addresses of remote ``repro worker`` daemons; a
         non-empty list shards batches over TCP (one pinned remote
         session per address) regardless of ``max_workers``.  Empty (the
-        default) leaves batches local unless the environment
-        (``REPRO_PARALLEL_TRANSPORT=tcp`` + ``REPRO_WORKER_ADDRESSES``)
-        says otherwise.
+        default) leaves batches local unless ``REPRO_WORKER_ADDRESSES``
+        names daemons.
     """
 
     def __init__(

@@ -59,24 +59,19 @@ class DiscoveryConfig:
         The chosen path per order lands in
         :attr:`~repro.significance.kernels.DiscoveryProfile.scan_paths`.
         Machine-local like ``max_workers`` and likewise not serialized.
-    transport:
-        How sharded-scan tensors move between master and workers:
-        ``"pipe"`` (pickle over the worker pipes), ``"shm"`` (zero-copy
-        shared-memory segments), ``"tcp"`` (remote worker daemons — see
-        ``worker_addresses``), or ``None`` — defer to the
-        ``REPRO_PARALLEL_TRANSPORT`` environment variable, defaulting to
-        shm where available.  Bit-identical results either way; machine-
-        local like ``max_workers`` and likewise not serialized.
     worker_addresses:
         ``HOST:PORT`` addresses of remote ``repro worker`` daemons to
-        shard scans across (each address is one pool slot).  A non-empty
-        list implies the tcp transport; empty (the default) leaves
-        remote execution to the ``tcp`` transport choice plus
-        ``REPRO_WORKER_ADDRESSES``, degrading to local workers when no
-        addresses are configured anywhere.  The most machine-local knob
-        of all — it names sockets on a specific network — so like
-        ``max_workers`` it is deliberately *not* serialized: a stored KB
-        must never make a loading host dial someone else's workers.
+        shard scans across (each address is one pool slot).  Empty (the
+        default) leaves a ``max_workers > 1`` run to
+        ``REPRO_WORKER_ADDRESSES``, and to local workers when no
+        addresses are configured anywhere.  How tensors
+        move is not configured: it follows from the pool (shared memory
+        for local workers where the platform has it, inline otherwise —
+        see :func:`repro.parallel.shm.open_codec`), with bit-identical
+        results either way.  The most machine-local knob of all — it
+        names sockets on a specific network — so like ``max_workers`` it
+        is deliberately *not* serialized: a stored KB must never make a
+        loading host dial someone else's workers.
     """
 
     max_order: int | None = None
@@ -88,7 +83,6 @@ class DiscoveryConfig:
     given_constraints: tuple[CellConstraint, ...] = ()
     max_workers: int = 1
     parallel_scan_threshold: int = 512
-    transport: str | None = None
     worker_addresses: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -120,16 +114,6 @@ class DiscoveryConfig:
             raise DataError(
                 f"parallel_scan_threshold must be >= 0, got "
                 f"{self.parallel_scan_threshold}"
-            )
-        if self.transport is not None and self.transport not in (
-            "pipe",
-            "shm",
-            "tcp",
-            "auto",
-        ):
-            raise DataError(
-                f"unknown transport {self.transport!r}; choose 'pipe', "
-                f"'shm', 'tcp', 'auto', or None"
             )
         if not isinstance(self.worker_addresses, tuple):
             object.__setattr__(

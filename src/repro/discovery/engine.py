@@ -110,7 +110,6 @@ class DiscoveryEngine:
 
             executor = ShardedScanExecutor(
                 self.config.max_workers,
-                transport=self.config.transport,
                 worker_addresses=self.config.worker_addresses,
             )
             self._owns_executor = True

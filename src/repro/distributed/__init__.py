@@ -1,19 +1,18 @@
-"""Distributed worker transport: pinned workers over length-prefixed TCP.
+"""Distributed workers: pinned workers over length-prefixed TCP.
 
-The third transport next to ``pipe`` and ``shm``:
 :class:`TcpWorkerPool` speaks the same ``("call", task, args)`` protocol
-as the in-process :class:`~repro.parallel.pool.WorkerPool`, against
-:class:`WorkerServer` daemons started with ``repro worker --listen``.
-:func:`resolve_distribution` decides when a run goes remote (explicit
-addresses > ``REPRO_WORKER_ADDRESSES`` under a ``tcp`` transport) and
-degrades to local execution when the worker set is empty.
+as the local :class:`~repro.parallel.pool.WorkerPool`, against
+:class:`WorkerServer` daemons started with ``repro worker --listen``;
+tensors cross it with the ``inline`` codec.  :func:`open_pool` decides
+when a run goes remote: whenever worker addresses are known (explicit
+addresses > ``REPRO_WORKER_ADDRESSES``), else it stays local.
 """
 
 from repro.distributed.client import (
     TcpWorkerPool,
     WORKERS_ENV_VAR,
+    open_pool,
     parse_worker_addresses,
-    resolve_distribution,
 )
 from repro.distributed.protocol import (
     MAX_FRAME_BYTES,
@@ -31,7 +30,7 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "WorkerServer",
     "format_address",
+    "open_pool",
     "parse_address",
     "parse_worker_addresses",
-    "resolve_distribution",
 ]

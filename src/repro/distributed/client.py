@@ -1,4 +1,4 @@
-"""Master-side TCP worker pool and the transport/address resolver.
+"""Master-side TCP worker pool, and the choice between it and a local one.
 
 :class:`TcpWorkerPool` is a drop-in for
 :class:`repro.parallel.pool.WorkerPool` (same ``run`` / ``broadcast`` /
@@ -21,10 +21,10 @@ Failure semantics, deliberately identical to the process pool:
   would be silently wrong.  Owners that can rebuild state (the sharded
   scan, the query evaluator) construct a fresh pool and re-ship.
 
-:func:`resolve_distribution` centralizes how a transport choice and a
-worker-address list combine, layering the address sources (explicit
-argument > ``REPRO_WORKER_ADDRESSES``) onto the existing
-:func:`~repro.parallel.shm.resolve_transport` precedence.
+:func:`open_pool` derives which pool an executor runs on from where
+its workers are: addresses (explicit argument > ``REPRO_WORKER_ADDRESSES``)
+mean a :class:`TcpWorkerPool`, no addresses a local
+:class:`~repro.parallel.pool.WorkerPool`.
 """
 
 from __future__ import annotations
@@ -42,20 +42,19 @@ from repro.distributed.protocol import (
 )
 from repro.distributed.retry import DEFAULT_RETRY, RetryPolicy
 from repro.exceptions import ParallelError
-from repro.parallel.pool import _raise_remote
+from repro.parallel.pool import WorkerPool, results_of
 from repro.parallel.shm import TransportCounters
 
 __all__ = [
     "TcpWorkerPool",
     "WORKERS_ENV_VAR",
+    "open_pool",
     "parse_worker_addresses",
-    "resolve_distribution",
 ]
 
 #: Comma-separated ``HOST:PORT`` list naming the remote worker daemons,
-#: consulted when the transport resolves to ``tcp`` and no explicit
-#: address list was given.  Machine-local, like
-#: ``REPRO_PARALLEL_TRANSPORT`` — never part of a stored config hash.
+#: consulted when no explicit address list was given.  Machine-local —
+#: never part of a stored config hash.
 WORKERS_ENV_VAR = "REPRO_WORKER_ADDRESSES"
 
 
@@ -76,40 +75,25 @@ def parse_worker_addresses(value) -> tuple[str, ...]:
     )
 
 
-def resolve_distribution(
-    transport: str | None,
-    worker_addresses=None,
-) -> tuple[str, tuple[str, ...]]:
-    """Combine a transport choice with a worker-address list.
+def open_pool(max_workers=None, worker_addresses=None, retry=None):
+    """The worker pool an executor runs on, derived from where workers are.
 
-    Returns the ``(transport, addresses)`` pair to actually run with:
-
-    - explicit addresses imply ``tcp`` (and contradict an explicit
-      ``pipe``/``shm`` request loudly);
-    - a transport that resolves to ``tcp`` (explicitly or via
-      ``REPRO_PARALLEL_TRANSPORT``) takes its addresses from
-      ``REPRO_WORKER_ADDRESSES`` when none were passed;
-    - ``tcp`` with an empty worker set **degrades to local execution**
-      (shm where available, else pipe) rather than erroring — a config
-      that names no workers should run, just not remotely.
+    Addresses — ``worker_addresses``, else ``REPRO_WORKER_ADDRESSES`` —
+    mean a :class:`TcpWorkerPool` (``retry`` bounding its connects and
+    reads); no addresses mean a local
+    :class:`~repro.parallel.pool.WorkerPool` of ``max_workers``.
     """
-    from repro.parallel.shm import resolve_transport, shm_available
-
-    addresses = parse_worker_addresses(worker_addresses)
+    addresses = parse_worker_addresses(
+        worker_addresses
+    ) or parse_worker_addresses(os.environ.get(WORKERS_ENV_VAR))
     if addresses:
-        if transport in ("pipe", "shm"):
-            raise ParallelError(
-                f"worker addresses were given but transport={transport!r} "
-                f"is local; pass transport='tcp' (or leave it unset)"
-            )
-        return "tcp", addresses
-    resolved = resolve_transport(transport)
-    if resolved != "tcp":
-        return resolved, ()
-    addresses = parse_worker_addresses(os.environ.get(WORKERS_ENV_VAR))
-    if addresses:
-        return "tcp", addresses
-    return ("shm" if shm_available() else "pipe"), ()
+        return TcpWorkerPool(addresses, retry=retry)
+    if max_workers is None:
+        raise ParallelError(
+            "a parallel executor needs max_workers, a pool, or worker "
+            "addresses"
+        )
+    return WorkerPool(max_workers)
 
 
 class TcpWorkerPool:
@@ -125,11 +109,9 @@ class TcpWorkerPool:
         :data:`~repro.distributed.retry.DEFAULT_RETRY`.
     counters:
         A :class:`TransportCounters` to charge wire traffic to; the
-        sharded executors pass their own so ``--profile`` and bench
+        executors adopt the pool's counters so ``--profile`` and bench
         records see ``bytes_wire`` / ``round_trips``.
     """
-
-    transport = "tcp"
 
     def __init__(
         self,
@@ -285,26 +267,17 @@ class TcpWorkerPool:
                     f"could not dispatch task {task!r} to worker "
                     f"{self.addresses[index]}: {error}"
                 ) from None
-        results = []
-        failure = None
+        replies = []
         for index, sock in enumerate(active):
             try:
-                reply = self._recv(sock)
+                replies.append(self._recv(sock))
             except (ParallelError, OSError, EOFError) as error:
                 self.close()
                 raise ParallelError(
                     f"worker {self.addresses[index]} died while running "
                     f"task {task!r}: {error}"
                 ) from None
-            if reply[0] == "ok":
-                results.append(reply[1])
-            else:
-                results.append(None)
-                if failure is None:
-                    failure = reply[1:]
-        if failure is not None:
-            _raise_remote(*failure)
-        return results
+        return results_of(replies)
 
     def broadcast(self, task: str, *args) -> list:
         """Run ``task`` with the same arguments on every worker."""

@@ -1,4 +1,4 @@
-"""The remote worker daemon: a socket-backed mirror of ``_worker_main``.
+"""The remote worker daemon: ``_worker_main``'s loop over sockets.
 
 A :class:`WorkerServer` accepts TCP connections and runs one handler
 thread per connection.  Each connection owns a **fresh, private** state
@@ -23,14 +23,13 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
-import traceback
 
 from repro.distributed.protocol import (
     format_address,
     recv_message,
     send_message,
 )
-from repro.parallel.pool import resolve_task
+from repro.parallel.pool import dispatch
 
 __all__ = ["WorkerServer"]
 
@@ -110,7 +109,9 @@ class WorkerServer:
             and self._accept_thread is not threading.current_thread()
         ):
             self._accept_thread.join(timeout=2.0)
-        for handler in list(self._handlers):
+        with self._lock:
+            handlers = list(self._handlers)
+        for handler in handlers:
             if handler is not threading.current_thread():
                 handler.join(timeout=2.0)
 
@@ -137,15 +138,16 @@ class WorkerServer:
             connection.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
-            with self._lock:
-                self._connections.append(connection)
             handler = threading.Thread(
                 target=self._handle,
                 args=(connection,),
                 name="repro-worker-conn",
                 daemon=True,
             )
-            self._handlers.append(handler)
+            # Tracked before it starts, so its own exit always finds it.
+            with self._lock:
+                self._connections.append(connection)
+                self._handlers.append(handler)
             handler.start()
 
     def _handle(self, connection: socket.socket) -> None:
@@ -168,23 +170,10 @@ class WorkerServer:
                     break  # truncated frame / reset: connection is gone
                 if message is None or message[0] == "exit":
                     break
-                _, task, args = message
                 try:
-                    handler = handlers.get(task)
-                    if handler is None:
-                        handler = resolve_task(task)
-                        handlers[task] = handler
-                    reply = ("ok", handler(state, *args))
-                except BaseException as error:
-                    reply = (
-                        "error",
-                        type(error).__module__,
-                        type(error).__name__,
-                        str(error),
-                        traceback.format_exc(),
+                    send_message(
+                        connection, dispatch(handlers, state, message)
                     )
-                try:
-                    send_message(connection, reply)
                 except OSError:
                     break
         finally:
@@ -193,6 +182,11 @@ class WorkerServer:
             with self._lock:
                 if connection in self._connections:
                     self._connections.remove(connection)
+                # Finished handlers leave the registry, so a long-lived
+                # daemon tracks only live connections.
+                current = threading.current_thread()
+                if current in self._handlers:
+                    self._handlers.remove(current)
 
 
 def serve(address: str) -> None:

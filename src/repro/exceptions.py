@@ -44,11 +44,12 @@ class ParallelError(ReproError):
 
 
 class StaleWorkerStateError(ParallelError):
-    """A remote worker was asked to reuse pinned state it no longer holds.
+    """A worker was asked to reuse pinned state it no longer holds.
 
-    The TCP transport pins data-side stats, cached joints, and query
-    sessions per connection; a reconnect (or a fresh daemon) starts from
-    nothing.  A worker raises this when the master references cached
+    Workers pin data-side stats, cached joints, and query sessions; a
+    remote worker pins them per connection, so a reconnect (or a fresh
+    daemon) starts from nothing.  A worker raises this when the master
+    references cached
     state — a table, a joint fingerprint, a session — that the
     connection never received, so the master can re-ship the full
     payload instead of silently serving stale or missing state."""

@@ -40,7 +40,9 @@ from repro.exceptions import ParallelError, ReproError
 __all__ = [
     "WorkerPool",
     "default_start_method",
+    "dispatch",
     "resolve_task",
+    "results_of",
     "shard_bounds",
 ]
 
@@ -116,12 +118,36 @@ def _close_live_pools() -> None:
 atexit.register(_close_live_pools)
 
 
-def _worker_main(connection) -> None:
-    """Worker loop: receive ``("call", task, args)``, reply with the result.
+def dispatch(handlers: dict, state: dict, message: tuple) -> tuple:
+    """Run one ``("call", task, args)`` message against a worker's state.
 
-    Errors are caught and shipped back as ``("error", module, name,
-    message, traceback)`` so the master can re-raise library exceptions as
-    themselves; only a hard crash (signal, ``os._exit``) breaks the pipe.
+    The per-message step of every worker loop — pipe-connected process or
+    TCP connection alike: resolve the task through ``handlers`` (the
+    loop's resolution cache), call it, and build the reply —
+    ``("ok", result)``, or ``("error", module, name, message, traceback)``
+    for *any* exception, so the master can re-raise library exceptions as
+    themselves and the worker loops on.
+    """
+    _, task, args = message
+    try:
+        handler = handlers.get(task)
+        if handler is None:
+            handler = handlers[task] = resolve_task(task)
+        return ("ok", handler(state, *args))
+    except BaseException as error:  # ship everything back, loop on
+        return (
+            "error",
+            type(error).__module__,
+            type(error).__name__,
+            str(error),
+            traceback.format_exc(),
+        )
+
+
+def _worker_main(connection) -> None:
+    """Worker loop: receive a message, :func:`dispatch` it, send the reply.
+
+    Only a hard crash (signal, ``os._exit``) breaks the pipe.
     """
     handlers: dict = {}
     state: dict = {}
@@ -132,23 +158,8 @@ def _worker_main(connection) -> None:
             break
         if message[0] == "exit":
             break
-        _, task, args = message
         try:
-            handler = handlers.get(task)
-            if handler is None:
-                handler = resolve_task(task)
-                handlers[task] = handler
-            reply = ("ok", handler(state, *args))
-        except BaseException as error:  # ship everything back, loop on
-            reply = (
-                "error",
-                type(error).__module__,
-                type(error).__name__,
-                str(error),
-                traceback.format_exc(),
-            )
-        try:
-            connection.send(reply)
+            connection.send(dispatch(handlers, state, message))
         except (BrokenPipeError, OSError):
             break
     with contextlib.suppress(OSError):
@@ -175,6 +186,18 @@ def _raise_remote(module: str, name: str, message: str, trace: str):
     raise ParallelError(
         f"worker task failed with {name}: {message}\n{trace}"
     )
+
+
+def results_of(replies: list) -> list:
+    """Unpack a run's replies in shard order, raising the first error.
+
+    Every reply is collected before this is called, keeping each worker's
+    stream in sync; failed shards then surface via :func:`_raise_remote`.
+    """
+    for reply in replies:
+        if reply[0] != "ok":
+            _raise_remote(*reply[1:])
+    return [reply[1] for reply in replies]
 
 
 class WorkerPool:
@@ -377,8 +400,7 @@ class WorkerPool:
                 raise ParallelError(
                     f"could not dispatch task {task!r}: a worker died"
                 ) from None
-        results = []
-        failure = None
+        replies = []
         read_timeout = self.retry.read_timeout
         for index, (_process, connection) in enumerate(active):
             try:
@@ -393,21 +415,13 @@ class WorkerPool:
                         f"worker {index} did not reply within "
                         f"{read_timeout}s while running task {task!r}"
                     )
-                reply = connection.recv()
+                replies.append(connection.recv())
             except (EOFError, OSError):
                 self.close()
                 raise ParallelError(
                     f"worker {index} died while running task {task!r}"
                 ) from None
-            if reply[0] == "ok":
-                results.append(reply[1])
-            else:
-                results.append(None)
-                if failure is None:
-                    failure = reply[1:]
-        if failure is not None:
-            _raise_remote(*failure)
-        return results
+        return results_of(replies)
 
     def broadcast(self, task: str, *args) -> list:
         """Run ``task`` with the same arguments on every worker."""

@@ -13,12 +13,13 @@ The model is broadcast to workers once, then re-broadcast only when its
 staleness signal the serial session uses, so a
 :meth:`~repro.core.knowledge_base.ProbabilisticKnowledgeBase.update` that
 absorbs new data in place invalidates worker sessions on the next batch.
-Under the default ``shm`` transport (:mod:`repro.parallel.shm`) that
-broadcast ships the model's factors as one float64 block through a shared
-segment — pickling only a tiny layout description — so a rebroadcast costs
-one memcpy instead of serializing the model per worker; the block crosses
-bit-exactly, and :class:`~repro.maxent.model.MaxEntModel` copies on
-construction, so worker models are byte-identical to the master's.
+A broadcast ships the model's factors as one float64 block
+(:func:`~repro.parallel.shm.pack_model`) plus a tiny layout description;
+the pool's tensor codec moves the block — through a shared segment under
+``shm`` (one memcpy instead of a per-worker copy), inside the message
+under ``inline``.  The block crosses bit-exactly, and
+:class:`~repro.maxent.model.MaxEntModel` copies on construction, so
+worker models are byte-identical to the master's.
 
 A query that fails inside a worker (bad attribute, zero-probability
 evidence) raises the same :class:`~repro.exceptions.QueryError` the serial
@@ -29,107 +30,56 @@ path would; a worker that dies raises
 
 from __future__ import annotations
 
-from repro.exceptions import ParallelError, StaleWorkerStateError
+from repro.exceptions import StaleWorkerStateError
 from repro.maxent.model import MaxEntModel
 from repro.parallel.pool import WorkerPool, shard_bounds
 from repro.parallel.shm import (
-    SegmentAttachments,
-    SharedTensorPool,
-    TransportCounters,
-    model_payload_bytes,
+    open_codec,
     pack_model,
-    resolve_transport,
+    read_tensor,
+    take_attach_ns,
     unpack_model,
 )
 
 __all__ = ["ParallelQueryEvaluator"]
 
 _TASK_INIT = f"{__name__}:_init_session"
-_TASK_INIT_SHM = f"{__name__}:_init_session_shm"
-_TASK_INIT_PACKED = f"{__name__}:_init_session_packed"
 _TASK_SET_MODEL = f"{__name__}:_set_model"
-_TASK_SET_MODEL_SHM = f"{__name__}:_set_model_shm"
-_TASK_SET_MODEL_PACKED = f"{__name__}:_set_model_packed"
 _TASK_BATCH = f"{__name__}:_evaluate_shard"
 
 
 # -- worker-side tasks ------------------------------------------------------------
 
 
-def _init_session(state, model, backend, cache_size) -> None:
+def _init_session(state, schema, backend, cache_size, layout, ref) -> int:
     from repro.api.session import QuerySession
 
-    state["session"] = QuerySession(
-        model, backend=backend, cache_size=cache_size
-    )
-
-
-def _unpack_shared_model(state, schema, layout, handle) -> MaxEntModel:
-    attachments = state.get("attachments")
-    if attachments is None:
-        attachments = state["attachments"] = SegmentAttachments()
-    block = attachments.view(handle)
-    return unpack_model(schema, layout, block)
-
-
-def _init_session_shm(state, schema, backend, cache_size, layout, handle):
-    from repro.api.session import QuerySession
-
-    model = _unpack_shared_model(state, schema, layout, handle)
+    model = unpack_model(schema, layout, read_tensor(state, ref))
     state["schema"] = schema
     state["session"] = QuerySession(
         model, backend=backend, cache_size=cache_size
     )
-    return state["attachments"].take_attach_ns()
+    return take_attach_ns(state)
 
 
-def _init_session_packed(state, schema, backend, cache_size, layout, block):
-    """Build a worker session from the packed wire format (tcp).
-
-    The float64 block crosses the frame bit-exactly (pickled numpy
-    array), and :func:`unpack_model` rebuilds the identical model the
-    shm path attaches — so served answers cannot differ by transport.
-    """
-    from repro.api.session import QuerySession
-
-    model = unpack_model(schema, layout, block)
-    state["schema"] = schema
-    state["session"] = QuerySession(
-        model, backend=backend, cache_size=cache_size
-    )
-
-
-def _set_model(state, model) -> None:
-    session = state.get("session")
-    if session is None:
-        raise ParallelError("query worker has no session")
-    session.set_model(model)
-
-
-def _set_model_shm(state, layout, handle):
-    session = state.get("session")
-    if session is None:
-        raise ParallelError("query worker has no session")
-    model = _unpack_shared_model(state, state["schema"], layout, handle)
-    session.set_model(model)
-    return state["attachments"].take_attach_ns()
-
-
-def _set_model_packed(state, layout, block) -> None:
-    session = state.get("session")
-    if session is None:
-        raise StaleWorkerStateError("query worker has no session")
-    model = unpack_model(state["schema"], layout, block)
-    session.set_model(model)
-
-
-def _evaluate_shard(state, queries) -> list[float]:
+def _session(state):
     session = state.get("session")
     if session is None:
         # StaleWorkerStateError: a reconnected remote worker lost its
         # session; the master rebuilds by re-broadcasting the model.
         raise StaleWorkerStateError("query worker has no session")
-    return session.batch(queries)
+    return session
+
+
+def _set_model(state, layout, ref) -> int:
+    session = _session(state)
+    model = unpack_model(state["schema"], layout, read_tensor(state, ref))
+    session.set_model(model)
+    return take_attach_ns(state)
+
+
+def _evaluate_shard(state, queries) -> list[float]:
+    return _session(state).batch(queries)
 
 
 # -- master side ------------------------------------------------------------------
@@ -138,13 +88,13 @@ def _evaluate_shard(state, queries) -> list[float]:
 class ParallelQueryEvaluator:
     """Evaluates query batches across a pool of worker sessions.
 
-    ``transport`` picks how model broadcasts move (``"pipe"`` / ``"shm"``
-    / ``"tcp"`` / None = the ``REPRO_PARALLEL_TRANSPORT`` environment
-    default); ``counters`` accumulates the payload bytes and amortized
-    broadcasts.  ``worker_addresses`` (or ``REPRO_WORKER_ADDRESSES``
-    under a tcp transport) shards batches across remote worker daemons,
-    each holding a pinned :class:`~repro.api.session.QuerySession`; a
-    tcp choice with no addresses degrades to local workers.
+    Without a ``pool``, worker addresses (``worker_addresses``, else
+    ``REPRO_WORKER_ADDRESSES``) shard batches across remote worker
+    daemons, each holding a pinned
+    :class:`~repro.api.session.QuerySession`; otherwise ``max_workers``
+    local processes do.  The tensor codec follows from the pool
+    (:attr:`transport` names it for profiles); ``counters`` accumulates
+    the payload bytes and amortized broadcasts.
     """
 
     def __init__(
@@ -154,56 +104,26 @@ class ParallelQueryEvaluator:
         cache_size: int = 256,
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
-        start_method: str | None = None,
-        transport: str | None = None,
         worker_addresses=None,
         retry=None,
     ):
         if pool is None:
-            from repro.distributed.client import (
-                TcpWorkerPool,
-                resolve_distribution,
-            )
+            from repro.distributed.client import open_pool
 
-            resolved, addresses = resolve_distribution(
-                transport, worker_addresses
-            )
-            if resolved == "tcp":
-                pool = TcpWorkerPool(addresses, retry=retry)
-            else:
-                if max_workers is None:
-                    raise ParallelError(
-                        "ParallelQueryEvaluator needs max_workers, a "
-                        "pool, or worker addresses"
-                    )
-                pool = WorkerPool(max_workers, start_method=start_method)
-            self.transport = resolved
-        else:
-            pool_transport = getattr(pool, "transport", None)
-            if pool_transport is not None:
-                self.transport = pool_transport
-            else:
-                resolved = resolve_transport(transport)
-                if resolved == "tcp":
-                    resolved = resolve_transport("auto")
-                self.transport = resolved
+            pool = open_pool(max_workers, worker_addresses, retry)
         self.pool = pool
         self.max_workers = pool.max_workers
-        pool_counters = getattr(pool, "counters", None)
-        self.counters = (
-            pool_counters
-            if isinstance(pool_counters, TransportCounters)
-            else TransportCounters()
-        )
+        self._codec = open_codec(pool)
+        self.counters = self._codec.counters
         self._model = model
         self._backend = backend
         self._cache_size = int(cache_size)
         self._broadcast_fingerprint: int | None = None
-        self._tensor_pool = (
-            SharedTensorPool() if self.transport == "shm" else None
-        )
-        self._block_handle = None
-        self._block_view = None
+
+    @property
+    def transport(self) -> str:
+        """Profile label of the medium: ``"pipe"``, ``"shm"`` or ``"tcp"``."""
+        return self._codec.label
 
     def set_model(self, model: MaxEntModel) -> None:
         """Point workers at a new model (re-broadcast on the next batch)."""
@@ -214,86 +134,29 @@ class ParallelQueryEvaluator:
         """Force a full worker-session rebuild on the next batch."""
         self._broadcast_fingerprint = None
 
-    def _publish_model(self):
-        """Write the packed model into the shared block segment.
-
-        Reuses the mapped segment in place when the block size is
-        unchanged (workers read it only inside the synchronous broadcast
-        that follows, so overwriting here can never race a reader).
-        """
-        layout, block = pack_model(self._model)
-        if (
-            self._block_handle is not None
-            and self._block_handle.shape == block.shape
-        ):
-            self._block_view[...] = block
-            self._block_handle = self._tensor_pool.restamp(
-                self._block_handle
-            )
-        else:
-            if self._block_handle is not None:
-                self._tensor_pool.release(self._block_handle)
-            self._block_handle, self._block_view = self._tensor_pool.acquire(
-                block.shape, block.dtype
-            )
-            self._block_view[...] = block
-        self.counters.bytes_shared += block.nbytes
-        return layout, self._block_handle
-
     def _ensure_current(self) -> None:
         fingerprint = self._model.fingerprint()
         counters = self.counters
         counters.broadcasts_total += 1
+        if fingerprint == self._broadcast_fingerprint:
+            counters.broadcasts_skipped += 1
+            return
+        layout, block = pack_model(self._model)
+        ref = self._codec.put("model", block, self.max_workers)
         if self._broadcast_fingerprint is None:
-            if self.transport == "shm":
-                layout, handle = self._publish_model()
-                replies = self.pool.broadcast(
-                    _TASK_INIT_SHM,
-                    self._model.schema,
-                    self._backend,
-                    self._cache_size,
-                    layout,
-                    handle,
-                )
-                counters.attach_ns += sum(replies)
-            elif self.transport == "tcp":
-                layout, block = pack_model(self._model)
-                self.pool.broadcast(
-                    _TASK_INIT_PACKED,
-                    self._model.schema,
-                    self._backend,
-                    self._cache_size,
-                    layout,
-                    block,
-                )
-                counters.bytes_pickled += block.nbytes * self.max_workers
-            else:
-                self.pool.broadcast(
-                    _TASK_INIT, self._model, self._backend, self._cache_size
-                )
-                counters.bytes_pickled += (
-                    model_payload_bytes(self._model) * self.max_workers
-                )
-        elif fingerprint != self._broadcast_fingerprint:
+            replies = self.pool.broadcast(
+                _TASK_INIT,
+                self._model.schema,
+                self._backend,
+                self._cache_size,
+                layout,
+                ref,
+            )
+        else:
             # In-place mutation (kb.update's absorb): same object, new
             # factors — workers swap the model, dropping their caches.
-            if self.transport == "shm":
-                layout, handle = self._publish_model()
-                replies = self.pool.broadcast(
-                    _TASK_SET_MODEL_SHM, layout, handle
-                )
-                counters.attach_ns += sum(replies)
-            elif self.transport == "tcp":
-                layout, block = pack_model(self._model)
-                self.pool.broadcast(_TASK_SET_MODEL_PACKED, layout, block)
-                counters.bytes_pickled += block.nbytes * self.max_workers
-            else:
-                self.pool.broadcast(_TASK_SET_MODEL, self._model)
-                counters.bytes_pickled += (
-                    model_payload_bytes(self._model) * self.max_workers
-                )
-        else:
-            counters.broadcasts_skipped += 1
+            replies = self.pool.broadcast(_TASK_SET_MODEL, layout, ref)
+        counters.attach_ns += sum(replies)
         self._broadcast_fingerprint = fingerprint
 
     def batch(self, queries) -> list[float]:
@@ -308,11 +171,11 @@ class ParallelQueryEvaluator:
         queries = list(queries)
         if not queries:
             return []
-        self._ensure_current()
         shards = max(1, min(self.max_workers, len(queries)))
         bounds = shard_bounds(len(queries), shards)
         args = [(queries[a:b],) for a, b in bounds]
         try:
+            self._ensure_current()
             results = self.pool.run(_TASK_BATCH, args)
         except StaleWorkerStateError:
             self.reset()
@@ -322,10 +185,7 @@ class ParallelQueryEvaluator:
 
     def close(self) -> None:
         self._broadcast_fingerprint = None
-        self._block_handle = None
-        self._block_view = None
-        if self._tensor_pool is not None:
-            self._tensor_pool.close()
+        self._codec.close()
         self.pool.close()
 
     def __enter__(self) -> "ParallelQueryEvaluator":

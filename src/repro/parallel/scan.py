@@ -9,22 +9,27 @@ statistics (counts, coefficient arrays, Eq-41 range tables) are built once
 per order per worker and survive across the scan-adopt-refit rounds
 exactly as the serial kernel's do.
 
-Per scan the master publishes the model's joint once — per adoption it
+Per scan the master ships the model's joint once — per adoption it
 broadcasts the adopted constraint so every worker's constraint-set copy
-(and kernel cache invalidation) tracks the master's.  *How* the joint and
-the scan results move is the transport's business
-(:mod:`repro.parallel.shm`):
+(and kernel cache invalidation) tracks the master's.  One protocol runs on
+every pool; the only per-medium piece is the tensor codec
+(:mod:`repro.parallel.shm`), derived from the pool:
 
-- under the default ``shm`` transport the joint is written into one
-  shared-memory segment (republished only when ``model.fingerprint()``
-  changes) and workers attach zero-copy read-only views; shard result
-  float columns above ``result_threshold_bytes`` come back through
-  per-worker shared output slabs, and data-side columns (candidate
-  values, observed counts, determined/feasible tables) are shipped once
-  per kernel-cache build and referenced by version afterwards;
-- under ``pipe`` everything crosses the worker pipes by pickle — PR 5's
-  behavior, kept selectable (``REPRO_PARALLEL_TRANSPORT``) for platforms
-  without usable shared memory.
+- the joint is fingerprint-amortized — shipped (as a shared-segment
+  handle under ``shm``, as the array itself under ``inline``) only when
+  ``model.fingerprint()`` changes, referenced as ``("cached", fp)``
+  otherwise;
+- data-side columns (candidate values, observed counts,
+  determined/feasible tables) are shipped once per kernel-cache build and
+  referenced by version afterwards;
+- under ``shm``, shard result float columns of at least
+  :data:`RESULT_THRESHOLD_BYTES` come back through per-worker shared
+  output slabs; everything else returns in the reply.
+
+A worker asked to reuse state it does not hold raises
+:class:`~repro.exceptions.StaleWorkerStateError`, and the master replays
+the order with full payloads — the recovery a reconnected remote worker
+needs, on one code path for every pool.
 
 Three things keep the parallel path fast where a naive port would not be:
 
@@ -32,8 +37,8 @@ Three things keep the parallel path fast where a naive port would not be:
   times cheaper to move than CellTest objects) and compute their
   shard-local greedy argmax themselves, so the master's per-scan serial
   work is a cheap decode of a few columns plus a max over shard bests;
-- under shm those columns stay float64 *arrays* end to end — slab write,
-  slab read, one memcpy each — never expanding into per-cell Python
+- those float columns stay float64 *arrays* end to end — one slab write
+  and read, or one pickled block — never expanding into per-cell Python
   floats on the hot path;
 - the full :class:`~repro.significance.result.CellTest` list the audit
   trail wants is wrapped in :class:`LazyScanTests` and only materialized
@@ -62,10 +67,9 @@ from repro.maxent.constraints import CellConstraint, ConstraintSet
 from repro.maxent.model import MaxEntModel
 from repro.parallel.pool import WorkerPool, shard_bounds
 from repro.parallel.shm import (
-    SegmentAttachments,
-    SharedTensorPool,
-    TransportCounters,
-    resolve_transport,
+    open_codec,
+    read_tensor,
+    take_attach_ns,
 )
 from repro.significance.kernels import OrderScanKernel, tests_from_columns
 from repro.significance.result import CellTest
@@ -74,14 +78,12 @@ __all__ = ["LazyScanTests", "ShardedScanExecutor", "scan_order_sharded"]
 
 _TASK_INIT = f"{__name__}:_init_order"
 _TASK_SCAN = f"{__name__}:_scan_shard"
-_TASK_SCAN_SHM = f"{__name__}:_scan_shard_shm"
-_TASK_SCAN_TCP = f"{__name__}:_scan_shard_tcp"
 _TASK_ADOPT = f"{__name__}:_adopt"
 _TASK_END = f"{__name__}:_end_order"
 
-#: Shard float columns smaller than this return through the pipe even
-#: under shm — below it the slab bookkeeping costs more than the copy.
-DEFAULT_RESULT_THRESHOLD_BYTES = 32 * 1024
+#: Shard float columns smaller than this return in the reply even under
+#: the shm codec — below it the slab bookkeeping costs more than the copy.
+RESULT_THRESHOLD_BYTES = 32 * 1024
 
 
 def _best_in_columns(columns) -> tuple[int, float] | None:
@@ -91,7 +93,7 @@ def _best_in_columns(columns) -> tuple[int, float] | None:
     ``np.argmin`` keeps the first of equal minima — the same cell a
     strict-``<`` scalar sweep (and ``min()``) lands on — and float64
     subtraction is IEEE-identical whether the columns arrive as lists or
-    as arrays, so the pick cannot flip across transports."""
+    as arrays, so the pick cannot flip across codecs."""
     best_index = None
     best_delta = 0.0
     offset = 0
@@ -226,7 +228,8 @@ def _init_order(state, table_ref, order, constraints, priors, subsets) -> None:
     #
     # The table is a broadcast-amortized reference: ("table", table) ships
     # it (pickled — once per executor lifetime for a given table object),
-    # ("cached",) reuses the one from a previous order.
+    # ("cached",) reuses the one from a previous order.  A fresh
+    # sent_versions makes the first scan ship every data column.
     kind = table_ref[0]
     if kind == "table":
         state["table"] = table_ref[1]
@@ -242,72 +245,50 @@ def _init_order(state, table_ref, order, constraints, priors, subsets) -> None:
     state["sent_versions"] = {}
 
 
-def _scan_shard(state, joint):
-    kernel = state.get("kernel")
-    if kernel is None:
-        raise ParallelError("scan worker has no active order")
-    columns = kernel.scan_columns(None, joint=joint)
-    return columns, _best_in_columns(columns)
-
-
-def _scan_shard_tcp(state, joint_ref):
-    """One shard scan under the tcp transport.
-
-    The joint arrives fingerprint-amortized: ``("joint", fp, array)``
-    ships it (cached worker-side, surviving order boundaries exactly as
-    the master's ``_published_fingerprint`` does), ``("cached", fp)``
-    reuses the cached copy.  A fingerprint mismatch — a reconnected
-    worker whose cache died with its old connection, or a master that
-    rebuilt its model — raises :class:`StaleWorkerStateError` rather
-    than scanning against a stale joint; the master recovers by
-    replaying the order with full payloads.
-    """
+def _active_kernel(state) -> OrderScanKernel:
     kernel = state.get("kernel")
     if kernel is None:
         raise StaleWorkerStateError(
             "scan worker has no active order (fresh connection?)"
         )
-    kind = joint_ref[0]
-    if kind == "joint":
-        _kind, fingerprint, joint = joint_ref
-        state["joint"] = joint
-        state["joint_fingerprint"] = fingerprint
-    else:
-        _kind, fingerprint = joint_ref
-        if "joint" not in state or state.get("joint_fingerprint") != (
-            fingerprint
-        ):
-            raise StaleWorkerStateError(
-                "worker was told to reuse a cached joint it does not "
-                "hold (or holds for a different model fingerprint)"
-            )
-    columns = kernel.scan_columns(None, joint=state["joint"])
-    return columns, _best_in_columns(columns)
+    return kernel
 
 
-def _scan_shard_shm(state, joint_handle, slab_handle):
-    """One shard scan under the shm transport.
+def _scan_shard(state, joint_ref, slab):
+    """One shard scan.
 
-    Reads the joint through a zero-copy view of the master's segment,
-    keeps the float columns as arrays, and returns
-    ``(meta, block, best, attach_ns)``: per-subset metadata (data-side
-    columns, or a version reference when the master already holds them),
-    the concatenated float columns — written into the shared ``slab`` and
-    ``None`` here when a slab was provided, else returned through the
-    pipe as one array — the shard-local argmax, and segment attach time.
+    The joint arrives fingerprint-amortized: ``("joint", fp, ref)`` ships
+    it (``ref`` is a codec reference — a shared-segment handle or the
+    array itself) and caches it worker-side, surviving order boundaries
+    exactly as the master's ``_published_fingerprint`` does;
+    ``("cached", fp)`` reuses the cached copy.  Any cache miss — no
+    active kernel, no joint, a joint for another fingerprint — raises
+    :class:`StaleWorkerStateError` rather than scanning stale state; the
+    master recovers by replaying the order with full payloads.
+
+    Returns ``(meta, block, best, attach_ns)``: per-subset metadata
+    (data-side columns, or a version reference when the master already
+    holds them), the concatenated float columns — written into ``slab``
+    and ``None`` here when the codec provided one, else the array itself
+    — the shard-local argmax, and segment attach time.
     """
-    kernel = state.get("kernel")
-    if kernel is None:
-        raise ParallelError("scan worker has no active order")
-    attachments = state.get("attachments")
-    if attachments is None:
-        attachments = state["attachments"] = SegmentAttachments()
-    joint = attachments.view(joint_handle)
-    columns = kernel.scan_columns(None, joint=joint, float_arrays=True)
+    kernel = _active_kernel(state)
+    if joint_ref[0] == "joint":
+        _kind, fingerprint, ref = joint_ref
+        state["joint"] = read_tensor(state, ref)
+        state["joint_fingerprint"] = fingerprint
+    elif "joint" not in state or state["joint_fingerprint"] != joint_ref[1]:
+        raise StaleWorkerStateError(
+            "worker was told to reuse a cached joint it does not hold "
+            "(or holds for a different model fingerprint)"
+        )
+    columns = kernel.scan_columns(
+        None, joint=state["joint"], float_arrays=True
+    )
     best = _best_in_columns(columns)
-    sent_versions = state.setdefault("sent_versions", {})
+    sent_versions = state["sent_versions"]
     meta = []
-    float_groups = []
+    floats = []
     for subset_columns in columns:
         names = subset_columns[0]
         count = len(subset_columns[1])
@@ -328,27 +309,17 @@ def _scan_shard_shm(state, joint_handle, slab_handle):
                     count,
                 )
             )
-        float_groups.append((count, subset_columns[3:9]))
-    if slab_handle is not None:
-        slab = attachments.view(slab_handle, writable=True)
-        offset = 0
-        for count, group in float_groups:
-            for column in group:
-                slab[offset : offset + count] = column
-                offset += count
-        block = None
-    else:
-        parts = [column for _count, group in float_groups for column in group]
-        block = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-        )
-    return meta, block, best, attachments.take_attach_ns()
+        floats.extend(subset_columns[3:9])
+    floats = floats or [np.empty(0, dtype=np.float64)]
+    if slab is None:
+        return meta, np.concatenate(floats), best, take_attach_ns(state)
+    size = sum(column.size for column in floats)
+    np.concatenate(floats, out=read_tensor(state, slab, writable=True)[:size])
+    return meta, None, best, take_attach_ns(state)
 
 
 def _adopt(state, constraint) -> None:
-    kernel = state.get("kernel")
-    if kernel is None:
-        raise ParallelError("scan worker has no active order")
+    kernel = _active_kernel(state)
     kernel.constraints.add_cell(constraint)
     kernel.notify_adopted(constraint.key)
 
@@ -375,88 +346,45 @@ class ShardedScanExecutor:
     One executor (and its pool) serves a whole discovery run — workers
     persist across orders, only their per-order kernels are rebuilt.
 
-    ``transport`` picks how tensors move (``"pipe"`` / ``"shm"`` /
-    ``"tcp"`` / None = the ``REPRO_PARALLEL_TRANSPORT`` environment
-    default, auto-selecting shm where available); ``counters``
-    accumulates what it moved.  Under shm, shard result float columns
-    whose upper-bound size reaches ``result_threshold_bytes`` return
-    through per-worker shared slabs.  ``worker_addresses`` (or
-    ``REPRO_WORKER_ADDRESSES`` under a tcp transport) names remote
-    worker daemons — one pool slot per entry, shards running over TCP;
-    a tcp choice with no addresses degrades to local execution (see
-    :func:`repro.distributed.resolve_distribution`), and ``retry``
-    bounds remote connect/read behavior.
+    Without a ``pool``, worker addresses (``worker_addresses``, else
+    ``REPRO_WORKER_ADDRESSES``) mean remote daemons — one pool slot per
+    entry, shards running over TCP, ``retry`` bounding connect/read
+    behavior — and otherwise ``max_workers`` local processes.  The
+    tensor codec follows from the pool (see
+    :func:`repro.parallel.shm.open_codec`); :attr:`transport` names it
+    for profiles, and ``counters`` accumulates what it moved.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
-        start_method: str | None = None,
-        transport: str | None = None,
-        result_threshold_bytes: int = DEFAULT_RESULT_THRESHOLD_BYTES,
         worker_addresses=None,
         retry=None,
     ):
         if pool is None:
-            from repro.distributed.client import (
-                TcpWorkerPool,
-                resolve_distribution,
-            )
+            from repro.distributed.client import open_pool
 
-            resolved, addresses = resolve_distribution(
-                transport, worker_addresses
-            )
-            if resolved == "tcp":
-                pool = TcpWorkerPool(addresses, retry=retry)
-            else:
-                if max_workers is None:
-                    raise ParallelError(
-                        "ShardedScanExecutor needs max_workers, a pool, "
-                        "or worker addresses"
-                    )
-                pool = WorkerPool(max_workers, start_method=start_method)
-            self.transport = resolved
-        else:
-            # A provided pool decides its own transport: a TcpWorkerPool
-            # is tcp; a local pool resolves the local choice (an env-set
-            # tcp cannot apply to it, so it falls back to auto).
-            pool_transport = getattr(pool, "transport", None)
-            if pool_transport is not None:
-                self.transport = pool_transport
-            else:
-                resolved = resolve_transport(transport)
-                if resolved == "tcp":
-                    resolved = resolve_transport("auto")
-                self.transport = resolved
+            pool = open_pool(max_workers, worker_addresses, retry)
         self.pool = pool
         self.max_workers = pool.max_workers
-        self.result_threshold_bytes = int(result_threshold_bytes)
-        # A tcp pool charges wire traffic to its own counters object;
-        # adopting it makes --profile and bench records see bytes_wire /
-        # round_trips without a second accounting site.
-        pool_counters = getattr(pool, "counters", None)
-        self.counters = (
-            pool_counters
-            if isinstance(pool_counters, TransportCounters)
-            else TransportCounters()
-        )
+        self._codec = open_codec(pool)
+        self.counters = self._codec.counters
         self._active_shards = 0
-        self._tensor_pool = (
-            SharedTensorPool() if self.transport == "shm" else None
-        )
-        self._joint_handle = None
-        self._joint_view: np.ndarray | None = None
         self._published_fingerprint: int | None = None
         # Strong reference on purpose: `is` against a live object is the
         # only safe identity test (an id() can be recycled after GC).
         self._last_table: ContingencyTable | None = None
-        # What begin_order was last called with, kept so the tcp path can
-        # replay the whole order after a worker reports stale state.
+        # What begin_order was last called with, kept so the whole order
+        # can be replayed after a worker reports stale state.
         self._order_args: tuple | None = None
-        self._slab_handles: list = []
-        self._slab_views: list = []
+        self._slabs: list = []
         self._data_cache: list[dict] = []
+
+    @property
+    def transport(self) -> str:
+        """Profile label of the medium: ``"pipe"``, ``"shm"`` or ``"tcp"``."""
+        return self._codec.label
 
     def begin_order(
         self,
@@ -470,68 +398,54 @@ class ShardedScanExecutor:
         shards = max(1, min(self.max_workers, len(subsets)))
         bounds = shard_bounds(len(subsets), shards)
         self._active_shards = shards
+
+        def init_args(table_ref):
+            return [
+                (table_ref, order, constraints, priors, tuple(subsets[a:b]))
+                for a, b in bounds
+            ]
+
         if table is self._last_table:
             table_ref = ("cached",)
         else:
             table_ref = ("table", table)
         try:
-            self.pool.run(
-                _TASK_INIT,
-                [
-                    (table_ref, order, constraints, priors,
-                     tuple(subsets[a:b]))
-                    for a, b in bounds
-                ],
-            )
+            self.pool.run(_TASK_INIT, init_args(table_ref))
         except StaleWorkerStateError:
-            # A reconnected remote worker lost its cached table; re-ship
-            # it in full.  (Local workers can never hit this: their
-            # state lives exactly as long as their pipe.)
+            # A reconnected remote worker lost its cached table (and
+            # joint); re-ship both in full.
             self._published_fingerprint = None
-            self.pool.run(
-                _TASK_INIT,
-                [
-                    (("table", table), order, constraints, priors,
-                     tuple(subsets[a:b]))
-                    for a, b in bounds
-                ],
-            )
+            self.pool.run(_TASK_INIT, init_args(("table", table)))
         self._order_args = (table, order, constraints, priors)
         self._last_table = table
         # _published_fingerprint deliberately survives order boundaries:
         # when nothing was adopted at the previous order the model (and
-        # its joint segment) is unchanged, so the next order's first scan
-        # skips the republish too.
-        if self.transport == "shm":
-            self._begin_order_shm(table, [subsets[a:b] for a, b in bounds])
+        # its cached joint) is unchanged, so the next order's first scan
+        # skips the reship too.
+        self._open_slabs(table, [subsets[a:b] for a, b in bounds])
 
-    def _begin_order_shm(self, table: ContingencyTable, shard_subsets) -> None:
-        """Acquire per-shard output slabs sized to the order's shards.
+    def _open_slabs(self, table: ContingencyTable, shard_subsets) -> None:
+        """Size per-shard output slabs and reset the data-column cache.
 
         A slab holds a shard's six float columns laid out back to back;
         the cell-count upper bound (every marginal cell of every shard
         subset — candidates can only be fewer) sizes it once per order.
+        Shards below :data:`RESULT_THRESHOLD_BYTES` get no slab.
         """
-        self._release_slabs()
-        schema = table.schema
+        sizes = []
         for subsets in shard_subsets:
             cells = 0
             for names in subsets:
                 size = 1
                 for name in names:
-                    size *= schema.attribute(name).cardinality
+                    size *= table.schema.attribute(name).cardinality
                 cells += size
             floats = cells * 6
-            if floats * 8 >= self.result_threshold_bytes:
-                handle, view = self._tensor_pool.acquire(
-                    (floats,), np.float64
-                )
-                self._slab_handles.append(handle)
-                self._slab_views.append(view)
-            else:
-                self._slab_handles.append(None)
-                self._slab_views.append(None)
-            self._data_cache.append({})
+            sizes.append(
+                floats if floats * 8 >= RESULT_THRESHOLD_BYTES else None
+            )
+        self._slabs = self._codec.open_slabs(sizes)
+        self._data_cache = [{} for _ in shard_subsets]
 
     def scan(
         self, model: MaxEntModel
@@ -543,39 +457,40 @@ class ShardedScanExecutor:
         :func:`~repro.significance.mml.most_significant` would pick from
         the serial scan, merged from shard-local bests without decoding
         the full results.
+
+        A :class:`StaleWorkerStateError` from any worker — a reconnected
+        connection whose pinned kernel/joint died with its predecessor —
+        is recovered by replaying the whole order with full payloads and
+        scanning again.  The replay rebuilds each worker kernel from the
+        master's *current* constraint set, which is exactly the state an
+        uninterrupted worker holds, so the retried scan stays
+        bit-identical.
         """
         if self._active_shards == 0:
             raise ParallelError("no active order; call begin_order first")
-        if self.transport == "shm":
-            replies = self._dispatch_scan_shm(model)
-            shard_columns = self._decode_shm_replies(replies)
-            merged = [(columns, reply[2]) for columns, reply in
-                      zip(shard_columns, replies)]
-        elif self.transport == "tcp":
-            merged = self._dispatch_scan_tcp(model)
-            shard_columns = [columns for columns, _best in merged]
+        counters = self.counters
+        fingerprint = model.fingerprint()
+        counters.broadcasts_total += 1
+        if fingerprint == self._published_fingerprint:
+            counters.broadcasts_skipped += 1
+            joint_ref = ("cached", fingerprint)
         else:
-            joint = np.ascontiguousarray(model.joint())
-            self.counters.broadcasts_total += 1
-            self.counters.bytes_pickled += (
-                joint.nbytes * self._active_shards
-            )
-            merged = self.pool.run(
-                _TASK_SCAN, [(joint,)] * self._active_shards
-            )
-            shard_columns = [columns for columns, _best in merged]
-            self.counters.bytes_pickled += 8 * 6 * sum(
-                len(subset_columns[1])
-                for columns in shard_columns
-                for subset_columns in columns
-            )
+            joint_ref = self._ship_joint(model, fingerprint)
+        try:
+            replies = self._run_scan(joint_ref)
+        except StaleWorkerStateError:
+            self._replay_order()
+            counters.broadcasts_total += 1
+            replies = self._run_scan(self._ship_joint(model, fingerprint))
+        self._published_fingerprint = fingerprint
+        shard_columns = self._decode(replies)
         best_shard = None
         best_index = None
         best_delta = 0.0
-        for shard, (_columns, best) in enumerate(merged):
-            if best is None:
+        for shard, reply in enumerate(replies):
+            if reply[2] is None:
                 continue
-            index, delta = best
+            index, delta = reply[2]
             # Strict < : the earliest shard keeps ties, exactly like the
             # serial min() over the concatenated candidate list.
             if best_index is None or delta < best_delta:
@@ -587,113 +502,44 @@ class ShardedScanExecutor:
         )
         return LazyScanTests(shard_columns), chosen
 
-    def _dispatch_scan_shm(self, model: MaxEntModel) -> list:
-        """Publish the joint (fingerprint-amortized) and run the shard scans."""
-        counters = self.counters
-        fingerprint = model.fingerprint()
-        counters.broadcasts_total += 1
-        if (
-            self._joint_handle is not None
-            and fingerprint == self._published_fingerprint
-        ):
-            # Same model since the last scan: the segment already holds
-            # this exact joint — skip materialization and the copy.
-            counters.broadcasts_skipped += 1
-        else:
-            joint = np.ascontiguousarray(model.joint())
-            if (
-                self._joint_handle is not None
-                and self._joint_handle.shape == joint.shape
-                and self._joint_handle.dtype == joint.dtype.str
-            ):
-                self._joint_view[...] = joint
-                self._joint_handle = self._tensor_pool.restamp(
-                    self._joint_handle
-                )
-            else:
-                if self._joint_handle is not None:
-                    self._tensor_pool.release(self._joint_handle)
-                self._joint_handle, self._joint_view = (
-                    self._tensor_pool.acquire(joint.shape, joint.dtype)
-                )
-                self._joint_view[...] = joint
-            self._published_fingerprint = fingerprint
-            counters.bytes_shared += joint.nbytes
+    def _ship_joint(self, model: MaxEntModel, fingerprint: int) -> tuple:
+        # Until the shards acknowledge it, no joint counts as published: a
+        # failed dispatch must not leave a "cached" reference to it behind.
+        self._published_fingerprint = None
+        joint = np.ascontiguousarray(model.joint())
+        ref = self._codec.put("joint", joint, self._active_shards)
+        return ("joint", fingerprint, ref)
+
+    def _run_scan(self, joint_ref: tuple) -> list:
         return self.pool.run(
-            _TASK_SCAN_SHM,
-            [
-                (self._joint_handle, self._slab_handles[shard])
-                for shard in range(self._active_shards)
-            ],
+            _TASK_SCAN,
+            [(joint_ref, slab) for slab in self._slabs],
         )
-
-    def _dispatch_scan_tcp(self, model: MaxEntModel) -> list:
-        """Ship the joint (fingerprint-amortized) and scan over TCP.
-
-        A :class:`StaleWorkerStateError` from any worker — a reconnected
-        connection whose pinned kernel/joint died with its predecessor —
-        is recovered by replaying the whole order with full payloads
-        (table, kernel state, joint) and scanning again.  The replay
-        rebuilds each worker kernel from the master's *current*
-        constraint set, which is exactly the state an uninterrupted
-        worker holds, so the retried scan stays bit-identical.
-        """
-        counters = self.counters
-        fingerprint = model.fingerprint()
-        counters.broadcasts_total += 1
-        if fingerprint == self._published_fingerprint:
-            counters.broadcasts_skipped += 1
-            joint_ref = ("cached", fingerprint)
-        else:
-            joint = np.ascontiguousarray(model.joint())
-            counters.bytes_pickled += joint.nbytes * self._active_shards
-            joint_ref = ("joint", fingerprint, joint)
-        try:
-            replies = self.pool.run(
-                _TASK_SCAN_TCP, [(joint_ref,)] * self._active_shards
-            )
-        except StaleWorkerStateError:
-            self._replay_order()
-            joint = np.ascontiguousarray(model.joint())
-            counters.broadcasts_total += 1
-            counters.bytes_pickled += joint.nbytes * self._active_shards
-            replies = self.pool.run(
-                _TASK_SCAN_TCP,
-                [(("joint", fingerprint, joint),)] * self._active_shards,
-            )
-        self._published_fingerprint = fingerprint
-        counters.bytes_pickled += 8 * 6 * sum(
-            len(subset_columns[1])
-            for columns, _best in replies
-            for subset_columns in columns
-        )
-        return replies
 
     def _replay_order(self) -> None:
         """Re-ship the active order in full after a stale-state report."""
         if self._order_args is None:
             raise ParallelError("no active order; call begin_order first")
-        table, order, constraints, priors = self._order_args
         self._last_table = None
         self._published_fingerprint = None
-        self.begin_order(table, order, constraints, priors)
+        self.begin_order(*self._order_args)
 
-    def _decode_shm_replies(self, replies: list) -> list:
-        """Rebuild per-shard columnar results from slabs and metadata.
+    def _decode(self, replies: list) -> list:
+        """Rebuild per-shard columnar results from replies and caches.
 
-        Float columns are sliced out of one private copy of the slab's
-        used region (the slab itself is rewritten next scan; LazyScanTests
-        may be read long after), data-side columns come from the reply or
-        from the per-shard version cache.
+        Float columns are sliced out of the reply's block, or out of one
+        private copy of the slab's used region (the slab is rewritten next
+        scan; LazyScanTests may be read long after); data-side columns
+        come from the reply or from the per-shard version cache.
         """
         counters = self.counters
         shard_columns = []
         for shard, (meta, block, _best, attach_ns) in enumerate(replies):
             counters.attach_ns += attach_ns
-            floats_used = 6 * sum(entry[-1] for entry in meta)
             if block is None:
-                block = self._slab_views[shard][:floats_used].copy()
-                counters.bytes_shared += floats_used * 8
+                block = self._codec.read_slab(
+                    shard, 6 * sum(entry[-1] for entry in meta)
+                )
             else:
                 counters.bytes_pickled += block.nbytes
             cache = self._data_cache[shard]
@@ -729,10 +575,18 @@ class ShardedScanExecutor:
         return shard_columns
 
     def notify_adopted(self, constraint: CellConstraint) -> None:
-        """Sync an adoption into every worker's constraint copy."""
+        """Sync an adoption into every worker's constraint copy.
+
+        A worker that lost its kernel is rebuilt by replaying the order:
+        the engine adds ``constraint`` to the order's constraint set
+        before notifying, so the replayed kernels already hold it.
+        """
         if self._active_shards == 0:
             raise ParallelError("no active order; call begin_order first")
-        self.pool.run(_TASK_ADOPT, [(constraint,)] * self._active_shards)
+        try:
+            self.pool.run(_TASK_ADOPT, [(constraint,)] * self._active_shards)
+        except StaleWorkerStateError:
+            self._replay_order()
 
     def end_order(self) -> None:
         """Drop worker-side kernels (workers stay alive for the next order).
@@ -743,29 +597,18 @@ class ShardedScanExecutor:
         if self._active_shards and not self.pool.closed:
             self.pool.run(_TASK_END, [()] * self._active_shards)
         self._active_shards = 0
-        self._release_slabs()
-
-    def _release_slabs(self) -> None:
-        if self._tensor_pool is not None and not self._tensor_pool.closed:
-            for handle in self._slab_handles:
-                if handle is not None:
-                    self._tensor_pool.release(handle)
-        self._slab_handles = []
-        self._slab_views = []
+        self._codec.release_slabs()
+        self._slabs = []
         self._data_cache = []
 
     def close(self) -> None:
         self._active_shards = 0
-        self._slab_handles = []
-        self._slab_views = []
+        self._slabs = []
         self._data_cache = []
-        self._joint_handle = None
-        self._joint_view = None
         self._published_fingerprint = None
         self._last_table = None
         self._order_args = None
-        if self._tensor_pool is not None:
-            self._tensor_pool.close()
+        self._codec.close()
         self.pool.close()
 
     def __enter__(self) -> "ShardedScanExecutor":

@@ -1,52 +1,51 @@
-"""Zero-copy shared-memory transport for the parallel subsystem.
+"""Tensor codecs for the worker protocol, and the shared memory behind one.
 
-PR 5's worker pool ships every payload through a pipe: the model joint is
-pickled once per worker per scan, the contingency table once per order per
-worker, and columnar scan results come back the same way.  That is why the
-committed bench trajectory shows the parallel paths *slower* than serial
-until warm — the cold path is dominated by serializing ~joint-sized byte
-blobs that both sides already hold as dense float64 tensors.
+The sharded scan and the query evaluator speak one protocol to every
+worker pool; the only per-medium piece is how a dense float64 tensor (a
+model joint, a packed model block, a shard's result columns) gets from
+one side to the other.  That is a *codec*, derived from the pool, never
+configured:
 
-This module is the transport seam that kills that pessimization:
+- ``shm`` (a local :class:`~repro.parallel.pool.WorkerPool` where
+  :func:`shm_available`): the master writes the tensor into a
+  :class:`SharedTensorPool` segment and ships a :class:`SharedTensorHandle`
+  a few dozen bytes long; workers attach zero-copy read-only views and
+  may write large results back through per-worker output slabs.
+- ``inline`` (a :class:`~repro.distributed.client.TcpWorkerPool`, or a
+  local pool on a platform without usable shared memory): the array
+  itself travels inside the task message and results come back in the
+  reply.
+
+The building blocks:
 
 - :class:`SharedTensorPool` (master side) manages
   ``multiprocessing.shared_memory`` segments with a small free list keyed
   by ``(shape, dtype)``, so repeated broadcasts of same-shaped tensors
-  reuse one mapped segment instead of allocating (let alone pickling)
-  per scan.  Every segment is created — and eventually unlinked — by the
-  master, so a worker death can never leak a segment: cleanup runs on
-  pool close, on garbage collection, and from an ``atexit`` hook.
-- :class:`SharedTensorHandle` is what actually crosses the pipe: a
-  ``(name, shape, dtype, generation)`` tuple a few dozen bytes long.
+  reuse one mapped segment instead of allocating per scan.  Every segment
+  is created — and eventually unlinked — by the master, so a worker death
+  can never leak a segment: cleanup runs on pool close, on garbage
+  collection, and from an ``atexit`` hook.
 - :class:`SegmentAttachments` (worker side) caches attachments by segment
   name and returns read-only zero-copy numpy views, timing each first
-  attach (``attach_ns``) for the transport instrumentation.
+  attach (``attach_ns``) for the instrumentation.
 - :class:`TransportCounters` is that instrumentation: payload bytes moved
-  through pickling vs shared memory, broadcasts skipped by fingerprint
-  amortization, attach time.
+  inline (pickled) vs through shared segments, broadcasts skipped by
+  fingerprint amortization, attach time, wire bytes.
 - :func:`pack_model` / :func:`unpack_model` flatten a
   :class:`~repro.maxent.model.MaxEntModel`'s factors into one float64
-  block (plus a tiny layout description) so the query evaluator can ship
-  model state through a shared segment instead of pickling the model on
-  every rebroadcast.
+  block (plus a tiny layout description), so a model crosses either codec
+  as one tensor.
 
 **Bit-identity.**  Shared views expose the exact float64 bytes the master
-wrote — no encode/decode step exists that could perturb a ULP — so kernels
-fed from a shared segment compute byte-for-byte the same results as
-kernels fed the master's own arrays.  The property suites in
-``tests/parallel`` run under both transports to enforce this.
-
-Transport selection: ``REPRO_PARALLEL_TRANSPORT=pipe|shm|auto`` (default
-``auto`` = shm where ``multiprocessing.shared_memory`` works — e.g. a
-mounted ``/dev/shm`` on Linux — else pipe), overridable per executor via
-the ``transport=`` parameter.  The pipe transport remains fully supported
-for platforms without usable shared memory.
+wrote and pickled arrays round-trip bit-exactly — no encode/decode step
+exists that could perturb a ULP — so kernels compute byte-for-byte the
+same results under either codec.  The property suites in
+``tests/parallel`` run under both codecs to enforce this.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
 import time
 import weakref
 from dataclasses import dataclass, replace
@@ -57,26 +56,19 @@ from repro.exceptions import ParallelError
 from repro.maxent.model import MaxEntModel
 
 __all__ = [
+    "InlineCodec",
     "SegmentAttachments",
     "SharedTensorHandle",
     "SharedTensorPool",
-    "TRANSPORT_ENV_VAR",
-    "TRANSPORTS",
+    "ShmCodec",
     "TransportCounters",
-    "model_payload_bytes",
+    "open_codec",
     "pack_model",
-    "resolve_transport",
+    "read_tensor",
     "shm_available",
+    "take_attach_ns",
     "unpack_model",
 ]
-
-#: Transports an executor can run on.  ``auto`` (the selection default,
-#: not itself a transport) resolves to shm where available, else pipe —
-#: never tcp, which always needs a worker-address list and is only
-#: engaged explicitly (argument, env var, or a non-empty address list;
-#: see :func:`repro.distributed.resolve_distribution`).
-TRANSPORTS = ("pipe", "shm", "tcp")
-TRANSPORT_ENV_VAR = "REPRO_PARALLEL_TRANSPORT"
 
 _shm_probe: bool | None = None
 
@@ -101,36 +93,6 @@ def shm_available() -> bool:
         except Exception:
             _shm_probe = False
     return _shm_probe
-
-
-def resolve_transport(transport: str | None = None) -> str:
-    """Resolve a transport choice to ``"pipe"``, ``"shm"``, or ``"tcp"``.
-
-    Precedence: the explicit ``transport`` argument, then the
-    ``REPRO_PARALLEL_TRANSPORT`` environment variable, then ``auto``.
-    ``auto`` picks shm when :func:`shm_available`, else pipe — never tcp;
-    an explicit ``shm`` on a platform without shared memory is an error
-    rather than a silent downgrade.  ``tcp`` resolves to itself here;
-    whether it actually engages (it needs worker addresses) is decided by
-    :func:`repro.distributed.resolve_distribution`, which degrades an
-    address-less tcp choice back to local execution.
-    """
-    choice = transport or os.environ.get(TRANSPORT_ENV_VAR) or "auto"
-    choice = choice.strip().lower()
-    if choice not in (*TRANSPORTS, "auto"):
-        raise ParallelError(
-            f"unknown parallel transport {choice!r}; choose one of "
-            f"{(*TRANSPORTS, 'auto')}"
-        )
-    if choice == "auto":
-        return "shm" if shm_available() else "pipe"
-    if choice == "shm" and not shm_available():
-        raise ParallelError(
-            "shm transport requested but multiprocessing.shared_memory is "
-            "not usable on this platform; set "
-            f"{TRANSPORT_ENV_VAR}=pipe (or auto)"
-        )
-    return choice
 
 
 @dataclass(frozen=True)
@@ -158,10 +120,10 @@ class SharedTensorHandle:
 
 @dataclass
 class TransportCounters:
-    """Payload accounting of one transport endpoint.
+    """Payload accounting of one executor's worker traffic.
 
     ``bytes_pickled`` / ``bytes_shared`` count tensor-payload bytes moved
-    through the pipe vs through shared segments (array bytes — the pickle
+    inline vs through shared segments (array bytes — the pickle
     framing around them is noise at these sizes).  ``broadcasts_skipped``
     counts rebroadcasts avoided because the model fingerprint had not
     changed; ``attach_ns`` is cumulative worker-side segment attach time.
@@ -525,12 +487,138 @@ def unpack_model(schema, layout: dict, block: np.ndarray) -> MaxEntModel:
     )
 
 
-def model_payload_bytes(model: MaxEntModel) -> int:
-    """Tensor-payload bytes a model broadcast moves (either transport)."""
-    total = 8  # a0
-    for vector in model.margin_factors.values():
-        total += vector.nbytes
-    total += 8 * len(model.cell_factors)
-    for array in model.table_factors.values():
-        total += array.nbytes
-    return total
+# -- codecs -----------------------------------------------------------------------
+
+
+class InlineCodec:
+    """Tensors travel inside the task message; results in the reply.
+
+    ``label`` is the profile label of the medium the pickled bytes cross:
+    ``"tcp"`` for a remote pool, ``"pipe"`` for a local one.
+    """
+
+    name = "inline"
+
+    def __init__(self, counters: TransportCounters, label: str):
+        self.counters = counters
+        self.label = label
+
+    def put(self, slot: str, array: np.ndarray, fanout: int) -> np.ndarray:
+        """The reference to ship for ``array``: the array itself."""
+        self.counters.bytes_pickled += array.nbytes * fanout
+        return array
+
+    def open_slabs(self, sizes: list) -> list:
+        """No output slabs: every shard result returns in its reply."""
+        return [None] * len(sizes)
+
+    def release_slabs(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class ShmCodec:
+    """Tensors travel through master-owned shared segments.
+
+    :meth:`put` keeps one segment per named ``slot`` (``"joint"``,
+    ``"model"``) and rewrites it in place while the shape holds — workers
+    read a slot only inside the synchronous dispatch that follows, so the
+    rewrite can never race a reader.  Output slabs are per-shard segments
+    the workers write float results into; :meth:`read_slab` copies a
+    slab's used prefix out, because the slab is rewritten next scan.
+    """
+
+    name = "shm"
+    label = "shm"
+
+    def __init__(self, counters: TransportCounters):
+        self.counters = counters
+        self._pool = SharedTensorPool()
+        self._slots: dict[str, tuple[SharedTensorHandle, np.ndarray]] = {}
+        self._slabs: list = []
+
+    def put(
+        self, slot: str, array: np.ndarray, fanout: int
+    ) -> SharedTensorHandle:
+        """Write ``array`` into the slot's segment; returns its handle."""
+        handle, view = self._slots.get(slot, (None, None))
+        if (
+            handle is not None
+            and handle.shape == array.shape
+            and handle.dtype == array.dtype.str
+        ):
+            handle = self._pool.restamp(handle)
+        else:
+            if handle is not None:
+                self._pool.release(handle)
+            handle, view = self._pool.acquire(array.shape, array.dtype)
+        view[...] = array
+        self._slots[slot] = (handle, view)
+        self.counters.bytes_shared += array.nbytes
+        return handle
+
+    def open_slabs(self, sizes: list) -> list:
+        """Acquire one float64 slab per non-None size; returns the handles."""
+        self.release_slabs()
+        for size in sizes:
+            self._slabs.append(
+                None if size is None else self._pool.acquire((size,), "f8")
+            )
+        return [None if slab is None else slab[0] for slab in self._slabs]
+
+    def read_slab(self, shard: int, floats: int) -> np.ndarray:
+        """A private copy of the first ``floats`` values of a shard's slab."""
+        self.counters.bytes_shared += floats * 8
+        return self._slabs[shard][1][:floats].copy()
+
+    def release_slabs(self) -> None:
+        if not self._pool.closed:
+            for slab in self._slabs:
+                if slab is not None:
+                    self._pool.release(slab[0])
+        self._slabs = []
+
+    def close(self) -> None:
+        # Views first: the segments they alias are unmapped next.
+        self._slots = {}
+        self._slabs = []
+        self._pool.close()
+
+
+def open_codec(pool) -> InlineCodec | ShmCodec:
+    """The tensor codec for ``pool`` — derived, never configured.
+
+    A remote :class:`~repro.distributed.client.TcpWorkerPool` gets
+    ``inline`` (label ``"tcp"``) and charges its payload bytes to the
+    pool's own counters, which already hold the wire ledger; a local pool
+    gets ``shm`` when :func:`shm_available`, else ``inline`` (label
+    ``"pipe"``) — which is what keeps platforms without ``/dev/shm``
+    working.
+    """
+    from repro.distributed.client import TcpWorkerPool
+
+    if isinstance(pool, TcpWorkerPool):
+        return InlineCodec(pool.counters, "tcp")
+    if shm_available():
+        return ShmCodec(TransportCounters())
+    return InlineCodec(TransportCounters(), "pipe")
+
+
+def read_tensor(state: dict, ref, writable: bool = False) -> np.ndarray:
+    """Worker side of both codecs: a segment handle becomes a zero-copy
+    view (attachments live in the worker's ``state``, which must outlive
+    the view); an inline array is returned as is."""
+    if not isinstance(ref, SharedTensorHandle):
+        return ref
+    attachments = state.get("attachments")
+    if attachments is None:
+        attachments = state["attachments"] = SegmentAttachments()
+    return attachments.view(ref, writable=writable)
+
+
+def take_attach_ns(state: dict) -> int:
+    """Segment attach time a worker accumulated since the last take."""
+    attachments = state.get("attachments")
+    return 0 if attachments is None else attachments.take_attach_ns()

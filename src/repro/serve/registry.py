@@ -22,8 +22,9 @@ on a *clone* (an exact float-preserving ``to_dict``/``from_dict`` round
 trip of the knowledge base, whose warm rediscovery is therefore
 bit-identical to updating the original), and the registry entry is
 swapped atomically on the event loop: in-flight requests finish on the
-session pool — and model fingerprint — they checked out, new requests
-see the new revision, the superseded pool is retired (idle sessions
+session pool — and model fingerprint — they checked out, requests still
+queued for the executor and new requests see the new revision, the
+superseded pool is retired (idle sessions
 closed now, outstanding ones at checkin — no leaked worker processes),
 and every subscriber gets a revision-change notification.
 
@@ -210,22 +211,38 @@ class HostedKB:
             self._executor, fn, *args
         )
 
+    def _on_current_pool(self, fn):
+        """Executor side of an evaluation: ``fn(pool)`` on the live pool.
+
+        The pool is read here, on the executor thread, not when the
+        request was admitted: a request queued behind a hot-swap would
+        otherwise reach a pool the swap already retired, and a retired
+        pool refuses checkouts.  When the swap lands between this read
+        and the checkout, the refusal is retried on the new pool.  Either
+        way one call evaluates against a single model revision, and its
+        results carry that revision's fingerprint.
+        """
+        while True:
+            pool = self.pool
+            try:
+                return fn(pool)
+            except DataError:
+                if not pool.retired:
+                    raise
+
     async def _run_coalesced(self, queries: list) -> list:
         """Micro-batcher runner: one flush on one pooled session.
 
-        The pool is captured at flush time, so a flush racing a hot-swap
-        evaluates the whole batch against a single model revision — and
-        each result carries that revision's fingerprint, not whatever
-        ``self.kb`` points at by the time the response renders.
         Error isolation: the shared batch fast path is attempted first;
         if any query in the batch is bad, each query is re-evaluated
         alone so only the offender fails.  Per-query results are
         bit-identical either way (same session, same marginal
         arithmetic).
         """
-        pool = self.pool
+        queries = list(queries)
         return await self._in_executor(
-            _evaluate_isolated, pool, list(queries)
+            self._on_current_pool,
+            lambda pool: _evaluate_isolated(pool, queries),
         )
 
     async def query(self, text: str) -> tuple[float, int]:
@@ -238,24 +255,21 @@ class HostedKB:
         Matches in-process ``kb.query_many`` semantics — a bad query
         fails the whole batch with its typed error.
         """
-        pool = self.pool
 
-        def run():
+        def run(pool):
             answers = pool.run(lambda session: session.batch(queries))
             return answers, pool.model.fingerprint()
 
-        return await self._in_executor(run)
+        return await self._in_executor(self._on_current_pool, run)
 
     async def mpe(self, given: dict | None):
-        pool = self.pool
-
-        def run():
+        def run(pool):
             labels, probability = pool.run(
                 lambda session: session.most_probable(given or None)
             )
             return labels, probability, pool.model.fingerprint()
 
-        return await self._in_executor(run)
+        return await self._in_executor(self._on_current_pool, run)
 
     async def explain(self, target: dict, given: dict):
         model = self.kb.model

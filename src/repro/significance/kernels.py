@@ -184,7 +184,7 @@ class DiscoveryProfile:
 
     Sharded orders additionally record what the transport moved:
     ``bytes_pickled`` / ``bytes_shared`` are tensor-payload bytes shipped
-    through pipes vs shared-memory segments, ``broadcasts_skipped`` counts
+    inline vs through shared-memory segments, ``broadcasts_skipped`` counts
     joint rebroadcasts amortized away by an unchanged model fingerprint,
     and ``attach_ns`` is cumulative worker-side segment attach time.  The
     run totals live in the flat fields; ``transports`` keeps the same
@@ -217,17 +217,18 @@ class DiscoveryProfile:
             {"order": order, "path": path, "cells": cells}
         )
 
-    def add_transport(
-        self, order: int, transport: str, counters: dict
-    ) -> None:
-        """Fold one sharded order's transport counters into the profile."""
+    def add_transport(self, order: int, label: str, counters: dict) -> None:
+        """Fold one sharded order's transport counters into the profile.
+
+        ``label`` names the medium (``"pipe"``, ``"shm"`` or ``"tcp"``).
+        """
         self.bytes_pickled += counters.get("bytes_pickled", 0)
         self.bytes_shared += counters.get("bytes_shared", 0)
         self.broadcasts_total += counters.get("broadcasts_total", 0)
         self.broadcasts_skipped += counters.get("broadcasts_skipped", 0)
         self.attach_ns += counters.get("attach_ns", 0)
         self.transports.append(
-            {"order": order, "transport": transport, **counters}
+            {"order": order, "transport": label, **counters}
         )
 
     def add_scan(self, seconds: float, cells: int) -> None:

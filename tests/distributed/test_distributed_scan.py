@@ -1,5 +1,5 @@
 """Distributed scans and batch queries == their serial counterparts,
-bit for bit, across every transport.
+bit for bit, on every pool and codec.
 
 The contract: routing shards to ``repro worker`` daemons over TCP
 changes *where* the kernels run, never *what* they compute — every
@@ -26,6 +26,8 @@ from repro.exceptions import ConstraintError, ParallelError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
+from repro.parallel import shm as shm_module
+from repro.parallel.pool import WorkerPool
 from repro.parallel.query import ParallelQueryEvaluator
 from repro.parallel.scan import ShardedScanExecutor
 from repro.parallel.shm import shm_available
@@ -121,17 +123,26 @@ def tcp_server():
 
 @pytest.fixture(scope="module")
 def executors(tcp_server):
-    """One long-lived executor per transport, reused across examples —
-    exactly how the discovery engine reuses one executor across orders
-    and tables."""
+    """One long-lived executor per transport label, reused across
+    examples — exactly how the discovery engine reuses one executor
+    across orders and tables.  Local pools are passed explicitly, so an
+    environment naming remote workers cannot turn them into tcp ones."""
+    with pytest.MonkeyPatch.context() as patch:
+        # The inline codec on a local pool: what a platform without
+        # /dev/shm gets.
+        patch.setattr(shm_module, "shm_available", lambda: False)
+        pipe = ShardedScanExecutor(pool=WorkerPool(2))
     pools = {
-        "pipe": ShardedScanExecutor(max_workers=2, transport="pipe"),
+        "pipe": pipe,
         "tcp": ShardedScanExecutor(
             worker_addresses=[tcp_server.address_text] * 2
         ),
     }
     if shm_available():
-        pools["shm"] = ShardedScanExecutor(max_workers=2, transport="shm")
+        pools["shm"] = ShardedScanExecutor(pool=WorkerPool(2))
+    assert {name: pool.transport for name, pool in pools.items()} == {
+        name: name for name in pools
+    }
     yield pools
     for executor in pools.values():
         executor.close()
@@ -207,6 +218,38 @@ class TestBroadcastAmortization:
             assert warm < cold, "a warm scan re-shipped the joint"
             assert steady == warm, "warm wire cost is not steady-state"
 
+    def test_unchanged_data_ships_cached_column_references(
+        self, tcp_server, monkeypatch
+    ):
+        """Data-side columns cross once per kernel-cache build: with the
+        order's data unchanged, the second scan references them by
+        version.  A new model makes both scans ship the joint, so the
+        wire saving is the columns alone."""
+        table, constraints, initial = build_world()
+        fitted = build_world(fitted=True)[2]
+        kinds = []
+        decode = ShardedScanExecutor._decode
+
+        def spy(executor, replies):
+            kinds.append({entry[0] for meta, *_ in replies for entry in meta})
+            return decode(executor, replies)
+
+        monkeypatch.setattr(ShardedScanExecutor, "_decode", spy)
+        with ShardedScanExecutor(
+            worker_addresses=[tcp_server.address_text] * 2
+        ) as executor:
+            executor.begin_order(table, ORDER, constraints, None)
+            start = executor.counters.bytes_wire
+            executor.scan(initial)
+            first = executor.counters.bytes_wire - start
+            tests, best = executor.scan(fitted)
+            second = executor.counters.bytes_wire - start - first
+        assert kinds == [{"data"}, {"cached"}]
+        assert second < first
+        serial = OrderScanKernel(table, ORDER, constraints).scan(fitted)
+        assert tests == serial
+        assert best == most_significant(serial)
+
     def test_model_change_reships_and_stays_identical(self, tcp_server):
         table, constraints, _model = build_world()
         initial = build_world()[2]
@@ -263,6 +306,27 @@ class TestRecovery:
             assert tests == serial
             assert best == most_significant(serial)
 
+    def test_adoption_recovers_after_worker_restart(self, tcp_server):
+        """A worker that lost its kernel before an adoption is rebuilt
+        from the master's constraint set, which already holds the new
+        cell — so the next scan matches a serial kernel that has it."""
+        table, constraints, model = build_world()
+        with ShardedScanExecutor(
+            worker_addresses=[tcp_server.address_text] * 2
+        ) as executor:
+            executor.begin_order(table, ORDER, constraints, None)
+            cell = executor.scan(model)[0][0]
+            constraint = constraints.cell_from_table(
+                table, cell.attributes, cell.values
+            )
+            constraints.add_cell(constraint)
+            executor.pool.reconnect()
+            executor.notify_adopted(constraint)
+            tests, best = executor.scan(model)
+        serial = OrderScanKernel(table, ORDER, constraints).scan(model)
+        assert tests == serial
+        assert best == most_significant(serial)
+
     def test_dead_daemon_mid_run_raises_parallel_error(self):
         table, constraints, model = build_world()
         server = WorkerServer().start()
@@ -283,8 +347,7 @@ class TestRecovery:
 
 class TestResolution:
     def test_empty_worker_set_degrades_to_local(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "tcp")
-        monkeypatch.delenv("REPRO_WORKER_ADDRESSES", raising=False)
+        monkeypatch.setenv("REPRO_WORKER_ADDRESSES", " , ")
         table, constraints, model = build_world()
         serial = OrderScanKernel(table, ORDER, constraints).scan(model)
         with ShardedScanExecutor(max_workers=2) as executor:
@@ -293,7 +356,6 @@ class TestResolution:
             assert executor.scan(model)[0] == serial
 
     def test_env_addresses_engage_tcp(self, monkeypatch, tcp_server):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "tcp")
         monkeypatch.setenv(
             "REPRO_WORKER_ADDRESSES",
             f"{tcp_server.address_text},{tcp_server.address_text}",
@@ -305,12 +367,6 @@ class TestResolution:
             assert executor.max_workers == 2
             executor.begin_order(table, ORDER, constraints, None)
             assert executor.scan(model)[0] == serial
-
-    def test_explicit_local_transport_with_addresses_is_loud(self):
-        with pytest.raises(ParallelError, match="local"):
-            ShardedScanExecutor(
-                transport="pipe", worker_addresses=["127.0.0.1:9999"]
-            )
 
 
 def query_strings(schema: Schema) -> list[str]:

@@ -163,6 +163,17 @@ class TestLeaks:
         assert lingering == []
         assert server._connections == []
 
+    def test_finished_connections_leave_no_tracked_handlers(self, server):
+        """A long-lived daemon tracks only live connections: 50
+        connect/close cycles leave at most one handler thread behind."""
+        for index in range(50):
+            with TcpWorkerPool([server.address_text]) as pool:
+                assert pool.run(ECHO, [(index,)]) == [index]
+        deadline = time.monotonic() + 5.0
+        while len(server._handlers) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server._handlers) <= 1
+
 
 class TestRetryPolicy:
     def test_transient_errors_are_retried(self):

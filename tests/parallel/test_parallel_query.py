@@ -9,20 +9,22 @@ from repro.api.session import QuerySession
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.discovery.engine import discover
 from repro.exceptions import ParallelError, QueryError, ReproError
+from repro.parallel import shm as shm_module
 from repro.parallel.pool import WorkerPool
 from repro.parallel.query import ParallelQueryEvaluator
 from repro.parallel.shm import shm_available
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-TRANSPORTS = [
-    "pipe",
+#: Both tensor codecs; shm skipped where the platform lacks it.
+CODECS = [
     pytest.param(
         "shm",
         marks=pytest.mark.skipif(
             not shm_available(), reason="shared memory unavailable"
         ),
     ),
+    "inline",
 ]
 
 
@@ -79,27 +81,33 @@ class TestParallelBatchEquivalence:
 
 
 class TestTransportEquivalence:
-    """Model broadcasts through shared memory answer exactly like pipes.
+    """Model broadcasts answer exactly the same under either codec.
 
-    The shm rows ship the model as a packed float block through a shared
-    segment and rebuild it worker-side; any repack drift (a reordered
-    factor product, a truncated float) shows up as a !=, since query
-    results are compared exactly, not approximately.
+    Both ship the model as a packed float block — through a shared
+    segment under shm, inside the message under inline — and rebuild it
+    worker-side; any repack drift (a reordered factor product, a
+    truncated float) shows up as a !=, since query results are compared
+    exactly, not approximately.
     """
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_batches_match_serial_exactly(self, model, queries, transport):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_batches_match_serial_exactly(
+        self, model, queries, codec, monkeypatch
+    ):
+        if codec == "inline":
+            # What a platform without /dev/shm gets.
+            monkeypatch.setattr(shm_module, "shm_available", lambda: False)
         serial = QuerySession(model).batch(queries)
-        with ParallelQueryEvaluator(
-            model, max_workers=2, transport=transport
-        ) as evaluator:
+        with ParallelQueryEvaluator(model, max_workers=2) as evaluator:
+            assert evaluator._codec.name == codec
             assert evaluator.batch(queries) == serial
             # Warm workers (amortized broadcast) must agree too.
             assert evaluator.batch(queries) == serial
 
+    @pytest.mark.skipif(not shm_available(), reason="needs shared memory")
     def test_unchanged_model_skips_rebroadcast(self, model):
         with ParallelQueryEvaluator(
-            model, pool=WorkerPool(2, inline=True), transport="shm"
+            model, pool=WorkerPool(2, inline=True)
         ) as evaluator:
             evaluator.batch(["CANCER=yes"])
             shared_after_init = evaluator.counters.bytes_shared
@@ -113,10 +121,12 @@ class TestTransportEquivalence:
             evaluator.batch(["CANCER=yes"])
             assert evaluator.counters.bytes_shared > shared_after_init
 
-    def test_pipe_counts_pickled_payloads(self, model):
+    def test_pipe_counts_pickled_payloads(self, model, monkeypatch):
+        monkeypatch.setattr(shm_module, "shm_available", lambda: False)
         with ParallelQueryEvaluator(
-            model, pool=WorkerPool(2, inline=True), transport="pipe"
+            model, pool=WorkerPool(2, inline=True)
         ) as evaluator:
+            assert evaluator.transport == "pipe"
             evaluator.batch(["CANCER=yes"])
             assert evaluator.counters.bytes_pickled > 0
             assert evaluator.counters.bytes_shared == 0

@@ -10,6 +10,7 @@ At the engine level that makes a parallel discovery run's adopted
 constraints and fitted marginals bit-identical to a serial run's.
 """
 
+import contextlib
 import pickle
 import threading
 
@@ -26,6 +27,8 @@ from repro.exceptions import ConstraintError, DataError, ParallelError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
+from repro.parallel import scan as scan_module
+from repro.parallel import shm as shm_module
 from repro.parallel.pool import WorkerPool, shard_bounds
 from repro.parallel.scan import ShardedScanExecutor, scan_order_sharded
 from repro.parallel.shm import shm_available
@@ -38,16 +41,31 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Both executor transports; shm skipped where the platform lacks it.
-TRANSPORTS = [
-    "pipe",
+#: Both tensor codecs; shm skipped where the platform lacks it.
+CODECS = [
     pytest.param(
         "shm",
         marks=pytest.mark.skipif(
             not shm_available(), reason="shared memory unavailable"
         ),
     ),
+    "inline",
 ]
+
+
+@contextlib.contextmanager
+def codec_selected(codec: str):
+    """Make executors built inside pick ``codec``, slabs at any size.
+
+    ``inline`` is selected the way a platform without ``/dev/shm``
+    selects it; a zero result threshold makes the shm codec return float
+    columns through shared slabs even at toy sizes.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan_module, "RESULT_THRESHOLD_BYTES", 0)
+        if codec == "inline":
+            patch.setattr(shm_module, "shm_available", lambda: False)
+        yield
 
 
 @st.composite
@@ -178,40 +196,65 @@ class TestShardedScanBitIdentity:
 
 
 class TestTransportBitIdentity:
-    """Both transports reproduce the serial scan, bit for bit.
+    """Both codecs reproduce the serial scan, bit for bit.
 
-    The pipe rows re-run the executor suite's core property with pickling
-    payloads; the shm rows feed the kernels zero-copy shared views and
-    return float columns through shared slabs (``result_threshold_bytes=0``
-    forces slabs even at toy sizes), so any encode/decode drift — a single
-    ulp anywhere in the m1/m2/moment floats — fails these.
+    The inline rows ship the joint and the result columns inside the
+    messages; the shm rows feed the kernels zero-copy shared views and
+    return float columns through shared slabs, so any encode/decode
+    drift — a single ulp anywhere in the m1/m2/moment floats — fails
+    these.
     """
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("codec", CODECS)
     @SETTINGS
     @given(world=scan_worlds())
-    def test_executor_matches_serial(self, transport, world):
+    def test_executor_matches_serial(self, codec, world):
         table, constraints, model = world
-        executor = ShardedScanExecutor(
-            pool=WorkerPool(3, inline=True),
-            transport=transport,
-            result_threshold_bytes=0,
+        with codec_selected(codec):
+            executor = ShardedScanExecutor(pool=WorkerPool(3, inline=True))
+            assert executor._codec.name == codec
+            try:
+                for order in range(2, len(table.schema) + 1):
+                    try:
+                        serial = OrderScanKernel(
+                            table, order, constraints
+                        ).scan(model)
+                    except DataError:
+                        continue
+                    executor.begin_order(table, order, constraints, None)
+                    tests, chosen = executor.scan(model)
+                    executor.end_order()
+                    assert tests == serial
+                    assert chosen == most_significant(list(serial))
+            finally:
+                executor.close()
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_joint_cached_for_another_fingerprint_is_never_scanned(
+        self, table, codec
+    ):
+        """Fault injection: the master believes the workers cache the
+        joint of a model they never received.  The worker's fingerprint
+        check turns the ``("cached", fp)`` reference into a stale-state
+        error, and the replayed order scans the right joint."""
+        constraints = ConstraintSet.first_order(table)
+        margins = {
+            name: table.first_order_probabilities(name)
+            for name in table.schema.names
+        }
+        model = MaxEntModel.independent(table.schema, margins)
+        shifted = MaxEntModel.independent(
+            table.schema,
+            {name: np.roll(margin, 1) for name, margin in margins.items()},
         )
-        try:
-            for order in range(2, len(table.schema) + 1):
-                try:
-                    serial = OrderScanKernel(
-                        table, order, constraints
-                    ).scan(model)
-                except DataError:
-                    continue
-                executor.begin_order(table, order, constraints, None)
-                tests, chosen = executor.scan(model)
-                executor.end_order()
-                assert tests == serial
-                assert chosen == most_significant(list(serial))
-        finally:
-            executor.close()
+        with codec_selected(codec), ShardedScanExecutor(
+            pool=WorkerPool(2, inline=True)
+        ) as executor:
+            executor.begin_order(table, 2, constraints, None)
+            executor.scan(model)
+            executor._published_fingerprint = shifted.fingerprint()
+            tests, _ = executor.scan(shifted)
+        assert tests == OrderScanKernel(table, 2, constraints).scan(shifted)
 
     def test_rescan_same_model_skips_republish(self, table):
         constraints = ConstraintSet.first_order(table)
@@ -223,7 +266,7 @@ class TestTransportBitIdentity:
             },
         )
         with ShardedScanExecutor(
-            pool=WorkerPool(2, inline=True), transport="shm"
+            pool=WorkerPool(2, inline=True)
         ) as executor:
             executor.begin_order(table, 2, constraints, None)
             first, _ = executor.scan(model)
@@ -249,19 +292,11 @@ class TestTransportBitIdentity:
             serial = OrderScanKernel(table, 2, constraints).scan(shifted)
             assert third == serial
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_env_var_selects_transport(self, transport, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", transport)
-        with ShardedScanExecutor(
-            pool=WorkerPool(2, inline=True)
-        ) as executor:
-            assert executor.transport == transport
-
 
 class TestLazyScanTests:
     """The lazy CellTest list: decode-once, and decodable after close."""
 
-    def _scan(self, table, executor_kwargs=None):
+    def _scan(self, table):
         constraints = ConstraintSet.first_order(table)
         model = MaxEntModel.independent(
             table.schema,
@@ -270,9 +305,7 @@ class TestLazyScanTests:
                 for name in table.schema.names
             },
         )
-        executor = ShardedScanExecutor(
-            pool=WorkerPool(2, inline=True), **(executor_kwargs or {})
-        )
+        executor = ShardedScanExecutor(pool=WorkerPool(2, inline=True))
         executor.begin_order(table, 2, constraints, None)
         tests, _chosen = executor.scan(model)
         executor.end_order()
@@ -311,15 +344,13 @@ class TestLazyScanTests:
         assert all(result == serial for result in results)
         assert tests.materialized
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_decodes_after_executor_closed(self, table, transport):
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_decodes_after_executor_closed(self, table, codec):
         # Column payloads are retained copies, not shared-segment views:
         # a trace read long after the pool (and its segments) are gone
         # must still decode — equality, indexing, and pickling included.
-        executor, tests, serial = self._scan(
-            table,
-            {"transport": transport, "result_threshold_bytes": 0},
-        )
+        with codec_selected(codec):
+            executor, tests, serial = self._scan(table)
         executor.close()
         assert not tests.materialized
         assert tests == serial

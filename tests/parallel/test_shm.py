@@ -1,7 +1,8 @@
-"""The shared-memory transport: segments, handles, packing, cleanup.
+"""The shared-memory codec: segments, handles, packing, cleanup.
 
-Covers the transport seam in isolation — pool/free-list reuse, zero-copy
-attach views, bit-exact model packing — and its hard guarantees: no
+Covers the codec seam in isolation — how the codec is derived from the
+pool, pool/free-list reuse, zero-copy attach views, bit-exact model
+packing — and its hard guarantees: no
 shared-memory segment outlives its owner, whether the owner closes
 cleanly, is garbage collected, dies with a worker, or exits the
 interpreter without cleaning up at all.
@@ -23,9 +24,7 @@ from repro.parallel.shm import (
     SegmentAttachments,
     SharedTensorPool,
     TransportCounters,
-    model_payload_bytes,
     pack_model,
-    resolve_transport,
     shm_available,
     unpack_model,
 )
@@ -47,27 +46,28 @@ def shm_names() -> set:
         return set()
 
 
-class TestResolveTransport:
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "shm")
-        assert resolve_transport("pipe") == "pipe"
+def test_transport_is_derived_from_where_workers_are(monkeypatch):
+    """No option picks the medium; the pool does.  Local workers get shm
+    where the platform has it and pipe (the inline codec) where it does
+    not; worker addresses — argument or environment — mean tcp; a
+    leftover ``REPRO_PARALLEL_TRANSPORT`` changes nothing."""
+    from repro.parallel import shm
+    from repro.parallel.scan import ShardedScanExecutor
 
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "pipe")
-        assert resolve_transport() == "pipe"
+    monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "pipe")
+    monkeypatch.delenv("REPRO_WORKER_ADDRESSES", raising=False)
 
-    def test_auto_prefers_shm_when_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_TRANSPORT", raising=False)
-        assert resolve_transport() == ("shm" if HAS_SHM else "pipe")
-        assert resolve_transport("auto") == resolve_transport()
+    def label(**kwargs):
+        with ShardedScanExecutor(**kwargs) as executor:
+            return executor.transport
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ParallelError, match="unknown"):
-            resolve_transport("carrier-pigeon")
-
-    def test_whitespace_and_case_tolerated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", " PIPE ")
-        assert resolve_transport() == "pipe"
+    if HAS_SHM:
+        assert label(max_workers=2) == "shm"
+    monkeypatch.setattr(shm, "shm_available", lambda: False)
+    assert label(max_workers=2) == "pipe"
+    assert label(worker_addresses=["127.0.0.1:9999"]) == "tcp"
+    monkeypatch.setenv("REPRO_WORKER_ADDRESSES", "127.0.0.1:9999")
+    assert label(max_workers=2) == "tcp"
 
 
 @needs_shm
@@ -237,7 +237,14 @@ class TestModelPacking:
 
     def test_payload_bytes_counts_every_factor(self, fitted_model):
         _layout, block = pack_model(fitted_model)
-        assert model_payload_bytes(fitted_model) == block.nbytes
+        factors = [
+            *fitted_model.margin_factors.values(),
+            *fitted_model.table_factors.values(),
+        ]
+        expected = 8 * (1 + len(fitted_model.cell_factors)) + sum(
+            factor.nbytes for factor in factors
+        )
+        assert block.nbytes == expected
 
 
 @needs_shm
@@ -289,9 +296,7 @@ class TestCleanupGuarantees:
             },
         )
         before = shm_names()
-        executor = ShardedScanExecutor(
-            pool=WorkerPool(2), transport="shm"
-        )
+        executor = ShardedScanExecutor(pool=WorkerPool(2))
         executor.begin_order(table, 2, constraints, None)
         executor.scan(model)
         with pytest.raises(ParallelError):
@@ -300,7 +305,8 @@ class TestCleanupGuarantees:
         executor.close()
         assert not shm_names() - before
 
-    def test_executor_close_releases_all_segments(self):
+    def test_executor_close_releases_all_segments(self, monkeypatch):
+        from repro.parallel import scan as scan_module
         from repro.parallel.pool import WorkerPool
         from repro.parallel.scan import ShardedScanExecutor
         from repro.eval.paper import paper_table
@@ -316,10 +322,10 @@ class TestCleanupGuarantees:
             },
         )
         before = shm_names()
+        # Force slabs even at toy size.
+        monkeypatch.setattr(scan_module, "RESULT_THRESHOLD_BYTES", 0)
         with ShardedScanExecutor(
-            pool=WorkerPool(2, inline=True),
-            transport="shm",
-            result_threshold_bytes=0,  # force slabs even at toy size
+            pool=WorkerPool(2, inline=True)
         ) as executor:
             executor.begin_order(table, 2, constraints, None)
             executor.scan(model)

@@ -7,6 +7,7 @@ ones at checkin.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -193,6 +194,32 @@ class TestHostedKB:
         mirror.update(builder.snapshot())
         assert fingerprint == mirror.model.fingerprint()
         assert answer == mirror.query("CANCER=yes")
+
+    def test_flush_queued_behind_a_hot_swap_is_answered(self, kb):
+        """A query admitted before a hot-swap whose flush reaches the
+        executor only after the swap retired its pool is answered from
+        the current pool, with that pool's fingerprint — not refused."""
+        gate = threading.Event()
+        config = ServeConfig(flush_interval=0.0, executor_threads=1)
+
+        async def scenario(registry):
+            entry = registry.add("paper", kb)
+            loop = asyncio.get_running_loop()
+            blocker = loop.run_in_executor(registry.executor, gate.wait)
+            pending = asyncio.ensure_future(entry.query("CANCER=yes"))
+            await asyncio.sleep(0.05)  # the flush queues behind the blocker
+            # The swap half of HostedKB.update, on the event loop.
+            old_pool = entry.pool
+            entry.pool = entry._build_pool(entry.kb)
+            old_pool.retire()
+            gate.set()
+            await blocker
+            return await pending, entry.fingerprint()
+
+        with KnowledgeBaseRegistry(config) as registry:
+            (answer, fingerprint), current = asyncio.run(scenario(registry))
+        assert answer == kb.query("CANCER=yes")
+        assert fingerprint == current
 
     def test_empty_update_is_a_422(self, kb):
         async def scenario(registry):
