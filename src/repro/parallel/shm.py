@@ -497,8 +497,6 @@ class InlineCodec:
     ``"tcp"`` for a remote pool, ``"pipe"`` for a local one.
     """
 
-    name = "inline"
-
     def __init__(self, counters: TransportCounters, label: str):
         self.counters = counters
         self.label = label
@@ -530,7 +528,6 @@ class ShmCodec:
     slab's used prefix out, because the slab is rewritten next scan.
     """
 
-    name = "shm"
     label = "shm"
 
     def __init__(self, counters: TransportCounters):

@@ -220,14 +220,15 @@ class HostedKB:
         pool refuses checkouts.  When the swap lands between this read
         and the checkout, the refusal is retried on the new pool.  Either
         way one call evaluates against a single model revision, and its
-        results carry that revision's fingerprint.
+        results carry that revision's fingerprint.  A refusal from the
+        pool that is still current — the entry was closed — is raised.
         """
         while True:
             pool = self.pool
             try:
                 return fn(pool)
             except DataError:
-                if not pool.retired:
+                if self.pool is pool:
                     raise
 
     async def _run_coalesced(self, queries: list) -> list:

@@ -99,7 +99,7 @@ class TestTransportEquivalence:
             monkeypatch.setattr(shm_module, "shm_available", lambda: False)
         serial = QuerySession(model).batch(queries)
         with ParallelQueryEvaluator(model, max_workers=2) as evaluator:
-            assert evaluator._codec.name == codec
+            assert evaluator.transport == {"shm": "shm", "inline": "pipe"}[codec]
             assert evaluator.batch(queries) == serial
             # Warm workers (amortized broadcast) must agree too.
             assert evaluator.batch(queries) == serial

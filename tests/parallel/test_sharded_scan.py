@@ -212,7 +212,7 @@ class TestTransportBitIdentity:
         table, constraints, model = world
         with codec_selected(codec):
             executor = ShardedScanExecutor(pool=WorkerPool(3, inline=True))
-            assert executor._codec.name == codec
+            assert executor.transport == {"shm": "shm", "inline": "pipe"}[codec]
             try:
                 for order in range(2, len(table.schema) + 1):
                     try:

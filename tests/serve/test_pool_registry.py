@@ -221,6 +221,35 @@ class TestHostedKB:
         assert answer == kb.query("CANCER=yes")
         assert fingerprint == current
 
+    def test_batch_queued_behind_a_close_fails_and_close_returns(self, kb):
+        """A batch still queued on the executor when its entry closes
+        fails with DataError instead of retrying the retired pool, and
+        the registry's shutdown, which waits for the executor, returns."""
+        gate = threading.Event()
+        config = ServeConfig(flush_interval=0.0, executor_threads=1)
+        registry = KnowledgeBaseRegistry(config)
+
+        async def scenario():
+            entry = registry.add("paper", kb)
+            loop = asyncio.get_running_loop()
+            blocker = loop.run_in_executor(registry.executor, gate.wait)
+            pending = asyncio.ensure_future(entry.batch(["CANCER=yes"]))
+            await asyncio.sleep(0.05)  # the batch queues behind the blocker
+            entry.close()
+            gate.set()
+            await blocker
+            with pytest.raises(DataError, match="retired"):
+                await asyncio.wait_for(pending, timeout=5.0)
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            gate.set()
+            closer = threading.Thread(target=registry.close, daemon=True)
+            closer.start()
+            closer.join(timeout=5.0)
+        assert not closer.is_alive()
+
     def test_empty_update_is_a_422(self, kb):
         async def scenario(registry):
             entry = registry.add("paper", kb)
