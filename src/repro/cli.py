@@ -1262,9 +1262,13 @@ def _render_profile(result) -> str:
     table = format_table(
         ["stage", "calls", "work", "seconds", "share"], profile.rows()
     )
+    pool_scans = profile.scan_calls + profile.verify_calls
     text = (
         f"discovery stage timings (total {profile.total_seconds:.4f}s)\n"
         + table
+        + f"\nmodel side: {profile.scan_model_cells} component cells "
+        f"reduced over {pool_scans} pool scans, {profile.fit_cells} swept "
+        f"over {profile.fit_calls} fits"
     )
     if profile.transports:
         rows = [

@@ -322,7 +322,7 @@ class DiscoveryEngine:
         profile = self.profile
         kernel: OrderScanKernel | None = None
         executor = self.executor if self.scan_backend == "kernel" else None
-        pool_cells = _candidate_pool_size(table, order)
+        pool_cells = table.num_cells_of_order(order)
         if (
             executor is not None
             and self._owns_executor
@@ -373,14 +373,17 @@ class DiscoveryEngine:
         profile = self.profile
         while True:
             scan_start = time.perf_counter()
+            model_cells = 0
             if executor is not None:
                 # The executor hands back the argmax merged from
                 # shard-local bests, so the full (lazy) test list never
                 # has to be decoded on the hot path.
                 tests, best = executor.scan(model)
+                model_cells = executor.last_model_cells
             elif kernel is not None:
                 tests = kernel.scan(model)
                 best = most_significant(tests)
+                model_cells = kernel.last_model_cells
             else:
                 tests = reference_scan_order(
                     table, model, order, constraints, config.priors
@@ -395,14 +398,14 @@ class DiscoveryEngine:
                 # unless the capacity cap cut it off mid-find, in which
                 # case it did real scanning work and is billed as such.
                 if capped:
-                    profile.add_scan(scan_seconds, len(tests))
+                    profile.add_scan(scan_seconds, len(tests), model_cells)
                 else:
-                    profile.add_verify(scan_seconds, len(tests))
+                    profile.add_verify(scan_seconds, len(tests), model_cells)
                 result.scans.append(
                     ScanRecord(order=order, tests=tests, chosen=None)
                 )
                 return model
-            profile.add_scan(scan_seconds, len(tests))
+            profile.add_scan(scan_seconds, len(tests), model_cells)
 
             constraint = constraints.cell_from_table(
                 table, best.attributes, best.values
@@ -469,18 +472,6 @@ class DiscoveryEngine:
             return False
         adopted = len(constraints.cells) - getattr(self, "_num_given", 0)
         return adopted >= cap
-
-
-def _candidate_pool_size(table: ContingencyTable, order: int) -> int:
-    """Total marginal cells at ``order`` — the scan's candidate pool."""
-    schema = table.schema
-    total = 0
-    for subset in table.subsets_of_order(order):
-        cells = 1
-        for name in subset:
-            cells *= schema.attribute(name).cardinality
-        total += cells
-    return total
 
 
 def discover(

@@ -16,8 +16,9 @@ multiplies the corresponding ``a`` factor, and complement scalings are
 absorbed into ``a0``.  This converges to the same fixed point as the paper's
 Gauss–Seidel scheme (:mod:`repro.maxent.gevarter`); the tests assert so.
 
-The fit runs per connected component of the *constraint graph*: attributes
-are its nodes, and every cell or table factor the model carries (each cell
+The fit runs per connected component of the *constraint graph*
+(:meth:`~repro.maxent.model.MaxEntModel.components`): attributes are its
+nodes, and every cell or table factor the model carries (each cell
 constraint and subset margin has one) joins the attributes it names.  By
 the product form (Eq 12), attributes in different components are
 independent factors — the observation the paper's Appendix B recursion
@@ -181,8 +182,7 @@ def fit_ipf(
             model.table_factors[names] = np.ones(target.shape)
 
     components = [
-        _Component(model, constraints, schema.subschema(names))
-        for names in _connected_components(schema, model)
+        _Component(part, constraints) for part in model.component_models()
     ]
     masses = [float(component.tensor.sum()) for component in components]
     total = model.a0 * math.prod(masses)
@@ -241,31 +241,18 @@ def fit_ipf(
 class _Component:
     """One connected component of the constraint graph.
 
-    Holds the component's sub-schema, its share of the constraints, a
-    sub-model with its share of the factors (``a0`` starts at 1 and
-    collects the component's complement scalings) and its tensor.
+    Holds the component's sub-model (from
+    :meth:`~repro.maxent.model.MaxEntModel.component_models`: its share of
+    the factors, with ``a0`` starting at 1 to collect the component's
+    complement scalings), its share of the constraints and its tensor.
     """
 
-    def __init__(self, model, constraints, schema):
-        names = set(schema.names)
+    def __init__(self, model, constraints):
+        schema = model.schema
         self.schema = schema
+        self.model = model
         self.constraints = constraints.restricted(schema)
-        self.model = MaxEntModel(
-            schema,
-            {name: model.margin_factors[name] for name in schema.names},
-            {
-                key: factor
-                for key, factor in model.cell_factors.items()
-                if names.issuperset(key[0])
-            },
-            1.0,
-            {
-                subset: array
-                for subset, array in model.table_factors.items()
-                if names.issuperset(subset)
-            },
-        )
-        self.tensor = self.model.unnormalized()
+        self.tensor = model.unnormalized()
         self.slicers = {
             cell.key: _slicer(schema, cell.attributes, cell.values)
             for cell in self.constraints.cells
@@ -293,31 +280,6 @@ class _Component:
             self.tensor, self.constraints, self.slicers, self.schema
         )
         return violation
-
-
-def _connected_components(schema, model) -> list[tuple[str, ...]]:
-    """Attribute groups joined by the model's cell and table factors.
-
-    Groups come in the order of their first attribute, each in schema
-    order.
-    """
-    parent = {name: name for name in schema.names}
-
-    def find(name):
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    joins = [names for names, _ in model.cell_factors]
-    joins.extend(model.table_factors)
-    for names in joins:
-        for name in names[1:]:
-            parent[find(name)] = find(names[0])
-    groups: dict[str, list[str]] = {}
-    for name in schema.names:
-        groups.setdefault(find(name), []).append(name)
-    return [tuple(group) for group in groups.values()]
 
 
 def _lockstep(components, positions, sweep) -> None:

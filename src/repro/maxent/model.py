@@ -9,14 +9,23 @@ where one ``a`` factor exists per constraint: a vector factor per
 first-order margin and a *scalar* factor per constrained higher-order cell
 (insignificant cells keep ``a = 1``, Eq 116).
 
-:class:`MaxEntModel` stores exactly these factors.  While the joint state
-space is small (every experiment in the paper) probabilities are computed by
-materializing the dense tensor; :mod:`repro.maxent.elimination` provides the
+:class:`MaxEntModel` stores exactly these factors.  Its *constraint graph*
+has the attributes as nodes, and every cell or table factor joins the
+attributes it names.  By the product form, attributes in different
+connected components are independent factors, so the joint is the outer
+product of one small tensor per component: :meth:`MaxEntModel.factored`
+builds those tensors as a :class:`FactoredJoint`, and every model-side
+marginal — :meth:`MaxEntModel.marginal`, :meth:`MaxEntModel.probability`,
+the discovery scans, the per-component fit — is answered from them without
+building the ``2^n`` joint.  :meth:`MaxEntModel.joint` still materializes
+the dense tensor for the consumers that want all of it (query backends,
+validation, entropy); :mod:`repro.maxent.elimination` provides the
 factored Appendix-B evaluation for wide schemas.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -130,21 +139,34 @@ class MaxEntModel:
 
     def unnormalized(self) -> np.ndarray:
         """Dense tensor of ``prod(a)`` *without* the ``a0`` factor."""
-        tensor = np.ones(self.schema.shape)
-        for axis, attribute in enumerate(self.schema):
-            shape = [1] * len(self.schema)
-            shape[axis] = attribute.cardinality
-            tensor = tensor * self.margin_factors[attribute.name].reshape(shape)
-        for (names, values), factor in self.cell_factors.items():
-            slicer: list[slice | int] = [slice(None)] * len(self.schema)
-            for name, value in zip(names, values):
-                slicer[self.schema.axis(name)] = value
+        return self._product(
+            self.schema.names, self.cell_factors, self.table_factors
+        )
+
+    def _product(self, names, cell_factors, table_factors) -> np.ndarray:
+        """``prod(a)`` over the attributes ``names`` (in schema order).
+
+        ``cell_factors`` and ``table_factors`` must lie inside ``names``.
+        Factors multiply in a fixed order — margins in schema order, then
+        cells and tables in dict order — since float products do not
+        reassociate.
+        """
+        axes = {name: axis for axis, name in enumerate(names)}
+        sizes = [len(self.margin_factors[name]) for name in names]
+        tensor = np.ones(sizes)
+        for axis, name in enumerate(names):
+            shape = [1] * len(names)
+            shape[axis] = sizes[axis]
+            tensor = tensor * self.margin_factors[name].reshape(shape)
+        for (cell_names, values), factor in cell_factors.items():
+            slicer: list[slice | int] = [slice(None)] * len(names)
+            for name, value in zip(cell_names, values):
+                slicer[axes[name]] = value
             tensor[tuple(slicer)] *= factor
-        for names, array in self.table_factors.items():
-            shape = [1] * len(self.schema)
-            for name in names:
-                axis = self.schema.axis(name)
-                shape[axis] = self.schema.attributes[axis].cardinality
+        for table_names, array in table_factors.items():
+            shape = [1] * len(names)
+            for name in table_names:
+                shape[axes[name]] = sizes[axes[name]]
             # The subset's axes are in schema order, so a reshape aligns.
             tensor = tensor * array.reshape(shape)
         return tensor
@@ -158,9 +180,7 @@ class MaxEntModel:
         """
         tensor = self.unnormalized() * self.a0
         total = tensor.sum()
-        if total <= 0:
-            raise ConstraintError("model has zero total mass")
-        if not np.isclose(total, 1.0, atol=1e-9):
+        if _renormalizes(total):
             tensor = tensor / total
         return tensor
 
@@ -171,12 +191,90 @@ class MaxEntModel:
             raise ConstraintError("model has zero total mass")
         self.a0 = 1.0 / total
 
+    def components(self) -> list[tuple[str, ...]]:
+        """Connected components of the constraint graph.
+
+        Attributes are joined by the model's cell and table factors.
+        Groups come in the order of their first attribute, each in schema
+        order — never in a set's order, so every float computed per
+        component is the same in every process.
+        """
+        parent = {name: name for name in self.schema.names}
+
+        def find(name):
+            while parent[name] != name:
+                parent[name] = parent[parent[name]]
+                name = parent[name]
+            return name
+
+        joins = [names for names, _ in self.cell_factors]
+        joins.extend(self.table_factors)
+        for names in joins:
+            for name in names[1:]:
+                parent[find(name)] = find(names[0])
+        groups: dict[str, list[str]] = {}
+        for name in self.schema.names:
+            groups.setdefault(find(name), []).append(name)
+        return [tuple(group) for group in groups.values()]
+
+    def component_models(self) -> list["MaxEntModel"]:
+        """One sub-model per :meth:`components` entry, in that order.
+
+        Each holds its component's share of the factors (cell and table
+        factors keep their insertion order) over the component's
+        sub-schema, with ``a0 = 1``.  The factors are copies.
+        """
+        return [
+            MaxEntModel(
+                self.schema.subschema(names),
+                {name: self.margin_factors[name] for name in names},
+                cells,
+                1.0,
+                tables,
+            )
+            for names, cells, tables in self._split()
+        ]
+
+    def factored(self) -> "FactoredJoint":
+        """The normalized joint as one tensor per constraint-graph component.
+
+        Normalization follows :meth:`joint`'s rule: the stored ``a0`` is
+        kept when ``a0 * prod(component masses)`` is close to 1, otherwise
+        the product is renormalized.  Each tensor is its sub-model's
+        (:meth:`component_models`) ``unnormalized()``, divided by its mass.
+        """
+        parts = self._split()
+        tensors = [self._product(*part) for part in parts]
+        masses = [float(tensor.sum()) for tensor in tensors]
+        total = self.a0 * math.prod(masses)
+        scale = 1.0 if _renormalizes(total) else total
+        return FactoredJoint(
+            tuple(names for names, _cells, _tables in parts),
+            [tensor / mass for tensor, mass in zip(tensors, masses)],
+            scale,
+        )
+
+    def _split(self) -> list[tuple[tuple[str, ...], dict, dict]]:
+        """``(names, cell factors, table factors)`` per :meth:`components`
+        entry; the factors keep their insertion order."""
+        components = self.components()
+        home = {
+            name: index
+            for index, names in enumerate(components)
+            for name in names
+        }
+        cells: list[dict] = [{} for _ in components]
+        for key, factor in self.cell_factors.items():
+            cells[home[key[0][0]]][key] = factor
+        tables: list[dict] = [{} for _ in components]
+        for names, array in self.table_factors.items():
+            tables[home[names[0]]][names] = array
+        return list(zip(components, cells, tables))
+
     def marginal(self, names: Sequence[str]) -> np.ndarray:
         """Marginal probability array over ``names`` (schema order)."""
         ordered = self.schema.canonical_subset(names)
-        drop = self.schema.drop_axes(ordered)
-        joint = self.joint()
-        return joint.sum(axis=drop) if drop else joint
+        return self.factored().marginal(ordered)
 
     def probability(self, assignment: Mapping[str, str | int]) -> float:
         """Probability of a (possibly partial) labelled assignment."""
@@ -299,3 +397,124 @@ class MaxEntModel:
             f"MaxEntModel({self.schema!r}, cells={len(self.cell_factors)}, "
             f"a0={self.a0:.6g})"
         )
+
+
+def _renormalizes(total: float) -> bool:
+    """Whether a joint of mass ``total`` (``a0`` included) is divided by it.
+
+    The stored ``a0`` is trusted when it normalizes (as after a converged
+    fit); zero mass is an error.
+    """
+    if total <= 0:
+        raise ConstraintError("model has zero total mass")
+    # np.isclose(total, 1.0, atol=1e-9)'s test, without its call overhead.
+    return not abs(total - 1.0) <= 1e-9 + 1e-5
+
+
+class FactoredJoint:
+    """A normalized joint held as independent per-component tensors.
+
+    ``tensors[i]`` is the distribution of ``components[i]``'s attributes
+    (axes in schema order, mass 1), and the joint is ``scale`` times their
+    outer product.  A subset's marginal is the outer product of the
+    marginals of the components it touches, so no ``2^n`` tensor is ever
+    built.  Built by :meth:`MaxEntModel.factored`; :meth:`pack` and
+    :meth:`unpack` move one across a process boundary as a single float64
+    block plus a small layout.
+
+    Per-component marginals are cached, so a scan that reads one
+    attribute's marginal for many subsets reduces its component once.
+    ``cells_reduced`` counts the component-tensor cells read to form
+    them: the model-side cost of the marginals asked for so far.
+    """
+
+    def __init__(
+        self,
+        components: tuple[tuple[str, ...], ...],
+        tensors: Sequence[np.ndarray],
+        scale: float,
+    ):
+        self.components = tuple(tuple(names) for names in components)
+        self.tensors = list(tensors)
+        self.scale = float(scale)
+        self._home = {
+            name: index
+            for index, names in enumerate(self.components)
+            for name in names
+        }
+        self._parts: dict[tuple[int, tuple[str, ...]], np.ndarray] = {}
+        self.cells_reduced = 0
+
+    def marginal(self, names: Sequence[str]) -> np.ndarray:
+        """Marginal probability array over ``names``, given in schema order.
+
+        The product runs in the order of the components' first appearance
+        in ``names``, so equal inputs give bit-equal outputs.
+        """
+        names = tuple(names)
+        parts: dict[int, list[int]] = {}  # component -> positions in names
+        for position, name in enumerate(names):
+            parts.setdefault(self._home[name], []).append(position)
+        result = np.array(self.scale)
+        for index, positions in parts.items():
+            part = tuple(names[position] for position in positions)
+            factor = self._part_marginal(index, part)
+            shape = [1] * len(names)
+            for position, size in zip(positions, factor.shape):
+                shape[position] = size
+            result = result * factor.reshape(shape)
+        return result
+
+    def _part_marginal(
+        self, index: int, part: tuple[str, ...]
+    ) -> np.ndarray:
+        cached = self._parts.get((index, part))
+        if cached is None:
+            tensor = self.tensors[index]
+            drop = tuple(
+                axis
+                for axis, name in enumerate(self.components[index])
+                if name not in part
+            )
+            cached = tensor.sum(axis=drop) if drop else tensor
+            self.cells_reduced += tensor.size
+            self._parts[(index, part)] = cached
+        return cached
+
+    def pack(self) -> tuple[tuple, np.ndarray]:
+        """``(layout, block)``: every tensor raveled into one float64 block.
+
+        The layout is ``(components, shapes, scale)``; each tensor's
+        offset in the block is the summed size of the ones before it.
+        """
+        layout = (
+            self.components,
+            tuple(tensor.shape for tensor in self.tensors),
+            self.scale,
+        )
+        block = np.concatenate(
+            [np.asarray(t, dtype=np.float64).ravel() for t in self.tensors]
+        )
+        return layout, block
+
+    @classmethod
+    def unpack(cls, layout: tuple, block: np.ndarray) -> "FactoredJoint":
+        """Rebuild the :meth:`pack`-ed joint; the tensors are views of
+        ``block``, bit-equal to the packed ones."""
+        components, shapes, scale = layout
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) != len(block):
+            raise ConstraintError(
+                f"factor block holds {len(block)} floats but the layout "
+                f"describes {sum(sizes)}"
+            )
+        tensors = []
+        offset = 0
+        for shape, size in zip(shapes, sizes):
+            tensors.append(block[offset : offset + size].reshape(shape))
+            offset += size
+        return cls(components, tensors, scale)
+
+    def __repr__(self) -> str:
+        cells = sum(tensor.size for tensor in self.tensors)
+        return f"FactoredJoint({len(self.components)} components, {cells} cells)"

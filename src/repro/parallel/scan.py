@@ -9,16 +9,19 @@ statistics (counts, coefficient arrays, Eq-41 range tables) are built once
 per order per worker and survive across the scan-adopt-refit rounds
 exactly as the serial kernel's do.
 
-Per scan the master ships the model's joint once — per adoption it
-broadcasts the adopted constraint so every worker's constraint-set copy
-(and kernel cache invalidation) tracks the master's.  One protocol runs on
-every pool; the only per-medium piece is the tensor codec
-(:mod:`repro.parallel.shm`), derived from the pool:
+Per scan the master ships the model's per-component tensors
+(:class:`~repro.maxent.model.FactoredJoint`, one small tensor per
+connected component of the constraint graph — never the ``2^n`` joint)
+once; per adoption it broadcasts the adopted constraint so every worker's
+constraint-set copy (and kernel cache invalidation) tracks the master's.
+One protocol runs on every pool; the only per-medium piece is the tensor
+codec (:mod:`repro.parallel.shm`), derived from the pool:
 
-- the joint is fingerprint-amortized — shipped (as a shared-segment
-  handle under ``shm``, as the array itself under ``inline``) only when
-  ``model.fingerprint()`` changes, referenced as ``("cached", fp)``
-  otherwise;
+- the component tensors travel as one flat float64 block plus a
+  components/shapes layout, fingerprint-amortized — shipped (as a
+  shared-segment handle under ``shm``, as the array itself under
+  ``inline``) only when ``model.fingerprint()`` changes, referenced as
+  ``("cached", fp)`` otherwise;
 - data-side columns (candidate values, observed counts,
   determined/feasible tables) are shipped once per kernel-cache build and
   referenced by version afterwards;
@@ -64,7 +67,7 @@ import numpy as np
 from repro.data.contingency import ContingencyTable
 from repro.exceptions import ParallelError, StaleWorkerStateError
 from repro.maxent.constraints import CellConstraint, ConstraintSet
-from repro.maxent.model import MaxEntModel
+from repro.maxent.model import FactoredJoint, MaxEntModel
 from repro.parallel.pool import WorkerPool, shard_bounds
 from repro.parallel.shm import (
     open_codec,
@@ -254,37 +257,44 @@ def _active_kernel(state) -> OrderScanKernel:
     return kernel
 
 
-def _scan_shard(state, joint_ref, slab):
+def _scan_shard(state, factors_ref, slab):
     """One shard scan.
 
-    The joint arrives fingerprint-amortized: ``("joint", fp, ref)`` ships
-    it (``ref`` is a codec reference — a shared-segment handle or the
-    array itself) and caches it worker-side, surviving order boundaries
-    exactly as the master's ``_published_fingerprint`` does;
-    ``("cached", fp)`` reuses the cached copy.  Any cache miss — no
-    active kernel, no joint, a joint for another fingerprint — raises
-    :class:`StaleWorkerStateError` rather than scanning stale state; the
-    master recovers by replaying the order with full payloads.
+    The model arrives fingerprint-amortized: ``("factors", fp, layout,
+    ref)`` ships its component tensors (``ref`` is a codec reference to
+    the flat block — a shared-segment handle or the array itself; see
+    :meth:`~repro.maxent.model.FactoredJoint.pack`) and caches them
+    worker-side, surviving order boundaries exactly as the master's
+    ``_published_fingerprint`` does; ``("cached", fp)`` reuses the cached
+    copy.  Any cache miss — no active kernel, no factors, factors for
+    another fingerprint — raises :class:`StaleWorkerStateError` rather
+    than scanning stale state; the master recovers by replaying the
+    order with full payloads.
 
-    Returns ``(meta, block, best, attach_ns)``: per-subset metadata
-    (data-side columns, or a version reference when the master already
-    holds them), the concatenated float columns — written into ``slab``
-    and ``None`` here when the codec provided one, else the array itself
-    — the shard-local argmax, and segment attach time.
+    Returns ``(meta, block, best, attach_ns, model_cells)``: per-subset
+    metadata (data-side columns, or a version reference when the master
+    already holds them), the concatenated float columns — written into
+    ``slab`` and ``None`` here when the codec provided one, else the
+    array itself — the shard-local argmax, segment attach time, and the
+    component-tensor cells the scan reduced.
     """
     kernel = _active_kernel(state)
-    if joint_ref[0] == "joint":
-        _kind, fingerprint, ref = joint_ref
-        state["joint"] = read_tensor(state, ref)
-        state["joint_fingerprint"] = fingerprint
-    elif "joint" not in state or state["joint_fingerprint"] != joint_ref[1]:
+    if factors_ref[0] == "factors":
+        _kind, fingerprint, layout, ref = factors_ref
+        # A private copy: the block is tiny, and the cache must not alias
+        # a segment the master rewrites for the next model.
+        block = np.array(read_tensor(state, ref))
+        state["factors"] = FactoredJoint.unpack(layout, block)
+        state["factors_fingerprint"] = fingerprint
+    elif (
+        "factors" not in state
+        or state["factors_fingerprint"] != factors_ref[1]
+    ):
         raise StaleWorkerStateError(
-            "worker was told to reuse a cached joint it does not hold "
+            "worker was told to reuse cached model factors it does not hold "
             "(or holds for a different model fingerprint)"
         )
-    columns = kernel.scan_columns(
-        None, joint=state["joint"], float_arrays=True
-    )
+    columns = kernel.scan_columns(state["factors"], float_arrays=True)
     best = _best_in_columns(columns)
     sent_versions = state["sent_versions"]
     meta = []
@@ -312,10 +322,13 @@ def _scan_shard(state, joint_ref, slab):
         floats.extend(subset_columns[3:9])
     floats = floats or [np.empty(0, dtype=np.float64)]
     if slab is None:
-        return meta, np.concatenate(floats), best, take_attach_ns(state)
-    size = sum(column.size for column in floats)
-    np.concatenate(floats, out=read_tensor(state, slab, writable=True)[:size])
-    return meta, None, best, take_attach_ns(state)
+        block = np.concatenate(floats)
+    else:
+        size = sum(column.size for column in floats)
+        out = read_tensor(state, slab, writable=True)[:size]
+        np.concatenate(floats, out=out)
+        block = None
+    return meta, block, best, take_attach_ns(state), kernel.last_model_cells
 
 
 def _adopt(state, constraint) -> None:
@@ -380,6 +393,8 @@ class ShardedScanExecutor:
         self._order_args: tuple | None = None
         self._slabs: list = []
         self._data_cache: list[dict] = []
+        #: Component-tensor cells the last scan's shards reduced.
+        self.last_model_cells = 0
 
     @property
     def transport(self) -> str:
@@ -413,14 +428,14 @@ class ShardedScanExecutor:
             self.pool.run(_TASK_INIT, init_args(table_ref))
         except StaleWorkerStateError:
             # A reconnected remote worker lost its cached table (and
-            # joint); re-ship both in full.
+            # model factors); re-ship both in full.
             self._published_fingerprint = None
             self.pool.run(_TASK_INIT, init_args(("table", table)))
         self._order_args = (table, order, constraints, priors)
         self._last_table = table
         # _published_fingerprint deliberately survives order boundaries:
         # when nothing was adopted at the previous order the model (and
-        # its cached joint) is unchanged, so the next order's first scan
+        # its cached factors) is unchanged, so the next order's first scan
         # skips the reship too.
         self._open_slabs(table, [subsets[a:b] for a, b in bounds])
 
@@ -459,7 +474,7 @@ class ShardedScanExecutor:
         the full results.
 
         A :class:`StaleWorkerStateError` from any worker — a reconnected
-        connection whose pinned kernel/joint died with its predecessor —
+        connection whose pinned kernel/factors died with its predecessor —
         is recovered by replaying the whole order with full payloads and
         scanning again.  The replay rebuilds each worker kernel from the
         master's *current* constraint set, which is exactly the state an
@@ -473,16 +488,17 @@ class ShardedScanExecutor:
         counters.broadcasts_total += 1
         if fingerprint == self._published_fingerprint:
             counters.broadcasts_skipped += 1
-            joint_ref = ("cached", fingerprint)
+            factors_ref = ("cached", fingerprint)
         else:
-            joint_ref = self._ship_joint(model, fingerprint)
+            factors_ref = self._ship_factors(model, fingerprint)
         try:
-            replies = self._run_scan(joint_ref)
+            replies = self._run_scan(factors_ref)
         except StaleWorkerStateError:
             self._replay_order()
             counters.broadcasts_total += 1
-            replies = self._run_scan(self._ship_joint(model, fingerprint))
+            replies = self._run_scan(self._ship_factors(model, fingerprint))
         self._published_fingerprint = fingerprint
+        self.last_model_cells = sum(reply[4] for reply in replies)
         shard_columns = self._decode(replies)
         best_shard = None
         best_index = None
@@ -502,18 +518,18 @@ class ShardedScanExecutor:
         )
         return LazyScanTests(shard_columns), chosen
 
-    def _ship_joint(self, model: MaxEntModel, fingerprint: int) -> tuple:
-        # Until the shards acknowledge it, no joint counts as published: a
-        # failed dispatch must not leave a "cached" reference to it behind.
+    def _ship_factors(self, model: MaxEntModel, fingerprint: int) -> tuple:
+        # Until the shards acknowledge them, no factors count as published:
+        # a failed dispatch must not leave a "cached" reference behind.
         self._published_fingerprint = None
-        joint = np.ascontiguousarray(model.joint())
-        ref = self._codec.put("joint", joint, self._active_shards)
-        return ("joint", fingerprint, ref)
+        layout, block = model.factored().pack()
+        ref = self._codec.put("factors", block, self._active_shards)
+        return ("factors", fingerprint, layout, ref)
 
-    def _run_scan(self, joint_ref: tuple) -> list:
+    def _run_scan(self, factors_ref: tuple) -> list:
         return self.pool.run(
             _TASK_SCAN,
-            [(joint_ref, slab) for slab in self._slabs],
+            [(factors_ref, slab) for slab in self._slabs],
         )
 
     def _replay_order(self) -> None:
@@ -534,7 +550,9 @@ class ShardedScanExecutor:
         """
         counters = self.counters
         shard_columns = []
-        for shard, (meta, block, _best, attach_ns) in enumerate(replies):
+        for shard, (meta, block, _best, attach_ns, _cells) in enumerate(
+            replies
+        ):
             counters.attach_ns += attach_ns
             if block is None:
                 block = self._codec.read_slab(
@@ -642,7 +660,7 @@ def scan_order_sharded(
     subsets = table.subsets_of_order(order)
     if shards is None:
         shards = shard_bounds(len(subsets), num_shards)
-    joint = model.joint()
+    factors = model.factored()
     tests: list[CellTest] = []
     for start, stop in shards:
         kernel = OrderScanKernel(
@@ -652,5 +670,5 @@ def scan_order_sharded(
             priors,
             subsets=tuple(subsets[start:stop]),
         )
-        tests.extend(kernel.scan(None, joint=joint))
+        tests.extend(kernel.scan(factors))
     return tests

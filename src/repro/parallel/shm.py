@@ -2,9 +2,9 @@
 
 The sharded scan and the query evaluator speak one protocol to every
 worker pool; the only per-medium piece is how a dense float64 tensor (a
-model joint, a packed model block, a shard's result columns) gets from
-one side to the other.  That is a *codec*, derived from the pool, never
-configured:
+model's packed component tensors, a packed model block, a shard's result
+columns) gets from one side to the other.  That is a *codec*, derived
+from the pool, never configured:
 
 - ``shm`` (a local :class:`~repro.parallel.pool.WorkerPool` where
   :func:`shm_available`): the master writes the tensor into a
@@ -201,7 +201,7 @@ class SharedTensorPool:
     ``(shape, dtype)`` match from the free list when one exists) together
     with a writable master-side view; :meth:`publish` is acquire + copy.
     :meth:`release` returns a segment to the free list for the next
-    same-shaped broadcast — the reuse that amortizes repeated joint
+    same-shaped broadcast — the reuse that amortizes repeated model
     publishes down to one mapped segment per shape.
     """
 
@@ -520,7 +520,7 @@ class InlineCodec:
 class ShmCodec:
     """Tensors travel through master-owned shared segments.
 
-    :meth:`put` keeps one segment per named ``slot`` (``"joint"``,
+    :meth:`put` keeps one segment per named ``slot`` (``"factors"``,
     ``"model"``) and rewrites it in place while the shape holds — workers
     read a slot only inside the synchronous dispatch that follows, so the
     rewrite can never race a reader.  Output slabs are per-shard segments

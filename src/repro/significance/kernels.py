@@ -16,9 +16,13 @@ with numpy array ops instead, splitting each test into
   set, so they are cached across adoptions within an order and selectively
   invalidated when a constraint lands in a sharing subset
   (:meth:`OrderScanKernel.notify_adopted`);
-- **model-side statistics** — predicted probabilities from one joint
-  marginalization per subset and the H1 message lengths, recomputed per
-  scan.
+- **model-side statistics** — predicted probabilities and the H1 message
+  lengths, recomputed per scan.  Each subset's marginal comes from the
+  model's :class:`~repro.maxent.model.FactoredJoint`: the outer product
+  of the marginals of the constraint-graph components the subset touches,
+  so the ``2^n`` joint is never built.  The arithmetic then runs once over
+  every candidate of the order concatenated, and the columns are sliced
+  back per subset; every op is elementwise, so slicing changes no float.
 
 **Bit-identity contract.**  The kernel's decisions are bit-identical to
 the scalar reference: every float in every emitted
@@ -49,7 +53,7 @@ import numpy as np
 from repro.data.contingency import ContingencyTable
 from repro.exceptions import DataError
 from repro.maxent.constraints import CellKey, ConstraintSet
-from repro.maxent.model import MaxEntModel
+from repro.maxent.model import FactoredJoint, MaxEntModel
 from repro.significance.binomial import (
     log_binomial_coefficients,
     log_binomial_pmf_array,
@@ -132,14 +136,11 @@ class SubsetStats:
 
     names: tuple[str, ...]
     shape: tuple[int, ...]
-    #: Joint-tensor axes summed away to marginalize onto this subset.
-    drop_axes: tuple[int, ...]
     #: Candidate value tuples, in ``np.ndindex`` (C) order.
     candidate_values: list[tuple[int, ...]]
     #: Positions of the candidates in the raveled subset marginal.
     flat_positions: np.ndarray
     observed: np.ndarray
-    observed_float: np.ndarray
     observed_list: list[int]
     #: ``ln C(N, k)`` per candidate (the data term's constant part).
     log_coeff: np.ndarray
@@ -176,6 +177,11 @@ class DiscoveryProfile:
     sweeps and fits: a sweep works on one small tensor per connected
     component of the constraint graph, so this is what shows the fit's
     cost following the adopted structure rather than the joint's size.
+    ``scan_model_cells`` is the scans' counterpart: the component-tensor
+    cells each candidate-pool scan (scan and verify stages alike)
+    reduced to form its marginals
+    (:attr:`~repro.maxent.model.FactoredJoint.cells_reduced`), summed
+    over the run.  The scalar ``"reference"`` oracle does not report it.
 
     ``scan_paths`` records, per scanned order, which scan implementation
     the engine chose (``"serial"`` kernel, ``"sharded"`` executor, or the
@@ -201,6 +207,7 @@ class DiscoveryProfile:
     fit_calls: int = 0
     fit_sweeps: int = 0
     fit_cells: int = 0
+    scan_model_cells: int = 0
     scan_paths: list[dict] = field(default_factory=list)
     scan_call_seconds: list[float] = field(default_factory=list)
     verify_call_seconds: list[float] = field(default_factory=list)
@@ -231,16 +238,22 @@ class DiscoveryProfile:
             {"order": order, "transport": label, **counters}
         )
 
-    def add_scan(self, seconds: float, cells: int) -> None:
+    def add_scan(
+        self, seconds: float, cells: int, model_cells: int = 0
+    ) -> None:
         self.scan_seconds += seconds
         self.scan_calls += 1
         self.scan_cells += cells
+        self.scan_model_cells += model_cells
         self.scan_call_seconds.append(seconds)
 
-    def add_verify(self, seconds: float, cells: int) -> None:
+    def add_verify(
+        self, seconds: float, cells: int, model_cells: int = 0
+    ) -> None:
         self.verify_seconds += seconds
         self.verify_calls += 1
         self.verify_cells += cells
+        self.scan_model_cells += model_cells
         self.verify_call_seconds.append(seconds)
 
     def add_fit(self, seconds: float, sweeps: int, cells: int = 0) -> None:
@@ -362,6 +375,7 @@ class OrderScanKernel:
         # engine; also readable directly after standalone scans).
         self.scan_calls = 0
         self.cells_evaluated = 0
+        self.last_model_cells = 0
         self.last_scan_seconds = 0.0
         self.total_scan_seconds = 0.0
 
@@ -399,21 +413,16 @@ class OrderScanKernel:
 
     # -- scanning -----------------------------------------------------------------
 
-    def scan(
-        self, model: MaxEntModel | None, joint: np.ndarray | None = None
-    ) -> list[CellTest]:
+    def scan(self, model: MaxEntModel | FactoredJoint) -> list[CellTest]:
         """Evaluate every candidate cell at this order against ``model``.
 
-        Equivalent to the scalar reference scan: one joint
-        materialization, one marginalization per subset, then pure array
-        arithmetic over the cached data-side statistics.
-
-        ``joint`` lets a caller that already materialized the model's
-        joint (the sharded executor broadcasts it once per scan instead
-        of shipping — and re-normalizing — the model in every worker)
-        hand it in directly; ``model`` may then be None.
+        Equivalent to the scalar reference scan: one factored marginal per
+        subset, then array arithmetic over the cached data-side
+        statistics.  ``model`` may also be the model's
+        :class:`~repro.maxent.model.FactoredJoint` itself — what the
+        sharded executor's workers hold.
         """
-        columns = self.scan_columns(model, joint)
+        columns = self.scan_columns(model)
         start = time.perf_counter()
         tests = tests_from_columns(columns)
         construction = time.perf_counter() - start
@@ -423,8 +432,7 @@ class OrderScanKernel:
 
     def scan_columns(
         self,
-        model: MaxEntModel | None,
-        joint: np.ndarray | None = None,
+        model: MaxEntModel | FactoredJoint,
         float_arrays: bool = False,
     ) -> list[SubsetColumns]:
         """The scan in columnar form: one tuple of lists per subset.
@@ -443,19 +451,13 @@ class OrderScanKernel:
         both forms decode to bit-identical CellTests.
         """
         start = time.perf_counter()
-        constraints = self.constraints
+        factors = model if isinstance(model, FactoredJoint) else model.factored()
+        reduced_before = factors.cells_reduced
         order = self.order
-        n = self.total
-        found_at_order = len(constraints.cells_of_order(order))
+        found_at_order = len(self.constraints.cells_of_order(order))
         pool = self._num_cells_at_order - found_at_order
-        m1_base = -log(self.priors.p_h1)
-        m2_base: float | None = None
-        if joint is None:
-            if model is None:
-                raise DataError("scan needs a model or a precomputed joint")
-            joint = model.joint()
-        columns: list[SubsetColumns] = []
-        cells = 0
+        active: list[SubsetStats] = []
+        predicted_parts = []
         for names in self.subsets:
             stats = self._stats.get(names)
             if stats is None:
@@ -470,67 +472,80 @@ class OrderScanKernel:
                     f"candidate pool at order {order} is {pool}; "
                     f"no cells remain to choose from"
                 )
-            if m2_base is None:
-                m2_base = -log(self.priors.p_h2_prime) + log(pool)
-
-            # Model-side: one marginalization per subset, then arrays.
-            drop = stats.drop_axes
-            marginal = joint.sum(axis=drop) if drop else joint
-            predicted = marginal.ravel()[stats.flat_positions]
-            np.minimum(
-                np.maximum(predicted, 0.0, out=predicted), 1.0, out=predicted
+            active.append(stats)
+            predicted_parts.append(
+                factors.marginal(names).ravel()[stats.flat_positions]
             )
-            lbp = log_binomial_pmf_array(
-                stats.observed, n, predicted, log_coefficients=stats.log_coeff
-            )
-            m1 = m1_base - lbp
-            m2 = m2_base + stats.h2_range_term
-            observed_float = stats.observed_float
-            mean = n * predicted
-            sd = np.sqrt(n * predicted * (1.0 - predicted))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                num_sd = (observed_float - mean) / sd
-            zero_sd = sd == 0.0
-            if zero_sd.any():
-                num_sd[zero_sd] = np.where(
-                    observed_float[zero_sd] == mean[zero_sd], 0.0, np.inf
+        columns: list[SubsetColumns] = []
+        if active:
+            floats = self._model_side(active, predicted_parts, pool)
+            if not float_arrays:
+                floats = [column.tolist() for column in floats]
+            offset = 0
+            for stats in active:
+                stop = offset + len(stats.candidate_values)
+                columns.append(
+                    (
+                        stats.names,
+                        stats.candidate_values,
+                        stats.observed_list,
+                        *(column[offset:stop] for column in floats),
+                        stats.determined_list,
+                        stats.feasible_list,
+                    )
                 )
-
-            cells += len(stats.candidate_values)
-            if float_arrays:
-                floats = (predicted, mean, sd, num_sd, m1, m2)
-            else:
-                floats = (
-                    predicted.tolist(),
-                    mean.tolist(),
-                    sd.tolist(),
-                    num_sd.tolist(),
-                    m1.tolist(),
-                    m2.tolist(),
-                )
-            columns.append(
-                (
-                    names,
-                    stats.candidate_values,
-                    stats.observed_list,
-                    *floats,
-                    stats.determined_list,
-                    stats.feasible_list,
-                )
-            )
+                offset = stop
+        cells = sum(len(stats.candidate_values) for stats in active)
         elapsed = time.perf_counter() - start
         self.scan_calls += 1
         self.cells_evaluated += cells
+        self.last_model_cells = factors.cells_reduced - reduced_before
         self.last_scan_seconds = elapsed
         self.total_scan_seconds += elapsed
         return columns
+
+    def _model_side(self, active, predicted_parts, pool) -> list[np.ndarray]:
+        """The six float columns over every active subset's candidates.
+
+        One pass over the concatenated candidates instead of one per
+        subset: every op is elementwise, so the floats equal the
+        per-subset ones bit for bit.
+        """
+        n = self.total
+        predicted = np.concatenate(predicted_parts)
+        np.minimum(
+            np.maximum(predicted, 0.0, out=predicted), 1.0, out=predicted
+        )
+        observed = np.concatenate([stats.observed for stats in active])
+        observed_float = observed.astype(float)
+        lbp = log_binomial_pmf_array(
+            observed,
+            n,
+            predicted,
+            log_coefficients=np.concatenate(
+                [stats.log_coeff for stats in active]
+            ),
+        )
+        m1 = -log(self.priors.p_h1) - lbp
+        m2 = (-log(self.priors.p_h2_prime) + log(pool)) + np.concatenate(
+            [stats.h2_range_term for stats in active]
+        )
+        mean = n * predicted
+        sd = np.sqrt(n * predicted * (1.0 - predicted))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num_sd = (observed_float - mean) / sd
+        zero_sd = sd == 0.0
+        if zero_sd.any():
+            num_sd[zero_sd] = np.where(
+                observed_float[zero_sd] == mean[zero_sd], 0.0, np.inf
+            )
+        return [predicted, mean, sd, num_sd, m1, m2]
 
     # -- data-side construction ---------------------------------------------------
 
     def _build_stats(self, names: tuple[str, ...]) -> SubsetStats:
         schema = self.schema
         shape = tuple(schema.attribute(n).cardinality for n in names)
-        drop_axes = schema.drop_axes(names)
         observed_full = self.table.marginal_counts(names)
         mask = np.ones(shape, dtype=bool)
         for cell in self.constraints.cells_of_order(self.order):
@@ -558,11 +573,9 @@ class OrderScanKernel:
         return SubsetStats(
             names=names,
             shape=shape,
-            drop_axes=drop_axes,
             candidate_values=candidate_values,
             flat_positions=flat_positions,
             observed=observed,
-            observed_float=observed.astype(float),
             observed_list=observed.tolist(),
             log_coeff=log_binomial_coefficients(self.total, observed),
             feasible_list=feasible_list,

@@ -152,8 +152,8 @@ def evaluate_cell(
     predicted:
         The cell's probability under ``model``; when omitted it is computed
         via :meth:`~repro.maxent.model.MaxEntModel.probability`.  Callers
-        scanning many cells pass it from a shared marginal so the dense
-        joint is materialized once per scan, not once per cell.
+        scanning many cells pass it from a shared marginal so the model
+        is factored once per scan, not once per cell.
     """
     priors = priors or MMLPriors.equal()
     order = len(attributes)
@@ -230,17 +230,18 @@ def reference_scan_order(
 
     This is the original cell-by-cell implementation, kept as the
     reference the vectorized kernel is property-tested against (and as
-    the baseline the scan benchmark measures).  The model's dense joint
-    is still materialized once for the whole scan and marginalized per
-    subset — the same numbers
+    the baseline the scan benchmark measures).  The model is factored
+    once for the whole scan (:meth:`~repro.maxent.model.MaxEntModel.factored`)
+    and each subset's marginal is taken from the constraint-graph
+    components it touches — the same numbers
     :meth:`~repro.maxent.model.MaxEntModel.probability` would produce
-    cell by cell, at a fraction of the cost.
+    cell by cell, at a fraction of the cost, and without the ``2^n``
+    joint.
     """
     priors = priors or MMLPriors.equal()
     found_at_order = len(constraints.cells_of_order(order))
     pool = table.num_cells_of_order(order) - found_at_order
-    schema = table.schema
-    joint = model.joint()
+    factors = model.factored()
     marginals: dict[tuple[str, ...], object] = {}
     tests = []
     for subset, values, _count in table.cells_of_order(order):
@@ -248,8 +249,7 @@ def reference_scan_order(
             continue
         marginal = marginals.get(subset)
         if marginal is None:
-            drop = schema.drop_axes(subset)
-            marginal = joint.sum(axis=drop) if drop else joint
+            marginal = factors.marginal(subset)
             marginals[subset] = marginal
         tests.append(
             evaluate_cell(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.engine import DiscoveryEngine, _candidate_pool_size
+from repro.discovery.engine import DiscoveryEngine
 from repro.exceptions import DataError
 from repro.parallel.scan import ShardedScanExecutor
 
@@ -72,7 +72,7 @@ class TestAutoSelect:
     def test_scan_paths_record_pool_cells(self, table):
         result = DiscoveryEngine(DiscoveryConfig(max_order=2)).run(table)
         (entry,) = result.profile.scan_paths
-        assert entry["cells"] == _candidate_pool_size(table, 2)
+        assert entry["cells"] == table.num_cells_of_order(2)
         assert entry["cells"] == 16  # the paper's "16 second order cells"
 
     def test_candidate_pool_size_counts_subset_cells(self, table):
@@ -81,7 +81,7 @@ class TestAutoSelect:
         for name in schema.names:
             cells *= schema.attribute(name).cardinality
         # The full joint is the single highest-order subset.
-        assert _candidate_pool_size(table, len(schema)) == cells
+        assert table.num_cells_of_order(len(schema)) == cells
 
 
 class TestThresholdConfig:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import ConstraintError, QueryError
-from repro.maxent.model import MaxEntModel
+from repro.maxent.model import FactoredJoint, MaxEntModel
 
 
 @pytest.fixture
@@ -178,3 +178,91 @@ class TestCopy:
         )
         with pytest.raises(ConstraintError, match="zero total mass"):
             model.joint()
+
+
+def _wide_model():
+    """Five attributes in three constraint-graph components:
+    {A, C} by a cell factor, {B, D} by a table factor, {E} alone."""
+    schema = Schema(
+        [Attribute(name, ("0", "1", "2")[:card]) for name, card in
+         (("A", 2), ("B", 3), ("C", 2), ("D", 2), ("E", 3))]
+    )
+    rng = np.random.default_rng(5)
+    margins = {
+        a.name: rng.uniform(0.5, 2.0, size=a.cardinality) for a in schema
+    }
+    return MaxEntModel(
+        schema,
+        margins,
+        {(("A", "C"), (1, 0)): 2.5},
+        0.7,
+        {("B", "D"): rng.uniform(0.5, 2.0, size=(3, 2))},
+    )
+
+
+class TestFactoredJoint:
+    def test_components_follow_schema_order(self):
+        model = _wide_model()
+        assert model.components() == [("A", "C"), ("B", "D"), ("E",)]
+        assert MaxEntModel(model.schema).components() == [
+            (name,) for name in model.schema.names
+        ]
+
+    def test_component_models_split_the_factors(self):
+        model = _wide_model()
+        parts = model.component_models()
+        assert [part.schema.names for part in parts] == model.components()
+        assert list(parts[0].cell_factors) == [(("A", "C"), (1, 0))]
+        assert list(parts[1].table_factors) == [("B", "D")]
+        assert all(part.a0 == 1.0 for part in parts)
+        # Copies: a fit scaling a part leaves the model alone.
+        parts[0].margin_factors["A"] *= 3.0
+        assert not np.array_equal(
+            parts[0].margin_factors["A"], model.margin_factors["A"]
+        )
+
+    def test_marginals_match_the_dense_joint(self):
+        model = _wide_model()
+        joint = model.joint()
+        factors = model.factored()
+        for names in (("A",), ("A", "B"), ("C", "E"), ("A", "C", "D"),
+                      model.schema.names):
+            drop = model.schema.drop_axes(names)
+            dense = joint.sum(axis=drop) if drop else joint
+            assert np.allclose(factors.marginal(names), dense, atol=1e-15)
+
+    def test_normalization_follows_the_joint_rule(self):
+        model = _wide_model()
+        # a0 = 0.7 does not normalize: renormalized, like joint().
+        assert model.factored().scale == 1.0
+        assert model.marginal(["E"]).sum() == pytest.approx(1.0)
+        # A normalizing a0 is kept, so the marginals are its product.
+        model.normalize()
+        assert model.factored().scale == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_mass_raises(self):
+        schema = Schema([Attribute("A", ("x", "y")), Attribute("B", ("u", "v"))])
+        model = MaxEntModel(schema, {"A": np.zeros(2), "B": np.ones(2)})
+        with pytest.raises(ConstraintError, match="zero total mass"):
+            model.factored()
+
+    def test_pack_round_trips_bit_for_bit(self):
+        model = _wide_model()
+        factors = model.factored()
+        layout, block = factors.pack()
+        assert block.size == 4 + 6 + 3
+        rebuilt = FactoredJoint.unpack(layout, block)
+        for names in (("A", "B"), ("C", "D", "E"), model.schema.names):
+            assert (
+                rebuilt.marginal(names).tobytes()
+                == factors.marginal(names).tobytes()
+            )
+        with pytest.raises(ConstraintError, match="layout"):
+            FactoredJoint.unpack(layout, block[:-1])
+
+    def test_cells_reduced_counts_each_part_once(self):
+        factors = _wide_model().factored()
+        factors.marginal(("A", "B"))  # A from the 4-cell {A, C}; B from {B, D}
+        assert factors.cells_reduced == 4 + 6
+        factors.marginal(("A", "E"))  # A is cached; E's tensor is read
+        assert factors.cells_reduced == 4 + 6 + 3

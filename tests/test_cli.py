@@ -50,6 +50,7 @@ def test_discover_profile(capsys):
     for stage in ("scan", "fit", "verify"):
         assert stage in output
     assert re.search(r"\d+ sweeps, \d+ cells", output)
+    assert re.search(r"model side: [1-9]\d* component cells reduced", output)
     # The rendered table carries the per-stage work and share columns.
     assert "cells" in output
     assert "%" in output
