@@ -65,6 +65,7 @@ from repro.exceptions import (
     ConstraintError,
     ConvergenceError,
     DataError,
+    MissingDependencyError,
     QueryError,
     ReproError,
     SchemaError,
@@ -118,6 +119,7 @@ __all__ = [
     "LiveKnowledgeBase",
     "MMLPriors",
     "MaxEntModel",
+    "MissingDependencyError",
     "OrderScanKernel",
     "ProbabilisticKnowledgeBase",
     "Query",

@@ -10,7 +10,9 @@ multipliers minimize
 whose gradient is ``E_p[f_c] − b_c`` — exactly the constraint violations.
 Minimizing D with a quasi-Newton method (scipy's L-BFGS-B) therefore
 reaches the same fixed point as IPF / the paper's Gauss–Seidel, usually in
-far fewer function evaluations on ill-conditioned systems.
+far fewer function evaluations on ill-conditioned systems.  scipy is
+imported when :func:`fit_dual` runs, not with the package: discovery never
+calls this solver, and the library needs only numpy.
 
 The recovered multipliers map directly onto the paper's ``a`` values:
 ``a_c = exp(λ_c)`` and ``a0 = 1/Z`` — so the result is returned as a
@@ -25,9 +27,12 @@ boundary exactly).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
-from repro.exceptions import ConstraintError, ConvergenceError
+from repro.exceptions import (
+    ConstraintError,
+    ConvergenceError,
+    MissingDependencyError,
+)
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.ipf import FitResult
 from repro.maxent.model import MaxEntModel
@@ -43,8 +48,16 @@ def fit_dual(
 
     Parameters mirror :func:`repro.maxent.ipf.fit_ipf` where applicable;
     ``tol`` bounds the final maximum constraint violation (the gradient's
-    infinity norm).
+    infinity norm).  Raises :class:`MissingDependencyError` when scipy is
+    not installed.
     """
+    try:
+        import scipy.optimize as optimize
+    except ImportError as error:
+        raise MissingDependencyError(
+            "fit_dual needs scipy (scipy.optimize's L-BFGS-B), which is not "
+            "installed; install scipy or fit with fit_ipf"
+        ) from error
     constraints.validate_complete()
     schema = constraints.schema
     _reject_degenerate_targets(constraints)

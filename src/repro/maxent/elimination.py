@@ -8,10 +8,10 @@ fixed elimination order.
 
 This module implements the general form: the model's factors (margin
 vectors and cell-indicator tensors) are contracted attribute by attribute
-using a min-fill elimination order computed on the interaction graph
-(networkx).  For tree-like factor structures — which cell constraints over
-small subsets usually induce — this answers partition sums and marginal
-queries in time exponential only in the induced width, not in the number of
+using a min-fill elimination order computed on the interaction graph.
+For tree-like factor structures — which cell constraints over small
+subsets usually induce — this answers partition sums and marginal queries
+in time exponential only in the induced width, not in the number of
 attributes, so wide schemas stay tractable without the dense joint.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import QueryError
@@ -96,40 +95,40 @@ def min_fill_order(
     """Min-fill elimination order over the factors' interaction graph.
 
     Greedy: repeatedly eliminate the attribute whose elimination adds the
-    fewest fill edges among its not-yet-connected neighbours.
+    fewest fill edges among its not-yet-connected neighbours; ties go to
+    the name that sorts first.  The graph is a dict of insertion-ordered
+    neighbour dicts, so neighbours, and with them the fill edges, are
+    visited in a fixed order.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(eliminate)
+    targets = set(eliminate)
+    graph: dict[str, dict[str, None]] = {name: {} for name in eliminate}
     for factor in factors:
-        present = [n for n in factor.names if n in set(eliminate)]
+        present = [n for n in factor.names if n in targets]
         for i, first in enumerate(present):
             for second in present[i + 1 :]:
-                graph.add_edge(first, second)
-    remaining = set(eliminate)
+                graph[first][second] = graph[second][first] = None
     order: list[str] = []
-    while remaining:
-        best_name = None
-        best_fill = None
-        for name in sorted(remaining):
-            neighbors = [n for n in graph.neighbors(name) if n in remaining]
-            fill = sum(
-                1
-                for i, first in enumerate(neighbors)
-                for second in neighbors[i + 1 :]
-                if not graph.has_edge(first, second)
-            )
-            if best_fill is None or fill < best_fill:
-                best_fill = fill
-                best_name = name
-        assert best_name is not None
-        neighbors = [n for n in graph.neighbors(best_name) if n in remaining]
-        for i, first in enumerate(neighbors):
-            for second in neighbors[i + 1 :]:
-                graph.add_edge(first, second)
-        graph.remove_node(best_name)
-        remaining.remove(best_name)
-        order.append(best_name)
+    while graph:
+        best = min(sorted(graph), key=lambda name: len(_fill_edges(graph, name)))
+        for first, second in _fill_edges(graph, best):
+            graph[first][second] = graph[second][first] = None
+        for neighbor in graph.pop(best):
+            del graph[neighbor][best]
+        order.append(best)
     return order
+
+
+def _fill_edges(
+    graph: Mapping[str, Mapping[str, None]], name: str
+) -> list[tuple[str, str]]:
+    """The missing edges among ``name``'s neighbours, in neighbour order."""
+    neighbors = list(graph[name])
+    return [
+        (first, second)
+        for i, first in enumerate(neighbors)
+        for second in neighbors[i + 1 :]
+        if second not in graph[first]
+    ]
 
 
 def eliminate_all(

@@ -1,9 +1,11 @@
 """Tests for the convex dual (L-BFGS) solver."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ConstraintError
+from repro.exceptions import ConstraintError, MissingDependencyError, ReproError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.dual import fit_dual
 from repro.maxent.ipf import fit_ipf
@@ -93,3 +95,10 @@ class TestEdgeCases:
         assert fit.converged
         assert fit.sweeps >= 1
         assert fit.max_violation < 1e-8
+
+    def test_missing_scipy_is_a_typed_error(self, paper_constraints, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        with pytest.raises(MissingDependencyError, match="needs scipy") as caught:
+            fit_dual(paper_constraints)
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value.__cause__, ImportError)
