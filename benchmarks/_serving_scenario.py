@@ -52,7 +52,7 @@ def build_kb() -> ProbabilisticKnowledgeBase:
 
 
 def serve_config() -> ServeConfig:
-    return ServeConfig(flush_interval=0.002, max_batch=32, pool_size=4)
+    return ServeConfig(max_batch=32, pool_size=4)
 
 
 def expected_answers(kb: ProbabilisticKnowledgeBase) -> dict[str, float]:

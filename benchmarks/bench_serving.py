@@ -8,9 +8,10 @@ the coalescing batcher, the session pool).  Measured shapes:
 - **closed loop, 1 client**: the per-request floor — every request pays
   a full network round trip with no coalescing opportunity.
 - **closed loop, 4 clients**: concurrent independent clients; the
-  micro-batcher folds overlapping singles into shared batch
-  evaluations, so throughput should scale *better* than connection
-  count alone explains.
+  micro-batcher sends a request on at once when no evaluation is
+  running, and folds the requests that arrive during one into the next
+  shared batch evaluation.  A lone request never waits, so the
+  single-client floor is high and the multi-client ratio modest.
 - **open loop**: a fixed arrival schedule at half the measured
   closed-loop capacity; latency is measured from the scheduled send
   time, so queueing delay is visible.
@@ -20,8 +21,9 @@ bit-for-bit (the scenario raises otherwise), the batcher reports zero
 evaluation errors, and — on a machine with at least as many CPUs as
 clients, outside smoke mode — multi-client throughput is at least
 ``MIN_THROUGHPUT_RATIO`` times the single-client floor.  The ratio is
-recorded in the trajectory (``serving.throughput_ratio``) and gated by
-``check_regression.py``.
+recorded in the trajectory (``serving.throughput_ratio``) as a
+diagnostic; ``check_regression.py`` gates ``serving.served_vs_inprocess``,
+multi-client RPS over in-process warm-session QPS on the same host.
 
 Standalone (the CI serving artifact)::
 
@@ -43,9 +45,11 @@ from repro.eval.tables import format_table
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 CPUS = os.cpu_count() or 1
-#: Multi-client closed-loop RPS over single-client RPS.  With 4 clients
-#: and coalescing the observed ratio is ~3x; the floor is deliberately
-#: loose — it asserts "concurrency helps", not a specific machine.
+#: Multi-client closed-loop RPS over single-client RPS.  The floor is
+#: deliberately loose — it asserts "concurrency helps", not a specific
+#: machine.  A lone request never waits for company, so the ratio is
+#: modest; it is unverified at full size on >= 4 CPUs, the only setting
+#: that enforces it.
 MIN_THROUGHPUT_RATIO = 1.3
 ENFORCE_RATIOS = not SMOKE and CPUS >= CLIENTS
 

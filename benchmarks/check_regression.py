@@ -19,7 +19,8 @@ the *same* query answers, so both paths always reach the same verdict.
 Checks, against the baseline trajectory records:
 
 - **tracked speedup ratios** (vectorized-scan speedup, sharded-scan and
-  parallel-query speedups, multi-client serving throughput): fail when
+  parallel-query speedups, served throughput as a share of in-process
+  throughput): fail when
   the candidate degrades more than
   ``--tolerance`` (default 30%) below the baseline.  Ratios are compared
   only between records with the same ``smoke`` flag (toy-size and
@@ -68,10 +69,12 @@ TRACKED_RATIOS = (
     ("parallel.scan_speedup_cold", True),
     ("parallel.scan_speedup_warm", True),
     ("parallel.query_speedup_cold", True),
-    # Multi-client served throughput over the single-client floor.  Not
-    # cpu-bound: the win comes from request coalescing and I/O overlap,
-    # which survive on small machines.
-    ("serving.throughput_ratio", False),
+    # Multi-client served throughput over in-process warm-session QPS on
+    # the same host: what the network stack keeps of the library's
+    # speed.  Not cpu-bound.  (``serving.throughput_ratio``, multi- over
+    # single-client RPS, stays recorded but is not gated: a faster lone
+    # request lowers it.)
+    ("serving.served_vs_inprocess", False),
     # Warm distributed scan over localhost TCP worker daemons.
     ("distributed.scan_speedup", True),
 )
@@ -365,8 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     floors = check_absolute_floors(candidate)
     scenarios = compare_scenarios(baseline, candidate)
     regressions = [
-        f"{row['metric']}: {row['candidate']:.2f}x < floor "
-        f"{row['floor']:.2f}x (baseline {row['baseline']:.2f}x)"
+        f"{row['metric']}: {row['candidate']:.3g}x < floor "
+        f"{row['floor']:.3g}x (baseline {row['baseline']:.3g}x)"
         for row in ratios
         if row["status"] == "regressed"
     ] + [
@@ -415,11 +418,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for row in ratios:
         baseline_text = (
-            f"{row['baseline']:.2f}x" if row["baseline"] is not None else "-"
+            f"{row['baseline']:.3g}x" if row["baseline"] is not None else "-"
         )
         print(
             f"{row['metric']:<32} baseline {baseline_text:>8} "
-            f"candidate {row['candidate']:.2f}x  [{row['status']}]"
+            f"candidate {row['candidate']:.3g}x  [{row['status']}]"
         )
     for row in costs:
         baseline_text = (

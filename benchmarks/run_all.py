@@ -180,9 +180,9 @@ def measure_serving(smoke: bool) -> dict:
 
     The workload comes from ``_serving_scenario``, the module
     ``bench_serving.py`` uses: the paper's knowledge base behind the
-    full :mod:`repro.serve` network stack.  The multi-vs-single-client
-    throughput ratio is recorded here and gated by
-    ``check_regression.py`` (``serving.throughput_ratio``).
+    full :mod:`repro.serve` network stack.  Served throughput as a
+    share of in-process throughput is recorded here and gated by
+    ``check_regression.py`` (``serving.served_vs_inprocess``).
     """
     from _serving_scenario import measure_serving as _measure
 

@@ -55,7 +55,7 @@ def main(seconds: float = 3.0) -> None:
     before = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
     after = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
 
-    config = ServeConfig(flush_interval=0.002, max_batch=32, pool_size=4)
+    config = ServeConfig(max_batch=32, pool_size=4)
     with serve_in_thread({"paper": kb}, config=config) as handle:
         print(f"serving on http://{handle.host}:{handle.port}")
         control = ServeClient(handle.host, handle.port)

@@ -498,15 +498,6 @@ def main(argv: list[str] | None = None) -> int:
         help="bind port (0 = ephemeral, printed at startup)",
     )
     serve_parser.add_argument(
-        "--flush-ms",
-        type=float,
-        default=2.0,
-        help=(
-            "request-coalescing flush window in milliseconds "
-            "(0 disables coalescing)"
-        ),
-    )
-    serve_parser.add_argument(
         "--max-batch",
         type=int,
         default=64,
@@ -732,7 +723,6 @@ def _run_serve_inner(args) -> int:
         kbs["paper"] = ProbabilisticKnowledgeBase.from_data(paper_table())
 
     config = ServeConfig(
-        flush_interval=args.flush_ms / 1000.0,
         max_batch=args.max_batch,
         pool_size=args.pool_size,
         backend=args.backend,

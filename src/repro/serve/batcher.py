@@ -3,20 +3,22 @@
 ``POST /kb/{name}/query`` is the endpoint millions of independent clients
 hit, one query each — exactly the shape :meth:`QuerySession.batch` was
 built to amortize (shared marginals, one joint materialization).  The
-:class:`MicroBatcher` bridges the two: concurrent submissions within a
-bounded flush window are collected and evaluated as one batch, so under
-load the per-query cost approaches the batch path's, while an idle
-server adds at most ``flush_interval`` of latency to a lone request.
+:class:`MicroBatcher` bridges the two adaptively: an idle server sends a
+lone request on at once, and a busy one folds the requests that arrive
+while an evaluation runs into the next batch.  There is no timer, so
+coalescing never costs an idle request anything, and under load the
+per-query cost approaches the batch path's.
 
 Mechanics
 ---------
-- the first submission into an empty buffer arms a flush timer
-  (``flush_interval`` seconds); everything submitted before it fires
-  joins the same batch;
-- reaching ``max_batch`` pending queries flushes immediately (bounded
-  batch size beats a bounded window);
-- ``flush_interval=0`` (or ``max_batch=1``) degenerates to per-request
-  dispatch — the knob for latency-critical deployments;
+- a submission that finds no flush in flight is dispatched at once, as
+  a batch of one;
+- while a flush runs, new submissions wait in a backlog; when it
+  settles — succeeded, failed or cancelled — the whole backlog goes out
+  as the next flush;
+- a backlog that reaches ``max_batch`` flushes at once, even beside the
+  running flush, so no flush ever carries more than ``max_batch``
+  queries;
 - each flush calls the supplied async runner with the query list; the
   runner returns one result *per query*, where a result may be an
   exception instance — that query's future fails, the rest succeed
@@ -30,15 +32,13 @@ thread-pool executor by the caller).
 from __future__ import annotations
 
 import asyncio
+import functools
 from dataclasses import dataclass, field
 
 from repro.exceptions import DataError
 
 __all__ = ["BatcherStats", "MicroBatcher"]
 
-#: Default flush window: long enough to coalesce a concurrent burst,
-#: short enough to be invisible next to network latency.
-DEFAULT_FLUSH_INTERVAL = 0.002
 DEFAULT_MAX_BATCH = 64
 
 
@@ -71,7 +71,7 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Coalesces awaited submissions into bounded-latency batches.
+    """Coalesces awaited submissions behind the evaluation in flight.
 
     Parameters
     ----------
@@ -79,94 +79,89 @@ class MicroBatcher:
         ``async (queries: list) -> list`` evaluating one flush.  Must
         return exactly one entry per query; an entry that is an
         ``Exception`` instance fails only its own submission.
-    flush_interval:
-        Seconds the first submission in a batch waits for company.
-        0 flushes every submission immediately.
     max_batch:
-        Flush as soon as this many queries are pending.
+        The most queries one flush carries; a backlog this long flushes
+        without waiting for the running flush.
     """
 
-    def __init__(
-        self,
-        runner,
-        flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ):
-        if flush_interval < 0:
-            raise DataError(
-                f"flush_interval must be >= 0, got {flush_interval}"
-            )
+    def __init__(self, runner, max_batch: int = DEFAULT_MAX_BATCH):
         if max_batch < 1:
             raise DataError(f"max_batch must be >= 1, got {max_batch}")
         self._runner = runner
-        self.flush_interval = float(flush_interval)
         self.max_batch = int(max_batch)
         self.stats = BatcherStats()
-        self._pending: list[_Pending] = []
-        self._timer: asyncio.TimerHandle | None = None
+        self._backlog: list[_Pending] = []
+        # Flush tasks in flight; holding them also keeps them from being
+        # garbage-collected mid-run.
+        self._running: set[asyncio.Task] = set()
         self._closed = False
 
     @property
     def pending(self) -> int:
-        """Queries buffered and not yet flushed."""
-        return len(self._pending)
+        """Queries waiting in the backlog, not yet flushed."""
+        return len(self._backlog)
 
     async def submit(self, query):
         """Queue one query; resolves with its result (or raises its error).
 
-        Joins the current flush window, opening one if none is armed.
+        Dispatched at once when no flush is in flight, else it joins the
+        backlog that goes out when the running flush settles.
         """
         if self._closed:
             raise DataError("batcher is closed")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append(_Pending(query, future))
+        future = asyncio.get_running_loop().create_future()
+        self._backlog.append(_Pending(query, future))
         self.stats.submitted += 1
-        if (
-            len(self._pending) >= self.max_batch
-            or self.flush_interval == 0.0
-        ):
+        if not self._running or len(self._backlog) >= self.max_batch:
             self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.flush_interval, self._flush)
         return await future
 
     def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, []
+        batch, self._backlog = self._backlog, []
         self.stats.flushes += 1
         if len(batch) > 1:
             self.stats.coalesced_flushes += 1
         self.stats.max_batch_seen = max(
             self.stats.max_batch_seen, len(batch)
         )
-        asyncio.get_running_loop().create_task(self._run(batch))
+        task = asyncio.get_running_loop().create_task(self._run(batch))
+        self._running.add(task)
+        task.add_done_callback(functools.partial(self._settled, batch))
+
+    def _settled(self, batch: list[_Pending], task: asyncio.Task) -> None:
+        """Release the flush's slot, then send the backlog on.
+
+        Runs however the flush ended, so a runner that raised or was
+        cancelled — even before it started — cannot wedge the batcher.
+        """
+        self._running.discard(task)
+        if task.cancelled():
+            self._fail(batch, DataError("batch flush was cancelled"))
+        if self._backlog and not self._running:
+            self._flush()
+
+    def _fail(self, batch: list[_Pending], error: Exception) -> None:
+        for item in batch:
+            if not item.future.done():
+                self.stats.errors += 1
+                item.future.set_exception(error)
 
     async def _run(self, batch: list[_Pending]) -> None:
-        queries = [item.query for item in batch]
         try:
-            results = await self._runner(queries)
-        except BaseException as error:
+            results = await self._runner([item.query for item in batch])
+        except Exception as error:
             # A runner-level failure (pool died, server bug) fails the
             # whole flush — per-query isolation is the runner's job.
-            self.stats.errors += len(batch)
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(error)
+            self._fail(batch, error)
             return
         if len(results) != len(batch):
-            error = DataError(
-                f"batch runner returned {len(results)} results for "
-                f"{len(batch)} queries"
+            self._fail(
+                batch,
+                DataError(
+                    f"batch runner returned {len(results)} results for "
+                    f"{len(batch)} queries"
+                ),
             )
-            self.stats.errors += len(batch)
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(error)
             return
         for item, result in zip(batch, results):
             if item.future.done():
@@ -178,9 +173,8 @@ class MicroBatcher:
                 item.future.set_result(result)
 
     async def drain(self) -> None:
-        """Flush anything pending and wait for its futures to settle."""
-        waiters = [item.future for item in self._pending]
-        self._flush()
+        """Wait until the flushes in flight and the backlog have settled."""
+        waiters = [*self._running, *(item.future for item in self._backlog)]
         if waiters:
             await asyncio.gather(*waiters, return_exceptions=True)
 
@@ -190,6 +184,6 @@ class MicroBatcher:
 
     def __repr__(self) -> str:
         return (
-            f"MicroBatcher(window={self.flush_interval * 1e3:.1f}ms, "
-            f"max_batch={self.max_batch}, pending={self.pending})"
+            f"MicroBatcher(max_batch={self.max_batch}, "
+            f"in_flight={len(self._running)}, pending={self.pending})"
         )

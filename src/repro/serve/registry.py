@@ -9,8 +9,9 @@ the library:
   :class:`~repro.api.session.QuerySession` objects (blocking evaluation
   runs on the registry's thread-pool executor, one session checked out
   per concurrent call);
-- a :class:`~repro.serve.batcher.MicroBatcher` coalescing concurrent
-  single-query requests into ``session.batch`` calls;
+- a :class:`~repro.serve.batcher.MicroBatcher` sending a lone
+  single-query request on at once and coalescing the requests that
+  arrive while an evaluation runs into one ``session.batch`` call;
 - subscriber queues feeding WebSocket revision notifications;
 - per-endpoint counters for ``/stats``.
 
@@ -55,11 +56,7 @@ from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.core.explain import explain
 from repro.data.streaming import TableBuilder
 from repro.exceptions import DataError, ReproError
-from repro.serve.batcher import (
-    DEFAULT_FLUSH_INTERVAL,
-    DEFAULT_MAX_BATCH,
-    MicroBatcher,
-)
+from repro.serve.batcher import DEFAULT_MAX_BATCH, MicroBatcher
 from repro.serve.errors import ApiError
 from repro.serve.pool import SessionPool
 
@@ -72,10 +69,8 @@ class ServeConfig:
 
     Attributes
     ----------
-    flush_interval:
-        Micro-batcher flush window in seconds (0 = no coalescing).
     max_batch:
-        Coalesced-batch size cap (reaching it flushes immediately).
+        Coalesced-batch size cap (a backlog this long flushes at once).
     pool_size:
         Retained sessions per knowledge base (and the default executor
         thread count, so a checkout never has to block on the pool).
@@ -97,7 +92,6 @@ class ServeConfig:
         ``pool_size`` + 2 (updates and stats never starve queries).
     """
 
-    flush_interval: float = DEFAULT_FLUSH_INTERVAL
     max_batch: int = DEFAULT_MAX_BATCH
     pool_size: int = 4
     backend: str = "auto"
@@ -107,10 +101,6 @@ class ServeConfig:
     executor_threads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.flush_interval < 0:
-            raise DataError(
-                f"flush_interval must be >= 0, got {self.flush_interval}"
-            )
         if self.max_batch < 1:
             raise DataError(
                 f"max_batch must be >= 1, got {self.max_batch}"
@@ -147,9 +137,7 @@ class HostedKB:
         self._store = store
         self.pool = self._build_pool(kb)
         self.batcher = MicroBatcher(
-            self._run_coalesced,
-            flush_interval=config.flush_interval,
-            max_batch=config.max_batch,
+            self._run_coalesced, max_batch=config.max_batch
         )
         self._update_lock = asyncio.Lock()
         self.subscribers: set[asyncio.Queue] = set()

@@ -200,7 +200,7 @@ class TestHostedKB:
         executor only after the swap retired its pool is answered from
         the current pool, with that pool's fingerprint — not refused."""
         gate = threading.Event()
-        config = ServeConfig(flush_interval=0.0, executor_threads=1)
+        config = ServeConfig(executor_threads=1)
 
         async def scenario(registry):
             entry = registry.add("paper", kb)
@@ -226,7 +226,7 @@ class TestHostedKB:
         fails with DataError instead of retrying the retired pool, and
         the registry's shutdown, which waits for the executor, returns."""
         gate = threading.Event()
-        config = ServeConfig(flush_interval=0.0, executor_threads=1)
+        config = ServeConfig(executor_threads=1)
         registry = KnowledgeBaseRegistry(config)
 
         async def scenario():

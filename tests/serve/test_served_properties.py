@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.eval.paper import paper_schema, paper_table
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve import ServeClient, serve_in_thread
 
 SCHEMA = paper_schema()
 SETTINGS = settings(
@@ -49,9 +49,7 @@ def query_texts(draw):
 def served():
     kb = ProbabilisticKnowledgeBase.from_data(paper_table())
     mirror = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
-    with serve_in_thread(
-        {"paper": kb}, config=ServeConfig(flush_interval=0.001)
-    ) as handle:
+    with serve_in_thread({"paper": kb}) as handle:
         with ServeClient(handle.host, handle.port) as client:
             yield client, mirror
 

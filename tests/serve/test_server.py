@@ -59,7 +59,7 @@ def server():
     mirror = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
     with serve_in_thread(
         {"paper": kb, "frozen": frozen},
-        config=ServeConfig(flush_interval=0.002, max_batch=32),
+        config=ServeConfig(max_batch=32),
     ) as handle:
         with ServeClient(handle.host, handle.port) as client:
             yield handle, client, mirror
@@ -255,9 +255,7 @@ class TestHotSwap:
         errors: list[Exception] = []
         stop = threading.Event()
 
-        with serve_in_thread(
-            {"paper": kb}, config=ServeConfig(flush_interval=0.002)
-        ) as handle:
+        with serve_in_thread({"paper": kb}) as handle:
 
             def hammer() -> None:
                 with ServeClient(handle.host, handle.port) as client:

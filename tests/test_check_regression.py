@@ -166,6 +166,68 @@ class TestRatioComparison:
         )
 
 
+def serving_record(single_rps, multi_rps, inprocess_qps=90_000.0):
+    result = record()
+    result["serving"] = {
+        "single_client_rps": single_rps,
+        "rps": multi_rps,
+        "throughput_ratio": multi_rps / single_rps,
+        "inprocess_qps": inprocess_qps,
+        "served_vs_inprocess": multi_rps / inprocess_qps,
+    }
+    return result
+
+
+class TestServingGate:
+    """The served-path gate is multi-client RPS over in-process QPS."""
+
+    def test_faster_single_client_is_not_flagged(self, gate, tmp_path):
+        # Single-client RPS rising 5x drops throughput_ratio from ~2.8 to
+        # ~0.9; that is a faster lone request, not a regression.
+        baseline = write(
+            tmp_path / "base.json", [serving_record(300.0, 830.0)]
+        )
+        candidate = write(
+            tmp_path / "cand.json", [serving_record(1500.0, 1400.0)]
+        )
+        output = tmp_path / "diff.json"
+        assert (
+            gate.main(
+                [
+                    "--baseline",
+                    baseline,
+                    "--candidate",
+                    candidate,
+                    "--output",
+                    str(output),
+                ]
+            )
+            == 0
+        )
+        rows = {
+            row["metric"]: row
+            for row in json.loads(output.read_text())["ratios"]
+        }
+        assert rows["serving.served_vs_inprocess"]["status"] == "ok"
+        assert "serving.throughput_ratio" not in rows
+
+    def test_served_vs_inprocess_drop_over_tolerance_fails(
+        self, gate, tmp_path, capsys
+    ):
+        baseline = write(
+            tmp_path / "base.json", [serving_record(300.0, 900.0)]
+        )
+        # Same host speed, 40% less served throughput.
+        candidate = write(
+            tmp_path / "cand.json", [serving_record(300.0, 540.0)]
+        )
+        assert (
+            gate.main(["--baseline", baseline, "--candidate", candidate])
+            == 1
+        )
+        assert "served_vs_inprocess" in capsys.readouterr().err
+
+
 class TestScenarioGates:
     def test_gate_regression_fails(self, gate, tmp_path, capsys):
         baseline = write(tmp_path / "base.json", [record()])
