@@ -462,7 +462,7 @@ class DiscoveryEngine:
         self.profile.add_fit(
             time.perf_counter() - fit_start,
             fit.sweeps,
-            fit.sweeps * fit.sweep_cells,
+            fit.cells_swept,
         )
         return fit
 

@@ -38,6 +38,20 @@ is bigger, so ``sweeps``, ``history``, convergence and
 several components hit a structural conflict in one phase, the one the
 dense sweep would have met first is raised.
 
+Only components that move are swept.  A margin or subset ratio of exactly
+1 everywhere, or a cell whose inside and outside ratios are both exactly
+1, skips its multiply: multiplying by 1.0 is the identity in IEEE-754.  A
+sweep is a deterministic function of the component's tensor and
+constraints (its leading-axis sums come from that same tensor), so a
+component whose whole sweep multiplied nothing would repeat that
+forever: it is *frozen* for the rest of the fit.  Later sweeps skip it and
+the convergence check reuses its last violation and mass; it cannot raise
+a conflict, having already swept once from the same state without one.
+The fit is therefore bit-identical to sweeping every component every time
+(a frozen lockstep oracle in the tests holds it to that), and the
+single-attribute components that reach their margins in the first sweep
+stop costing anything while the coupled ones converge.
+
 The fit contract, tested against a frozen dense oracle:
 
 - adopted constraints and sweep counts are identical across the scenario
@@ -91,6 +105,10 @@ class FitResult:
         Tensor cells one sweep works on: the summed size of the
         per-component tensors (the whole joint when the constraint graph
         is connected).  0 from solvers that do not report it.
+    cells_swept:
+        Tensor cells the sweeps actually worked on: each sweep adds the
+        sizes of the components it ran, so a component frozen at a fixed
+        point stops counting.  0 from solvers that do not report it.
     """
 
     model: MaxEntModel
@@ -100,6 +118,7 @@ class FitResult:
     history: list[float] = field(default_factory=list)
     trace: list[dict[str, float]] = field(default_factory=list)
     sweep_cells: int = 0
+    cells_swept: int = 0
 
 
 def warm_start_model(
@@ -203,11 +222,16 @@ def fit_ipf(
     trace: list[dict[str, float]] = []
     converged = False
     sweeps = 0
+    cells_swept = 0
     violation = _lockstep_violation(components)
     for sweeps in range(1, max_sweeps + 1):
-        _lockstep(components, positions, _Component.margin_sweep)
-        _lockstep(components, positions, _Component.subset_margin_sweep)
-        _lockstep(components, positions, _Component.cell_sweep)
+        active = [component for component in components if not component.frozen]
+        _lockstep(active, positions, _Component.margin_sweep)
+        _lockstep(active, positions, _Component.subset_margin_sweep)
+        _lockstep(active, positions, _Component.cell_sweep)
+        for component in active:
+            component.frozen = not component.moved
+            cells_swept += component.tensor.size
         violation = _lockstep_violation(components)
         history.append(violation)
         if record_trace:
@@ -235,6 +259,7 @@ def fit_ipf(
         history=history,
         trace=trace,
         sweep_cells=sum(component.tensor.size for component in components),
+        cells_swept=cells_swept,
     )
 
 
@@ -244,42 +269,56 @@ class _Component:
     Holds the component's sub-model (from
     :meth:`~repro.maxent.model.MaxEntModel.component_models`: its share of
     the factors, with ``a0`` starting at 1 to collect the component's
-    complement scalings), its share of the constraints and its tensor.
+    complement scalings), its tensor, and its sweep plan: per margin and
+    subset margin the target, the axes summed away and the ratio's
+    broadcast shape; per cell its slicer.  ``moved`` says whether the
+    current sweep changed anything; ``frozen`` marks a component whose
+    last sweep did not (see the module docstring).
     """
 
     def __init__(self, model, constraints):
         schema = model.schema
-        self.schema = schema
+        constraints = constraints.restricted(schema)
         self.model = model
-        self.constraints = constraints.restricted(schema)
         self.tensor = model.unnormalized()
-        self.slicers = {
-            cell.key: _slicer(schema, cell.attributes, cell.values)
-            for cell in self.constraints.cells
-        }
+        self.margins = [
+            _plan(schema, (axis,), attribute.name, constraints.margin(attribute.name))
+            for axis, attribute in enumerate(schema)
+        ]
+        self.subsets = [
+            _plan(schema, schema.axes(names), names, target)
+            for names, target in constraints.subset_margins.items()
+        ]
+        self.cells = [
+            (cell, _slicer(schema, cell.attributes, cell.values))
+            for cell in constraints.cells
+        ]
         self.lead_sums = None
+        self.last_violation = self.mass = 0.0
+        self.moved = self.frozen = False
 
     def margin_sweep(self) -> None:
-        _margin_sweep(
-            self.tensor,
-            self.constraints,
-            self.model,
-            self.schema,
-            self.lead_sums,
+        self.moved = _margin_sweep(
+            self.tensor, self.margins, self.model, self.lead_sums
         )
 
     def subset_margin_sweep(self) -> None:
-        _subset_margin_sweep(self.tensor, self.constraints, self.model, self.schema)
+        self.moved |= _subset_margin_sweep(self.tensor, self.subsets, self.model)
 
     def cell_sweep(self) -> None:
-        _cell_sweep(self.tensor, self.constraints, self.model, self.slicers)
+        self.moved |= _cell_sweep(self.tensor, self.cells, self.model)
 
     def violation(self) -> float:
-        """This component's max violation; keeps its leading-axis sums."""
-        violation, self.lead_sums = _max_violation(
-            self.tensor, self.constraints, self.slicers, self.schema
-        )
-        return violation
+        """This component's max violation; keeps its leading-axis sums.
+
+        A frozen component's tensor is the one its last check measured,
+        so that check's violation and mass stand.
+        """
+        if not self.frozen:
+            self.last_violation, self.lead_sums, self.mass = _max_violation(
+                self.tensor, self.margins, self.subsets, self.cells
+            )
+        return self.last_violation
 
 
 def _lockstep(components, positions, sweep) -> None:
@@ -306,7 +345,7 @@ def _lockstep_violation(components) -> float:
     """
     worst = max(component.violation() for component in components)
     if len(components) > 1:
-        mass = math.prod(float(c.tensor.sum()) for c in components)
+        mass = math.prod(component.mass for component in components)
         worst = max(worst, abs(mass - 1.0))
     return worst
 
@@ -333,67 +372,83 @@ def _slicer(schema, names, values) -> tuple:
     return tuple(slicer)
 
 
-def _margin_sweep(
-    tensor, constraints, model, schema, lead_sums=None
-) -> None:
-    """One in-place pass over the first-order margins.
+def _plan(schema, axes, key, target) -> tuple:
+    """``(key, target, other_axes, shape)`` for a margin over ``axes``."""
+    other_axes = tuple(a for a in range(len(schema)) if a not in axes)
+    shape = [1] * len(schema)
+    for axis in axes:
+        shape[axis] = schema.attributes[axis].cardinality
+    return key, target, other_axes, tuple(shape)
+
+
+def _ratio(target, current):
+    """``target / current`` where ``current`` is positive, else 0.
+
+    ``None`` when a positive target meets zero mass: a structural
+    conflict, which the caller raises.
+    """
+    positive = current > 0
+    if positive.all():
+        return target / current
+    if (target[~positive] > 0).any():
+        return None
+    ratio = np.zeros_like(current)
+    ratio[positive] = target[positive] / current[positive]
+    return ratio
+
+
+def _margin_sweep(tensor, margins, model, lead_sums) -> bool:
+    """One in-place pass over the first-order margins; True if it moved.
 
     ``lead_sums`` is the leading axis's raw margin sums as last measured
     by :func:`_max_violation`; the tensor has not changed since, so the
     reduction is reused instead of recomputed.  Later axes always
-    recompute — the tensor changes under them during the sweep.
+    recompute — the tensor changes under them during the sweep.  A ratio
+    of exactly 1 everywhere skips its multiply, an identity in IEEE-754.
     """
-    for axis, attribute in enumerate(schema):
-        target = constraints.margin(attribute.name)
+    moved = False
+    for axis, (name, target, other_axes, shape) in enumerate(margins):
         if axis == 0 and lead_sums is not None:
             current = lead_sums
         else:
-            other_axes = tuple(a for a in range(len(schema)) if a != axis)
             current = tensor.sum(axis=other_axes)
-        ratio = np.ones_like(current)
-        positive = current > 0
-        ratio[positive] = target[positive] / current[positive]
-        infeasible = (~positive) & (target > 0)
-        if infeasible.any():
-            value = int(np.flatnonzero(infeasible)[0])
+        ratio = _ratio(target, current)
+        if ratio is None:
+            value = int(np.flatnonzero(~(current > 0) & (target > 0))[0])
             raise _conflict(
-                f"margin target P({attribute.name}={value}) > 0 but the "
+                f"margin target P({name}={value}) > 0 but the "
                 f"model assigns it zero mass (structural conflict)",
-                attribute.name,
+                name,
             )
-        ratio[~positive] = 0.0
-        shape = [1] * len(schema)
-        shape[axis] = attribute.cardinality
+        if (ratio == 1.0).all():
+            continue
         tensor *= ratio.reshape(shape)
-        model.margin_factors[attribute.name] *= ratio
+        model.margin_factors[name] *= ratio
+        moved = True
+    return moved
 
 
-def _subset_margin_sweep(tensor, constraints, model, schema) -> None:
-    for names, target in constraints.subset_margins.items():
-        axes = schema.axes(names)
-        other_axes = tuple(a for a in range(len(schema)) if a not in axes)
-        current = tensor.sum(axis=other_axes)
-        ratio = np.ones_like(current)
-        positive = current > 0
-        ratio[positive] = target[positive] / current[positive]
-        infeasible = (~positive) & (target > 0)
-        if infeasible.any():
+def _subset_margin_sweep(tensor, subsets, model) -> bool:
+    moved = False
+    for names, target, other_axes, shape in subsets:
+        ratio = _ratio(target, tensor.sum(axis=other_axes))
+        if ratio is None:
             raise _conflict(
                 f"subset margin for {names} puts mass on a cell the model "
                 f"assigns zero (structural conflict)",
                 names,
             )
-        ratio[~positive] = 0.0
-        shape = [1] * len(schema)
-        for axis in axes:
-            shape[axis] = schema.attributes[axis].cardinality
+        if (ratio == 1.0).all():
+            continue
         tensor *= ratio.reshape(shape)
         model.table_factors[names] = model.table_factors[names] * ratio
+        moved = True
+    return moved
 
 
-def _cell_sweep(tensor, constraints, model, cell_slicers) -> None:
-    for cell in constraints.cells:
-        slicer = cell_slicers[cell.key]
+def _cell_sweep(tensor, cells, model) -> bool:
+    moved = False
+    for cell, slicer in cells:
         mass = float(tensor[slicer].sum())
         target = cell.probability
         total = float(tensor.sum())
@@ -405,6 +460,7 @@ def _cell_sweep(tensor, constraints, model, cell_slicers) -> None:
                 rescale = 1.0 / (1.0 - share)
                 tensor *= rescale
                 model.a0 *= rescale
+                moved = True
             continue
         if share <= 0.0:
             raise _conflict(
@@ -414,16 +470,19 @@ def _cell_sweep(tensor, constraints, model, cell_slicers) -> None:
             )
         ratio_in = target / share
         ratio_out = (1.0 - target) / (1.0 - share)
+        if ratio_in == 1.0 and ratio_out == 1.0:
+            continue
         tensor *= ratio_out
         tensor[slicer] *= ratio_in / ratio_out
         model.cell_factors[cell.key] *= ratio_in / ratio_out
         model.a0 *= ratio_out
+        moved = True
+    return moved
 
 
-def _max_violation(
-    tensor, constraints, cell_slicers, schema
-) -> tuple[float, np.ndarray]:
-    """Max absolute constraint violation, plus the leading axis's raw sums.
+def _max_violation(tensor, margins, subsets, cells) -> tuple:
+    """Max absolute constraint violation, the leading axis's raw sums and
+    the tensor's mass.
 
     The returned sums let the next :func:`_margin_sweep` skip its first
     reduction (the tensor is untouched between the check and the sweep).
@@ -431,20 +490,16 @@ def _max_violation(
     total = float(tensor.sum())
     worst = abs(total - 1.0)
     lead_sums = None
-    for axis, attribute in enumerate(schema):
-        target = constraints.margin(attribute.name)
-        other_axes = tuple(a for a in range(len(schema)) if a != axis)
+    for axis, (_, target, other_axes, _) in enumerate(margins):
         raw = tensor.sum(axis=other_axes)
         if axis == 0:
             lead_sums = raw
         current = raw / total
         worst = max(worst, float(np.abs(current - target).max()))
-    for names, target in constraints.subset_margins.items():
-        axes = schema.axes(names)
-        other_axes = tuple(a for a in range(len(schema)) if a not in axes)
+    for _, target, other_axes, _ in subsets:
         current = tensor.sum(axis=other_axes) / total
         worst = max(worst, float(np.abs(current - target).max()))
-    for cell in constraints.cells:
-        share = float(tensor[cell_slicers[cell.key]].sum()) / total
+    for cell, slicer in cells:
+        share = float(tensor[slicer].sum()) / total
         worst = max(worst, abs(share - cell.probability))
-    return worst, lead_sums
+    return worst, lead_sums, total

@@ -174,9 +174,12 @@ class DiscoveryProfile:
     read.
 
     ``fit_cells`` counts the tensor cells the fit swept, summed over
-    sweeps and fits: a sweep works on one small tensor per connected
-    component of the constraint graph, so this is what shows the fit's
-    cost following the adopted structure rather than the joint's size.
+    sweeps and fits (:attr:`~repro.maxent.ipf.FitResult.cells_swept`): a
+    sweep works on one small tensor per connected component of the
+    constraint graph and skips the components frozen at a fixed point, so
+    this is what shows the fit's cost following the adopted structure
+    rather than the joint's size.  The Gevarter solver does not report
+    it.
     ``scan_model_cells`` is the scans' counterpart: the component-tensor
     cells each candidate-pool scan (scan and verify stages alike)
     reduced to form its marginals

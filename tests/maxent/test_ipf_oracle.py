@@ -217,3 +217,22 @@ def test_sweep_cells_are_the_component_sizes():
     assert fit_ipf(constraints).sweep_cells == 2 * 2 + 3 + 2
     constraints.add_cell(CellConstraint(("X1", "X2"), (0, 0), 0.1))
     assert fit_ipf(constraints).sweep_cells == 2 * 3 * 2 + 2
+
+
+def test_cells_swept_skips_frozen_singletons():
+    # One coupled pair (X0, X1) and two free singletons.  The singletons
+    # reach their margins in the first sweep, sit still in the second and
+    # are frozen from then on, while the pair keeps sweeping.
+    schema = _schema([2, 2, 3, 2])
+    constraints = ConstraintSet(schema)
+    for name, margin in zip(
+        schema.names,
+        ([0.5, 0.5], [0.25, 0.75], [0.25, 0.25, 0.5], [0.375, 0.625]),
+    ):
+        constraints.set_margin(name, margin)
+    constraints.add_cell(CellConstraint(("X0", "X1"), (0, 0), 0.2))
+    fit = fit_ipf(constraints)
+    assert fit.sweeps > 2
+    assert fit.sweep_cells == 2 * 2 + 3 + 2
+    assert fit.cells_swept < fit.sweeps * fit.sweep_cells
+    assert fit.cells_swept <= 2 * 2 * fit.sweeps + 2 * (3 + 2)

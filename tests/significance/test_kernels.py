@@ -288,6 +288,22 @@ class TestEngineEquivalence:
             f"{profile.fit_sweeps} sweeps, {profile.fit_cells} cells"
         )
 
+    def test_fit_cells_are_the_cells_the_fits_swept(self, table, monkeypatch):
+        import repro.discovery.engine as engine_module
+
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            fits.append(fit_ipf(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(engine_module, "fit_ipf", recording_fit)
+        profile = DiscoveryEngine(DiscoveryConfig(max_order=2)).run(
+            table
+        ).profile
+        assert profile.fit_calls == len(fits)
+        assert profile.fit_cells == sum(fit.cells_swept for fit in fits)
+
     def test_fit_cells_follow_the_components_not_the_joint(self):
         # 16 binary attributes joined by 4 planted pairs: each sweep works
         # on a few small component tensors, never the 65,536-cell joint.
