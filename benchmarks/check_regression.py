@@ -7,14 +7,11 @@ Usage::
     python benchmarks/check_regression.py \
         --registry runs.db --candidate candidate.json \
         --output perf-regression-diff.json
-    python benchmarks/check_regression.py \
-        --baseline BENCH_discovery.json --candidate candidate.json  # legacy
 
 Baselines come from a :class:`repro.store.RunRegistry` (``--registry``):
-every ``benchmark`` run recorded with the candidate's ``smoke`` flag.
-``--baseline FILE`` is the legacy flat-file path, kept as a thin
-compatibility shim — the file is imported into an in-memory registry and
-the *same* query answers, so both paths always reach the same verdict.
+every ``benchmark`` run recorded with the candidate's ``smoke`` flag.  A
+flat ``BENCH_discovery.json`` trajectory becomes a registry with
+``repro runs import``.
 
 Checks, against the baseline trajectory records:
 
@@ -292,40 +289,11 @@ def compare_scenarios(
     return rows
 
 
-def baseline_registry(args):
-    """The run registry that answers the baseline query.
-
-    ``--registry`` opens it directly.  ``--baseline FILE`` is the legacy
-    flat-file path: the file is imported into an in-memory registry so
-    both paths run the identical ``baseline_records(smoke)`` query — the
-    shim cannot drift from the registry-backed verdict.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.store import RunRegistry
-
-    if args.registry:
-        return RunRegistry(args.registry)
-    print(
-        "note: --baseline FILE is deprecated; import the trajectory with "
-        "'repro runs import' and pass --registry instead",
-        file=sys.stderr,
-    )
-    registry = RunRegistry(":memory:")
-    registry.import_trajectory(args.baseline)
-    return registry
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--baseline",
-        help=(
-            "legacy: committed trajectory file (BENCH_discovery.json); "
-            "imported into an in-memory run registry"
-        ),
-    )
-    parser.add_argument(
         "--registry",
+        required=True,
         metavar="PATH",
         help="run registry (SQLite) holding the baseline benchmark runs",
     )
@@ -345,8 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         help="allowed fractional speedup degradation (default 0.30)",
     )
     args = parser.parse_args(argv)
-    if bool(args.baseline) == bool(args.registry):
-        parser.error("pass exactly one of --baseline FILE or --registry PATH")
 
     candidate = read_records(Path(args.candidate))[-1]
     smoke = candidate.get("smoke", False)
@@ -354,9 +320,12 @@ def main(argv: list[str] | None = None) -> int:
     # returns same-flag benchmark runs, so with no matching baseline the
     # ratio rows report "no comparable baseline" rather than judging
     # toy-size timings against full-size ones (or vice versa).
-    with baseline_registry(args) as registry:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.store import RunRegistry
+
+    with RunRegistry(args.registry) as registry:
         baseline = registry.baseline_records(smoke)
-    if not baseline and args.registry:
+    if not baseline:
         print(
             f"warning: {args.registry} holds no smoke={smoke} benchmark "
             f"runs; every ratio will report 'no comparable baseline'",

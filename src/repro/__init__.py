@@ -52,6 +52,7 @@ from repro.data.schema import Attribute, Schema
 from repro.data.streaming import TableBuilder
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine, discover, rediscover
+from repro.discovery.profile import DiscoveryProfile
 from repro.estimators import (
     DiscoveryEstimator,
     Estimator,
@@ -85,7 +86,7 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
-from repro.significance.kernels import DiscoveryProfile, OrderScanKernel
+from repro.significance.kernels import OrderScanKernel
 from repro.store import KBDiff, KBStore, RunRegistry
 from repro.significance.mml import (
     MMLPriors,

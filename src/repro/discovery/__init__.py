@@ -2,6 +2,7 @@
 
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine, discover
+from repro.discovery.profile import DiscoveryProfile
 from repro.discovery.trace import (
     ConstraintRecovery,
     DiscoveryResult,
@@ -13,6 +14,7 @@ __all__ = [
     "ConstraintRecovery",
     "DiscoveryConfig",
     "DiscoveryEngine",
+    "DiscoveryProfile",
     "DiscoveryResult",
     "ScanRecord",
     "discover",

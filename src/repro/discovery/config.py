@@ -57,7 +57,7 @@ class DiscoveryConfig:
         the serial kernel even when ``max_workers > 1`` — which also
         skips spawning workers entirely when every order stays small.
         The chosen path per order lands in
-        :attr:`~repro.significance.kernels.DiscoveryProfile.scan_paths`.
+        :attr:`~repro.discovery.profile.DiscoveryProfile.scan_paths`.
         Machine-local like ``max_workers`` and likewise not serialized.
     worker_addresses:
         ``HOST:PORT`` addresses of remote ``repro worker`` daemons to

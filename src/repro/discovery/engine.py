@@ -24,13 +24,14 @@ import time
 
 from repro.data.contingency import ContingencyTable
 from repro.discovery.config import DiscoveryConfig
+from repro.discovery.profile import DiscoveryProfile
 from repro.discovery.trace import DiscoveryResult, ScanRecord
 from repro.exceptions import ConstraintError, DataError, StaleConstraintError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.gevarter import fit_gevarter
 from repro.maxent.ipf import fit_ipf, warm_start_model
 from repro.maxent.model import MaxEntModel
-from repro.significance.kernels import DiscoveryProfile, OrderScanKernel
+from repro.significance.kernels import OrderScanKernel
 from repro.significance.mml import (
     evaluate_cell,
     most_significant,
@@ -375,14 +376,14 @@ class DiscoveryEngine:
             scan_start = time.perf_counter()
             model_cells = 0
             if executor is not None:
-                # The executor hands back the argmax merged from
-                # shard-local bests, so the full (lazy) test list never
-                # has to be decoded on the hot path.
                 tests, best = executor.scan(model)
                 model_cells = executor.last_model_cells
             elif kernel is not None:
+                # Both scan paths pick the adopted cell from the columns;
+                # the lazy test list builds its other CellTest rows only
+                # when the trace is read.
                 tests = kernel.scan(model)
-                best = most_significant(tests)
+                best = tests.best()
                 model_cells = kernel.last_model_cells
             else:
                 tests = reference_scan_order(

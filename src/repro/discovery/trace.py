@@ -15,6 +15,7 @@ base updatable with warm-started rediscovery.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,7 +34,7 @@ from repro.maxent.model import MaxEntModel
 from repro.significance.result import CellTest
 
 if TYPE_CHECKING:
-    from repro.significance.kernels import DiscoveryProfile
+    from repro.discovery.profile import DiscoveryProfile
 
 
 @dataclass
@@ -43,11 +44,13 @@ class ScanRecord:
     ``chosen`` is None for the terminating scan at each order (the scan
     that found nothing significant).  ``readopted`` lists constraints a
     warm-started rerun re-imposed from the previous revision without a
-    scan; such records carry no tests.
+    scan; such records carry no tests.  A kernel scan's ``tests`` is a
+    :class:`~repro.significance.kernels.LazyScanTests`, which builds its
+    rows on first read.
     """
 
     order: int
-    tests: list[CellTest]
+    tests: Sequence[CellTest]
     chosen: CellTest | None
     fit_sweeps: int = 0
     readopted: tuple[CellKey, ...] = ()

@@ -28,14 +28,9 @@ from repro.parallel.pool import (
     shard_bounds,
 )
 from repro.parallel.query import ParallelQueryEvaluator
-from repro.parallel.scan import (
-    LazyScanTests,
-    ShardedScanExecutor,
-    scan_order_sharded,
-)
+from repro.parallel.scan import ShardedScanExecutor, scan_order_sharded
 
 __all__ = [
-    "LazyScanTests",
     "ParallelError",
     "ParallelQueryEvaluator",
     "ShardedScanExecutor",

@@ -37,30 +37,29 @@ needs, on one code path for every pool.
 Three things keep the parallel path fast where a naive port would not be:
 
 - workers ship scans in **columnar** form (primitive columns — several
-  times cheaper to move than CellTest objects) and compute their
-  shard-local greedy argmax themselves, so the master's per-scan serial
-  work is a cheap decode of a few columns plus a max over shard bests;
+  times cheaper to move than CellTest objects), so the master's per-scan
+  serial work is a cheap decode of a few columns plus one argmax over
+  the ``m2 - m1`` columns;
 - those float columns stay float64 *arrays* end to end — one slab write
   and read, or one pickled block — never expanding into per-cell Python
   floats on the hot path;
 - the full :class:`~repro.significance.result.CellTest` list the audit
-  trail wants is wrapped in :class:`LazyScanTests` and only materialized
-  when something actually reads it (trace serialization, summaries,
-  equality checks) — never on the scan-adopt-refit hot path.
+  trail wants is wrapped in
+  :class:`~repro.significance.kernels.LazyScanTests`, as the serial
+  kernel's is, and only materialized when something actually reads it
+  (trace serialization, summaries, equality checks) — never on the
+  scan-adopt-refit hot path.
 
 **Bit-identity.**  Candidate-pool accounting inside each shard kernel is
 global (Eq 45 counts the whole order), every float is produced by the same
 kernel code on the same inputs, shards are contiguous slices of the
-canonical subset order, and the shard-best merge reproduces ``min()``'s
-first-of-equals tie-breaking — so decisions, traces, and fitted models are
-bit-identical to the serial path.  ``tests/parallel/`` enforces this
-across shard counts and uneven splits.
+canonical subset order, and the argmax runs over the shards' columns in
+that order with ``min()``'s first-of-equals tie-breaking — so decisions,
+traces, and fitted models are bit-identical to the serial path.
+``tests/parallel/`` enforces this across shard counts and uneven splits.
 """
 
 from __future__ import annotations
-
-import threading
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -74,10 +73,10 @@ from repro.parallel.shm import (
     read_tensor,
     take_attach_ns,
 )
-from repro.significance.kernels import OrderScanKernel, tests_from_columns
+from repro.significance.kernels import LazyScanTests, OrderScanKernel
 from repro.significance.result import CellTest
 
-__all__ = ["LazyScanTests", "ShardedScanExecutor", "scan_order_sharded"]
+__all__ = ["ShardedScanExecutor", "scan_order_sharded"]
 
 _TASK_INIT = f"{__name__}:_init_order"
 _TASK_SCAN = f"{__name__}:_scan_shard"
@@ -87,137 +86,6 @@ _TASK_END = f"{__name__}:_end_order"
 #: Shard float columns smaller than this return in the reply even under
 #: the shm codec — below it the slab bookkeeping costs more than the copy.
 RESULT_THRESHOLD_BYTES = 32 * 1024
-
-
-def _best_in_columns(columns) -> tuple[int, float] | None:
-    """Shard-local greedy argmax: ``(flat index, m2 - m1)`` of the most
-    significant cell, or None.  Mirrors
-    :func:`repro.significance.mml.most_significant` exactly:
-    ``np.argmin`` keeps the first of equal minima — the same cell a
-    strict-``<`` scalar sweep (and ``min()``) lands on — and float64
-    subtraction is IEEE-identical whether the columns arrive as lists or
-    as arrays, so the pick cannot flip across codecs."""
-    best_index = None
-    best_delta = 0.0
-    offset = 0
-    for subset_columns in columns:
-        delta = np.asarray(subset_columns[8]) - np.asarray(subset_columns[7])
-        if delta.size:
-            position = int(np.argmin(delta))
-            candidate = float(delta[position])
-            if candidate < 0.0 and (
-                best_index is None or candidate < best_delta
-            ):
-                best_index = offset + position
-                best_delta = candidate
-        offset += delta.size
-    if best_index is None:
-        return None
-    return best_index, best_delta
-
-
-def _test_at(columns, index: int) -> CellTest:
-    """Materialize the single CellTest at a flat position in a shard.
-
-    Slices a one-row view of the owning subset's columns and reuses
-    :func:`~repro.significance.kernels.tests_from_columns` — one
-    construction site for the columnar-to-CellTest mapping.
-    """
-    for subset_columns in columns:
-        count = len(subset_columns[1])
-        if index < count:
-            row = (
-                subset_columns[0],
-                *(
-                    # .item() exactly unwraps np scalars the array-backed
-                    # columns yield, so the CellTest holds plain floats.
-                    [
-                        column[index].item()
-                        if isinstance(column[index], np.generic)
-                        else column[index]
-                    ]
-                    for column in subset_columns[1:]
-                ),
-            )
-            return tests_from_columns([row])[0]
-        index -= count
-    raise ParallelError(f"flat index {index} beyond the shard's cells")
-
-
-class LazyScanTests(Sequence):
-    """The scan's CellTest list, materialized only when read.
-
-    Behaves as the list the serial path produces — same length, items,
-    order, equality — but the decode from columnar shard payloads runs on
-    first access, keeping it off the scan-adopt-refit hot path.  The
-    engine stores these in :class:`~repro.discovery.trace.ScanRecord`;
-    trace serialization, summaries and equality checks materialize them
-    transparently.
-    """
-
-    def __init__(self, shard_columns: list):
-        self._shards = shard_columns
-        self._count = sum(
-            len(subset_columns[1])
-            for columns in shard_columns
-            for subset_columns in columns
-        )
-        self._tests: list[CellTest] | None = None
-        self._lock = threading.Lock()
-
-    def _materialize(self) -> list[CellTest]:
-        # Serving reads traces from multiple threads; the lock makes the
-        # decode happen exactly once, and every reader sees one list.
-        if self._tests is None:
-            with self._lock:
-                if self._tests is None:
-                    tests: list[CellTest] = []
-                    for columns in self._shards:
-                        tests.extend(tests_from_columns(columns))
-                    self._tests = tests
-                    self._shards = None  # the columns are no longer needed
-        return self._tests
-
-    @property
-    def materialized(self) -> bool:
-        return self._tests is not None
-
-    def __getstate__(self) -> dict:
-        # Locks don't pickle; a serialized instance carries the decoded
-        # CellTests (they're being read anyway — this IS a read).
-        return {"count": self._count, "tests": self._materialize()}
-
-    def __setstate__(self, state: dict) -> None:
-        self._count = state["count"]
-        self._tests = state["tests"]
-        self._shards = None
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyScanTests):
-            return self._materialize() == other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __repr__(self) -> str:
-        state = "materialized" if self.materialized else "lazy"
-        return f"LazyScanTests({self._count} tests, {state})"
 
 
 # -- worker-side tasks ------------------------------------------------------------
@@ -271,12 +139,12 @@ def _scan_shard(state, factors_ref, slab):
     than scanning stale state; the master recovers by replaying the
     order with full payloads.
 
-    Returns ``(meta, block, best, attach_ns, model_cells)``: per-subset
+    Returns ``(meta, block, attach_ns, model_cells)``: per-subset
     metadata (data-side columns, or a version reference when the master
     already holds them), the concatenated float columns — written into
     ``slab`` and ``None`` here when the codec provided one, else the
-    array itself — the shard-local argmax, segment attach time, and the
-    component-tensor cells the scan reduced.
+    array itself — segment attach time, and the component-tensor cells
+    the scan reduced.
     """
     kernel = _active_kernel(state)
     if factors_ref[0] == "factors":
@@ -294,8 +162,7 @@ def _scan_shard(state, factors_ref, slab):
             "worker was told to reuse cached model factors it does not hold "
             "(or holds for a different model fingerprint)"
         )
-    columns = kernel.scan_columns(state["factors"], float_arrays=True)
-    best = _best_in_columns(columns)
+    columns = kernel.scan_columns(state["factors"])
     sent_versions = state["sent_versions"]
     meta = []
     floats = []
@@ -328,7 +195,7 @@ def _scan_shard(state, factors_ref, slab):
         out = read_tensor(state, slab, writable=True)[:size]
         np.concatenate(floats, out=out)
         block = None
-    return meta, block, best, take_attach_ns(state), kernel.last_model_cells
+    return meta, block, take_attach_ns(state), kernel.last_model_cells
 
 
 def _adopt(state, constraint) -> None:
@@ -352,7 +219,7 @@ class ShardedScanExecutor:
     :class:`~repro.significance.kernels.OrderScanKernel`:
     :meth:`begin_order` distributes the order's subsets,
     :meth:`scan` evaluates the whole candidate pool (lazy tests plus the
-    globally most significant cell, merged from shard bests),
+    globally most significant cell),
     :meth:`notify_adopted` keeps worker constraint copies in sync after
     each adoption, :meth:`end_order` drops worker state.
 
@@ -470,8 +337,8 @@ class ShardedScanExecutor:
         Returns ``(tests, best)``: the lazily-materialized CellTest list
         (canonical order) and the most significant cell — the same one
         :func:`~repro.significance.mml.most_significant` would pick from
-        the serial scan, merged from shard-local bests without decoding
-        the full results.
+        the serial scan, read from the columns without decoding the full
+        results.
 
         A :class:`StaleWorkerStateError` from any worker — a reconnected
         connection whose pinned kernel/factors died with its predecessor —
@@ -498,25 +365,9 @@ class ShardedScanExecutor:
             counters.broadcasts_total += 1
             replies = self._run_scan(self._ship_factors(model, fingerprint))
         self._published_fingerprint = fingerprint
-        self.last_model_cells = sum(reply[4] for reply in replies)
-        shard_columns = self._decode(replies)
-        best_shard = None
-        best_index = None
-        best_delta = 0.0
-        for shard, reply in enumerate(replies):
-            if reply[2] is None:
-                continue
-            index, delta = reply[2]
-            # Strict < : the earliest shard keeps ties, exactly like the
-            # serial min() over the concatenated candidate list.
-            if best_index is None or delta < best_delta:
-                best_shard, best_index, best_delta = shard, index, delta
-        chosen = (
-            _test_at(shard_columns[best_shard], best_index)
-            if best_index is not None
-            else None
-        )
-        return LazyScanTests(shard_columns), chosen
+        self.last_model_cells = sum(reply[3] for reply in replies)
+        tests = LazyScanTests(self._decode(replies))
+        return tests, tests.best()
 
     def _ship_factors(self, model: MaxEntModel, fingerprint: int) -> tuple:
         # Until the shards acknowledge them, no factors count as published:
@@ -550,9 +401,7 @@ class ShardedScanExecutor:
         """
         counters = self.counters
         shard_columns = []
-        for shard, (meta, block, _best, attach_ns, _cells) in enumerate(
-            replies
-        ):
+        for shard, (meta, block, attach_ns, _cells) in enumerate(replies):
             counters.attach_ns += attach_ns
             if block is None:
                 block = self._codec.read_slab(

@@ -17,7 +17,7 @@ selected by the ``smoke`` flag.
 
 Besides quality gates, each scenario carries a :class:`LatencySLO` —
 p50/p99 budgets per discovery stage (scan/fit/verify, measured by
-:class:`~repro.significance.kernels.DiscoveryProfile`) plus p50/p99
+:class:`~repro.discovery.profile.DiscoveryProfile`) plus p50/p99
 budgets for replayed query traffic — so the fleet validates *scale* as
 well as *quality*.  Budgets are generous (order-of-magnitude guards, not
 noise detectors) and scale with the tier.
@@ -101,7 +101,7 @@ class LatencySLO:
 
     ``scan``/``fit``/``verify`` budgets bound the per-call latency
     percentiles recorded by
-    :class:`~repro.significance.kernels.DiscoveryProfile`; ``query``
+    :class:`~repro.discovery.profile.DiscoveryProfile`; ``query``
     budgets bound the closed-loop query-traffic replay
     (:func:`repro.scenarios.replay.replay_session`) that each scenario
     drives against a :class:`~repro.api.session.QuerySession` after

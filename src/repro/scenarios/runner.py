@@ -2,7 +2,7 @@
 
 For each registered :class:`~repro.scenarios.registry.Scenario` the runner
 materializes the workload, runs the Figure-3 discovery engine (kernel
-backend, with :class:`~repro.significance.kernels.DiscoveryProfile`
+backend, with :class:`~repro.discovery.profile.DiscoveryProfile`
 instrumentation), scores the adopted constraints against the planted
 ground truth (precision / recall / false alarms), measures
 KL(empirical ‖ fitted) as the goodness-of-fit summary, and optionally

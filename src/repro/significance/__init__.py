@@ -8,7 +8,7 @@ from repro.significance.binomial import (
     log_binomial_pmf_array,
     standard_score,
 )
-from repro.significance.kernels import DiscoveryProfile, OrderScanKernel
+from repro.significance.kernels import LazyScanTests, OrderScanKernel
 from repro.significance.mml import (
     MMLPriors,
     evaluate_cell,
@@ -21,7 +21,7 @@ from repro.significance.result import CellTest
 
 __all__ = [
     "CellTest",
-    "DiscoveryProfile",
+    "LazyScanTests",
     "MMLPriors",
     "OrderScanKernel",
     "binomial_mean",

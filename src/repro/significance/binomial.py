@@ -77,12 +77,15 @@ def log_binomial_coefficients(n: int, k: np.ndarray) -> np.ndarray:
     if low < 0 or high > n:
         raise DataError(f"need 0 <= k <= n, got n={n}, k range [{low}, {high}]")
     lgn = lgamma(n + 1)
-    memo = {
-        value: lgn - lgamma(value + 1) - lgamma(n - value + 1)
-        for value in np.unique(k).tolist()
-    }
-    flat = [memo[value] for value in k.ravel().tolist()]
-    return np.array(flat, dtype=float).reshape(k.shape)
+    values, inverse = np.unique(k, return_inverse=True)
+    memo = np.array(
+        [
+            lgn - lgamma(value + 1) - lgamma(n - value + 1)
+            for value in values.tolist()
+        ],
+        dtype=float,
+    )
+    return memo[inverse.ravel()].reshape(k.shape)
 
 
 def log_binomial_pmf_array(

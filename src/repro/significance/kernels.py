@@ -8,14 +8,18 @@ one through dict-based counts and an O(constraints × subsets) feasible
 range; :class:`OrderScanKernel` evaluates an entire order's candidate pool
 with numpy array ops instead, splitting each test into
 
-- **data-side statistics** — observed marginal counts (from
-  :meth:`~repro.data.contingency.ContingencyTable.marginal_counts`'s cached
-  count tensors), ``ln C(N, k)`` coefficient arrays, and the Eq-41
-  feasible-range / determined tables built from lower-order count tensors
-  with constraint masks.  These depend only on the table and the constraint
-  set, so they are cached across adoptions within an order and selectively
-  invalidated when a constraint lands in a sharing subset
-  (:meth:`OrderScanKernel.notify_adopted`);
+- **data-side statistics** — observed marginal counts, ``ln C(N, k)``
+  coefficients, and the Eq-41 feasible-range / determined tables.  They
+  depend only on the table and the constraint set, so they are cached
+  across adoptions within an order and selectively invalidated when a
+  constraint lands in a sharing subset
+  (:meth:`OrderScanKernel.notify_adopted`).  A scan builds the stats of
+  every subset it is missing in one pass: the subsets' count tensors are
+  stacked per shape, the first-order bounds are a gather and a minimum
+  over those stacks, and one ``ln C(N, k)`` call and one ``math.log`` per
+  distinct range serve the whole order.  Only subsets that hold a
+  constraint (an adopted cell in the subset, or an adopted lower-order
+  cell inside it) get the per-subset Eq-41 corrections;
 - **model-side statistics** — predicted probabilities and the H1 message
   lengths, recomputed per scan.  Each subset's marginal comes from the
   model's :class:`~repro.maxent.model.FactoredJoint`: the outer product
@@ -24,6 +28,11 @@ with numpy array ops instead, splitting each test into
   every candidate of the order concatenated, and the columns are sliced
   back per subset; every op is elementwise, so slicing changes no float.
 
+A scan returns its columns wrapped in :class:`LazyScanTests`: the engine
+reads one cell per scan (:meth:`LazyScanTests.best`), and the
+:class:`~repro.significance.result.CellTest` rows of the audit trail are
+built only when something reads them.
+
 **Bit-identity contract.**  The kernel's decisions are bit-identical to
 the scalar reference: every float in every emitted
 :class:`~repro.significance.result.CellTest` equals the scalar path's
@@ -31,20 +40,18 @@ value exactly, so the greedy argmax can never flip on a near-tie.  This
 works because all transcendentals go through the same ``math.log`` /
 ``math.lgamma`` libm calls the scalar path uses (numpy's SIMD ``log``
 differs in the last ulp), evaluated once per distinct integer count or
-range, while products, sums, ``sqrt`` and comparisons — which IEEE-754
-fixes exactly — run as array ops.  Benchmarks and property tests enforce
-the contract (``benchmarks/bench_discovery_scan.py``,
+range, while products, sums, ``sqrt``, minima and comparisons — which
+IEEE-754 fixes exactly — run as array ops.  Benchmarks and property tests
+enforce the contract (``benchmarks/bench_discovery_scan.py``,
 ``tests/significance/test_kernels.py``).
-
-:class:`DiscoveryProfile` is the instrumentation the kernels expose: the
-engine aggregates per-stage wall-clock (scan / fit / verify) into it, and
-``repro discover --profile`` renders it.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import combinations
 from math import log
 
@@ -58,10 +65,11 @@ from repro.significance.binomial import (
     log_binomial_coefficients,
     log_binomial_pmf_array,
 )
+from repro.significance.mml import MMLPriors, most_significant
 from repro.significance.result import CellTest
 
 __all__ = [
-    "DiscoveryProfile",
+    "LazyScanTests",
     "OrderScanKernel",
     "SubsetStats",
     "tests_from_columns",
@@ -69,20 +77,19 @@ __all__ = [
 
 #: One subset's scan output in columnar form: ``(names, candidate_values,
 #: observed, predicted, mean, sd, num_sd, m1, m2, determined,
-#: feasible_range)`` — plain tuples and lists of primitives, so shipping a
-#: scan across a process boundary costs a fraction of pickling CellTest
-#: objects.  :func:`tests_from_columns` rebuilds the exact CellTest list.
+#: feasible_range)``.  The six float columns are float64 arrays, the rest
+#: lists of primitives, so shipping a scan across a process boundary costs
+#: a fraction of pickling CellTest objects.  :func:`tests_from_columns`
+#: rebuilds the exact CellTest list.
 SubsetColumns = tuple
 
 
 def tests_from_columns(columns: list[SubsetColumns]) -> list[CellTest]:
     """Materialize the :class:`CellTest` list a columnar scan encodes.
 
-    This is the same construction loop :meth:`OrderScanKernel.scan` runs,
-    applied to the same lists — bit-identity holds by construction.
-    Float columns may arrive as ndarrays (the shared-memory transport
-    keeps them in array form); ``tolist()`` is an exact float64 → float
-    conversion, so the emitted values are bit-identical either way.
+    Float columns may be ndarrays or lists; ``tolist()`` is an exact
+    float64 → float conversion, so the emitted values are bit-identical
+    either way.
     """
     tests: list[CellTest] = []
     for (
@@ -124,6 +131,150 @@ def tests_from_columns(columns: list[SubsetColumns]) -> list[CellTest]:
     return tests
 
 
+def _best_in_columns(columns) -> int | None:
+    """Flat index of the most significant cell in ``columns``, or None.
+
+    Mirrors :func:`repro.significance.mml.most_significant` exactly.  A
+    cell is significant when ``m2 - m1 < 0``, so NaN never is.  Among the
+    significant cells, ``np.argmin`` keeps the first of equal minima,
+    the cell ``min()`` lands on.  Float64 subtraction is IEEE-identical
+    whether the columns are lists or arrays, so the pick cannot flip.
+    """
+    if not columns:
+        return None
+    m1 = np.concatenate([np.asarray(c[7], dtype=float) for c in columns])
+    m2 = np.concatenate([np.asarray(c[8], dtype=float) for c in columns])
+    delta = m2 - m1
+    significant = delta < 0.0
+    if not significant.any():
+        return None
+    return int(np.argmin(np.where(significant, delta, np.inf)))
+
+
+def _test_at(columns, index: int) -> CellTest:
+    """Materialize the single CellTest at a flat position in ``columns``.
+
+    Slices a one-row view of the owning subset's columns and reuses
+    :func:`tests_from_columns`, the one construction site for the
+    columnar-to-CellTest mapping.
+    """
+    for subset_columns in columns:
+        count = len(subset_columns[1])
+        if index < count:
+            row = (
+                subset_columns[0],
+                *(
+                    # .item() exactly unwraps the np scalars array
+                    # columns yield, so the CellTest holds plain floats.
+                    [
+                        column[index].item()
+                        if isinstance(column[index], np.generic)
+                        else column[index]
+                    ]
+                    for column in subset_columns[1:]
+                ),
+            )
+            return tests_from_columns([row])[0]
+        index -= count
+    raise IndexError(f"flat index {index} beyond the scan's cells")
+
+
+class LazyScanTests(Sequence):
+    """A scan's CellTest list, materialized only when read.
+
+    Behaves as the list :func:`repro.significance.mml.reference_scan_order`
+    returns — same length, items, order and equality — but holds the
+    scan's columns (one list of :data:`SubsetColumns` per shard) and
+    decodes them on first access.  :meth:`best` picks the adopted cell
+    from the columns and builds that one CellTest only, which is all the
+    scan-adopt-refit loop reads.  The engine stores these in
+    :class:`~repro.discovery.trace.ScanRecord`; trace serialization,
+    Table-1 rendering and equality checks materialize them transparently.
+    """
+
+    def __init__(self, shard_columns: list[list[SubsetColumns]]):
+        self._shards = shard_columns
+        self._count = sum(
+            len(subset_columns[1])
+            for columns in shard_columns
+            for subset_columns in columns
+        )
+        self._tests: list[CellTest] | None = None
+        self._lock = threading.Lock()
+
+    def best(self) -> CellTest | None:
+        """The cell :func:`~repro.significance.mml.most_significant` picks.
+
+        Reads the ``m2 - m1`` columns and builds one CellTest; the rest of
+        the list stays unbuilt.
+        """
+        shards = self._shards
+        if shards is None:
+            return most_significant(self._tests)
+        columns = [c for shard in shards for c in shard]
+        index = _best_in_columns(columns)
+        return None if index is None else _test_at(columns, index)
+
+    def _materialize(self) -> list[CellTest]:
+        # Serving reads traces from multiple threads; the lock makes the
+        # decode happen exactly once, and every reader sees one list.
+        if self._tests is None:
+            with self._lock:
+                if self._tests is None:
+                    tests: list[CellTest] = []
+                    for columns in self._shards:
+                        tests.extend(tests_from_columns(columns))
+                    self._tests = tests
+                    self._shards = None  # the columns are no longer needed
+        return self._tests
+
+    @property
+    def materialized(self) -> bool:
+        return self._tests is not None
+
+    def __getstate__(self) -> dict:
+        # Locks don't pickle; a serialized instance carries the decoded
+        # CellTests (they're being read anyway — this IS a read).
+        return {"count": self._count, "tests": self._materialize()}
+
+    def __setstate__(self, state: dict) -> None:
+        self._count = state["count"]
+        self._tests = state["tests"]
+        self._shards = None
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def index(self, value, *bounds) -> int:
+        # The list's own index, not Sequence's item-by-item Python loop:
+        # serializing a trace looks up each scan's chosen cell.
+        return self._materialize().index(value, *bounds)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazyScanTests):
+            return self._materialize() == other._materialize()
+        if isinstance(other, list):
+            return self._materialize() == other
+        return NotImplemented
+
+    def __ne__(self, other) -> bool:
+        result = self.__eq__(other)
+        if result is NotImplemented:
+            return result
+        return not result
+
+    def __repr__(self) -> str:
+        state = "materialized" if self.materialized else "lazy"
+        return f"LazyScanTests({self._count} tests, {state})"
+
+
 @dataclass
 class SubsetStats:
     """Data-side statistics of one attribute subset's candidate cells.
@@ -135,7 +286,6 @@ class SubsetStats:
     """
 
     names: tuple[str, ...]
-    shape: tuple[int, ...]
     #: Candidate value tuples, in ``np.ndindex`` (C) order.
     candidate_values: list[tuple[int, ...]]
     #: Positions of the candidates in the raveled subset marginal.
@@ -155,171 +305,6 @@ class SubsetStats:
     #: when the receiver already holds this version (they change only on
     #: invalidation, not per scan).
     version: int = 0
-
-
-@dataclass
-class DiscoveryProfile:
-    """Per-stage wall-clock of a discovery run (scan / fit / verify).
-
-    ``scan`` covers candidate-pool evaluations that adopted a constraint;
-    ``verify`` covers the terminating scan of each order (the one that
-    confirmed nothing significant) and a rerun's per-constraint
-    re-verification tests; ``fit`` covers the solver.  Rendered by
-    ``repro discover --profile``.
-
-    Alongside the stage totals, ``*_call_seconds`` keep the individual
-    call durations (one entry per scan/fit/verify call, in call order) so
-    per-stage latency percentiles are computable —
-    :meth:`stage_percentile_ms` is what the scenario fleet's latency SLOs
-    read.
-
-    ``fit_cells`` counts the tensor cells the fit swept, summed over
-    sweeps and fits (:attr:`~repro.maxent.ipf.FitResult.cells_swept`): a
-    sweep works on one small tensor per connected component of the
-    constraint graph and skips the components frozen at a fixed point, so
-    this is what shows the fit's cost following the adopted structure
-    rather than the joint's size.  The Gevarter solver does not report
-    it.
-    ``scan_model_cells`` is the scans' counterpart: the component-tensor
-    cells each candidate-pool scan (scan and verify stages alike)
-    reduced to form its marginals
-    (:attr:`~repro.maxent.model.FactoredJoint.cells_reduced`), summed
-    over the run.  The scalar ``"reference"`` oracle does not report it.
-
-    ``scan_paths`` records, per scanned order, which scan implementation
-    the engine chose (``"serial"`` kernel, ``"sharded"`` executor, or the
-    ``"reference"`` oracle) and the candidate-pool size that drove the
-    choice — the audit trail for the serial-vs-sharded auto-selection.
-
-    Sharded orders additionally record what the transport moved:
-    ``bytes_pickled`` / ``bytes_shared`` are tensor-payload bytes shipped
-    inline vs through shared-memory segments, ``broadcasts_skipped`` counts
-    joint rebroadcasts amortized away by an unchanged model fingerprint,
-    and ``attach_ns`` is cumulative worker-side segment attach time.  The
-    run totals live in the flat fields; ``transports`` keeps the same
-    counters per sharded order.  Rendered by ``repro discover --profile``.
-    """
-
-    scan_seconds: float = 0.0
-    scan_calls: int = 0
-    scan_cells: int = 0
-    verify_seconds: float = 0.0
-    verify_calls: int = 0
-    verify_cells: int = 0
-    fit_seconds: float = 0.0
-    fit_calls: int = 0
-    fit_sweeps: int = 0
-    fit_cells: int = 0
-    scan_model_cells: int = 0
-    scan_paths: list[dict] = field(default_factory=list)
-    scan_call_seconds: list[float] = field(default_factory=list)
-    verify_call_seconds: list[float] = field(default_factory=list)
-    fit_call_seconds: list[float] = field(default_factory=list)
-    bytes_pickled: int = 0
-    bytes_shared: int = 0
-    broadcasts_total: int = 0
-    broadcasts_skipped: int = 0
-    attach_ns: int = 0
-    transports: list[dict] = field(default_factory=list)
-
-    def record_scan_path(self, order: int, path: str, cells: int) -> None:
-        self.scan_paths.append(
-            {"order": order, "path": path, "cells": cells}
-        )
-
-    def add_transport(self, order: int, label: str, counters: dict) -> None:
-        """Fold one sharded order's transport counters into the profile.
-
-        ``label`` names the medium (``"pipe"``, ``"shm"`` or ``"tcp"``).
-        """
-        self.bytes_pickled += counters.get("bytes_pickled", 0)
-        self.bytes_shared += counters.get("bytes_shared", 0)
-        self.broadcasts_total += counters.get("broadcasts_total", 0)
-        self.broadcasts_skipped += counters.get("broadcasts_skipped", 0)
-        self.attach_ns += counters.get("attach_ns", 0)
-        self.transports.append(
-            {"order": order, "transport": label, **counters}
-        )
-
-    def add_scan(
-        self, seconds: float, cells: int, model_cells: int = 0
-    ) -> None:
-        self.scan_seconds += seconds
-        self.scan_calls += 1
-        self.scan_cells += cells
-        self.scan_model_cells += model_cells
-        self.scan_call_seconds.append(seconds)
-
-    def add_verify(
-        self, seconds: float, cells: int, model_cells: int = 0
-    ) -> None:
-        self.verify_seconds += seconds
-        self.verify_calls += 1
-        self.verify_cells += cells
-        self.scan_model_cells += model_cells
-        self.verify_call_seconds.append(seconds)
-
-    def add_fit(self, seconds: float, sweeps: int, cells: int = 0) -> None:
-        self.fit_seconds += seconds
-        self.fit_calls += 1
-        self.fit_sweeps += sweeps
-        self.fit_cells += cells
-        self.fit_call_seconds.append(seconds)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.scan_seconds + self.verify_seconds + self.fit_seconds
-
-    def stage_samples(self, stage: str) -> list[float]:
-        """Per-call wall-clock samples (seconds) for one stage.
-
-        ``stage`` is ``"scan"``, ``"fit"``, or ``"verify"``; the samples
-        are the individual call durations folded into the stage totals,
-        in call order — the population the latency-SLO percentiles are
-        computed over.
-        """
-        try:
-            return {
-                "scan": self.scan_call_seconds,
-                "fit": self.fit_call_seconds,
-                "verify": self.verify_call_seconds,
-            }[stage]
-        except KeyError:
-            raise ValueError(
-                f"unknown profile stage {stage!r}; "
-                f"expected scan, fit, or verify"
-            ) from None
-
-    def stage_percentile_ms(self, stage: str, q: float) -> float:
-        """Nearest-rank percentile of one stage's call latencies, in ms.
-
-        Returns 0.0 when the stage recorded no calls (an order-0 run or a
-        loaded result), so SLO checks treat an idle stage as trivially
-        within budget.
-        """
-        ordered = sorted(self.stage_samples(stage))
-        if not ordered:
-            return 0.0
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-        return 1e3 * ordered[rank]
-
-    def rows(self) -> list[list[str]]:
-        """Table rows (stage, calls, work, seconds, share) for rendering."""
-        total = self.total_seconds or 1.0
-        rows = []
-        for stage, seconds, calls, work in (
-            ("scan", self.scan_seconds, self.scan_calls,
-             f"{self.scan_cells} cells"),
-            ("fit", self.fit_seconds, self.fit_calls,
-             f"{self.fit_sweeps} sweeps, {self.fit_cells} cells"),
-            ("verify", self.verify_seconds, self.verify_calls,
-             f"{self.verify_cells} cells"),
-        ):
-            rows.append(
-                [stage, str(calls), work, f"{seconds:.4f}",
-                 f"{100.0 * seconds / total:.1f}%"]
-            )
-        return rows
 
 
 class OrderScanKernel:
@@ -345,8 +330,6 @@ class OrderScanKernel:
         priors=None,
         subsets=None,
     ):
-        from repro.significance.mml import MMLPriors
-
         self.table = table
         self.order = order
         self.constraints = constraints
@@ -374,6 +357,9 @@ class OrderScanKernel:
         self._num_cells_at_order = table.num_cells_of_order(order)
         self._stats: dict[tuple[str, ...], SubsetStats] = {}
         self._stats_builds = 0
+        # Per-shape cell lists, shared by every unconstrained subset.
+        self._cells_by_shape: dict[tuple[int, ...], tuple] = {}
+        self._first: np.ndarray | None = None
         # Exposed instrumentation (aggregated into DiscoveryProfile by the
         # engine; also readable directly after standalone scans).
         self.scan_calls = 0
@@ -416,42 +402,29 @@ class OrderScanKernel:
 
     # -- scanning -----------------------------------------------------------------
 
-    def scan(self, model: MaxEntModel | FactoredJoint) -> list[CellTest]:
+    def scan(self, model: MaxEntModel | FactoredJoint) -> LazyScanTests:
         """Evaluate every candidate cell at this order against ``model``.
 
         Equivalent to the scalar reference scan: one factored marginal per
         subset, then array arithmetic over the cached data-side
         statistics.  ``model`` may also be the model's
         :class:`~repro.maxent.model.FactoredJoint` itself — what the
-        sharded executor's workers hold.
+        sharded executor's workers hold.  The tests come back lazy:
+        :meth:`LazyScanTests.best` reads the adopted cell without building
+        the rest.
         """
-        columns = self.scan_columns(model)
-        start = time.perf_counter()
-        tests = tests_from_columns(columns)
-        construction = time.perf_counter() - start
-        self.last_scan_seconds += construction
-        self.total_scan_seconds += construction
-        return tests
+        return LazyScanTests([self.scan_columns(model)])
 
     def scan_columns(
-        self,
-        model: MaxEntModel | FactoredJoint,
-        float_arrays: bool = False,
+        self, model: MaxEntModel | FactoredJoint
     ) -> list[SubsetColumns]:
-        """The scan in columnar form: one tuple of lists per subset.
+        """The scan in columnar form: one :data:`SubsetColumns` per subset.
 
         Everything :meth:`scan` computes, minus the
         :class:`~repro.significance.result.CellTest` construction — the
-        shape the sharded executor ships across process boundaries
-        (pickling lists of primitives is several times cheaper than
-        pickling dataclass instances) and materializes lazily via
-        :func:`tests_from_columns`.
-
-        ``float_arrays=True`` keeps the six float columns as float64
-        ndarrays instead of converting them to lists — the form the
-        shared-memory transport writes into output slabs without ever
-        constructing per-cell Python floats.  ``tolist()`` is exact, so
-        both forms decode to bit-identical CellTests.
+        shape the sharded executor ships across process boundaries.  The
+        six float columns are views of float64 arrays over the whole
+        order, never expanded into per-cell Python floats.
         """
         start = time.perf_counter()
         factors = model if isinstance(model, FactoredJoint) else model.factored()
@@ -459,15 +432,13 @@ class OrderScanKernel:
         order = self.order
         found_at_order = len(self.constraints.cells_of_order(order))
         pool = self._num_cells_at_order - found_at_order
+        missing = [names for names in self.subsets if names not in self._stats]
+        if missing:
+            self._build_missing(missing)
         active: list[SubsetStats] = []
         predicted_parts = []
         for names in self.subsets:
-            stats = self._stats.get(names)
-            if stats is None:
-                stats = self._build_stats(names)
-                self._stats_builds += 1
-                stats.version = self._stats_builds
-                self._stats[names] = stats
+            stats = self._stats[names]
             if not stats.candidate_values:
                 continue
             if pool < 1:
@@ -482,8 +453,6 @@ class OrderScanKernel:
         columns: list[SubsetColumns] = []
         if active:
             floats = self._model_side(active, predicted_parts, pool)
-            if not float_arrays:
-                floats = [column.tolist() for column in floats]
             offset = 0
             for stats in active:
                 stop = offset + len(stats.candidate_values)
@@ -546,77 +515,211 @@ class OrderScanKernel:
 
     # -- data-side construction ---------------------------------------------------
 
-    def _build_stats(self, names: tuple[str, ...]) -> SubsetStats:
+    def _build_missing(self, missing: list[tuple[str, ...]]) -> None:
+        """Build the data-side statistics of every subset in ``missing``.
+
+        One vectorised pass for the whole batch.  Subsets are grouped by
+        shape and their count tensors stacked, so the Eq-41 first-order
+        bounds of a group are one gather per axis and a minimum.  Subsets
+        that hold a constraint — an adopted cell of their own, or an
+        adopted lower-order cell inside them — get the candidate mask and
+        the per-subset corrections of :meth:`_feasible_tables`.  Then one
+        :func:`~repro.significance.binomial.log_binomial_coefficients`
+        call covers every candidate, and ``math.log`` runs once per
+        distinct range, which keeps bit-identity with the scalar
+        ``log(range + 1)`` at O(distinct) cost.
+        """
         schema = self.schema
-        shape = tuple(schema.attribute(n).cardinality for n in names)
-        observed_full = self.table.marginal_counts(names)
-        mask = np.ones(shape, dtype=bool)
-        for cell in self.constraints.cells_of_order(self.order):
-            if cell.attributes == names:
-                mask[cell.values] = False
-        feasible_full, determined_full = self._feasible_tables(
-            names, shape, observed_full
-        )
-        flat_positions = np.flatnonzero(mask.ravel())
-        candidate_values = [
-            tuple(int(v) for v in index) for index in np.argwhere(mask)
+        table = self.table
+        cardinality = {attr.name: attr.cardinality for attr in schema}
+        cells_by_subset: dict[tuple[str, ...], list] = {}
+        for cell in self.constraints.cells:
+            cells_by_subset.setdefault(cell.attributes, []).append(cell)
+        lower = [
+            set(names)
+            for names in cells_by_subset
+            if 1 < len(names) < self.order
         ]
-        observed = observed_full.ravel()[flat_positions]
-        feasible = feasible_full.ravel()[flat_positions]
-        determined = determined_full.ravel()[flat_positions]
-        feasible_list = feasible.tolist()
-        # One math.log per distinct range keeps bit-identity with the
-        # scalar ``log(cell_range + 1)`` at O(distinct) cost.
-        log_by_range = {
-            value: log(value + 1) for value in np.unique(feasible).tolist()
-        }
+        groups: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
+        for names in missing:
+            shape = tuple(cardinality[name] for name in names)
+            groups.setdefault(shape, []).append(names)
+        if self._first is None:
+            self._first = self._first_order_counts()
+        first = self._first
+        axis = {name: i for i, name in enumerate(schema.names)}
+
+        # Candidate columns of every group, concatenated below, and per
+        # group its subsets, shape and candidate mask (None: all cells).
+        built = []
+        observed_parts, feasible_parts, determined_parts = [], [], []
+        for shape, subsets in groups.items():
+            observed = np.stack(
+                [table.marginal_counts(names) for names in subsets]
+            ).reshape(len(subsets), -1)
+            feasible = self._first_order_bounds(
+                first, axis, shape, subsets
+            ).reshape(len(subsets), -1)
+            # Without a constraint only first-order margins bound a cell,
+            # and a cell with siblings (every cardinality is >= 2) is
+            # never determined by them alone.
+            determined = np.zeros(feasible.shape, dtype=bool)
+            mask = None
+            for row, names in enumerate(subsets):
+                same = cells_by_subset.get(names, ())
+                if not same and not any(
+                    combo <= set(names) for combo in lower
+                ):
+                    continue
+                bounds, det = self._feasible_tables(
+                    names,
+                    observed[row].reshape(shape),
+                    feasible[row].reshape(shape),
+                    cells_by_subset,
+                )
+                feasible[row] = bounds.ravel()
+                determined[row] = det.ravel()
+                if same:
+                    if mask is None:
+                        mask = np.ones(feasible.shape, dtype=bool)
+                    for cell in same:
+                        position = np.ravel_multi_index(cell.values, shape)
+                        mask[row, position] = False
+            built.append((subsets, shape, mask))
+            for parts, array in (
+                (observed_parts, observed),
+                (feasible_parts, feasible),
+                (determined_parts, determined),
+            ):
+                parts.append(array.ravel() if mask is None else array[mask])
+
+        observed_all = np.concatenate(observed_parts)
+        feasible_all = np.concatenate(feasible_parts)
+        determined_all = np.concatenate(determined_parts)
+        log_coeff_all = log_binomial_coefficients(self.total, observed_all)
+        ranges, inverse = np.unique(feasible_all, return_inverse=True)
         log_range = np.array(
-            [log_by_range[value] for value in feasible_list], dtype=float
+            [log(value + 1) for value in ranges.tolist()], dtype=float
+        )[inverse.ravel()]
+        h2_all = np.where(determined_all, 0.0, log_range)
+        observed_list = observed_all.tolist()
+        feasible_list = feasible_all.tolist()
+        determined_list = determined_all.tolist()
+
+        offset = 0
+        for subsets, shape, mask in built:
+            cells = self._cells_of_shape(shape)
+            for row, names in enumerate(subsets):
+                if mask is None or mask[row].all():
+                    candidate_values, flat_positions = cells
+                else:
+                    flat_positions = np.flatnonzero(mask[row])
+                    candidate_values = [
+                        cells[0][i] for i in flat_positions.tolist()
+                    ]
+                stop = offset + len(candidate_values)
+                self._stats[names] = SubsetStats(
+                    names=names,
+                    candidate_values=candidate_values,
+                    flat_positions=flat_positions,
+                    observed=observed_all[offset:stop],
+                    observed_list=observed_list[offset:stop],
+                    log_coeff=log_coeff_all[offset:stop],
+                    feasible_list=feasible_list[offset:stop],
+                    determined_list=determined_list[offset:stop],
+                    h2_range_term=h2_all[offset:stop],
+                )
+                offset = stop
+        for names in missing:
+            self._stats_builds += 1
+            self._stats[names].version = self._stats_builds
+
+    def _cells_of_shape(
+        self, shape: tuple[int, ...]
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Every cell of a subset of ``shape``: value tuples in C order,
+        and their flat positions."""
+        cells = self._cells_by_shape.get(shape)
+        if cells is None:
+            size = int(np.prod(shape))
+            cells = (list(np.ndindex(shape)), np.arange(size))
+            self._cells_by_shape[shape] = cells
+        return cells
+
+    def _first_order_counts(self) -> np.ndarray:
+        """First-order counts of every attribute, one padded row each."""
+        schema = self.schema
+        first = np.zeros(
+            (len(schema), max(schema.shape)), dtype=np.int64
         )
-        return SubsetStats(
-            names=names,
-            shape=shape,
-            candidate_values=candidate_values,
-            flat_positions=flat_positions,
-            observed=observed,
-            observed_list=observed.tolist(),
-            log_coeff=log_binomial_coefficients(self.total, observed),
-            feasible_list=feasible_list,
-            determined_list=determined.tolist(),
-            h2_range_term=np.where(determined, 0.0, log_range),
-        )
+        for i, attr in enumerate(schema):
+            first[i, : attr.cardinality] = self.table.marginal_counts(
+                (attr.name,)
+            )
+        return first
+
+    def _first_order_bounds(
+        self,
+        first: np.ndarray,
+        axis: dict[str, int],
+        shape: tuple[int, ...],
+        subsets: list[tuple[str, ...]],
+    ) -> np.ndarray:
+        """Eq-41 bounds from the first-order margins alone, per subset.
+
+        A cell's bound is the smallest first-order count among its
+        values; for a group of same-shape subsets that is one gather per
+        axis and a minimum, shaped ``(subsets, *shape)``.
+        """
+        order = len(shape)
+        if order == 1:
+            # No lower-order marginal contains a first-order cell.
+            return np.full((len(subsets), *shape), self.total, dtype=np.int64)
+        bounds = None
+        for position, size in enumerate(shape):
+            rows = first[[axis[names[position]] for names in subsets], :size]
+            rows = rows.reshape(
+                (len(subsets),)
+                + tuple(size if i == position else 1 for i in range(order))
+            )
+            bounds = rows if bounds is None else np.minimum(bounds, rows)
+        return bounds
 
     def _feasible_tables(
         self,
         names: tuple[str, ...],
-        shape: tuple[int, ...],
         observed_full: np.ndarray,
+        first_bounds: np.ndarray,
+        cells_by_subset: dict[tuple[str, ...], list],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq-41 range and determined tables for a whole subset at once.
+        """Eq-41 range and determined tables of a subset that holds a
+        constraint.
 
         Mirrors :func:`repro.significance.mml.feasible_range` for every
         candidate cell of the subset: per contributing lower-order combo,
         the bound is the combo's marginal count minus the counts of
         already-significant same-subset cells sharing the projection, and
         a cell is determined when some combo's sharing cells cover all its
-        siblings.  Pure integer arithmetic — exact by construction.
+        siblings.  ``first_bounds`` already holds the first-order combos'
+        bounds without shared counts; as shared counts only lower a bound,
+        taking the minimum with the corrected ones gives the same table.
+        Pure integer arithmetic — exact by construction.
         """
+        shape = first_bounds.shape
         order = len(names)
-        constraints = self.constraints
-        same = [c for c in constraints.cells if c.attributes == names]
-        bounds = np.full(shape, self.total, dtype=np.int64)
+        same = cells_by_subset.get(names, ())
+        bounds = first_bounds
         determined = np.zeros(shape, dtype=bool)
         for size in range(1, order):
             for combo in combinations(range(order), size):
                 t_names = tuple(names[i] for i in combo)
                 t_shape = tuple(shape[i] for i in combo)
                 if size == 1:
+                    if not same:
+                        continue
                     active = None
                 else:
-                    cons = [
-                        c for c in constraints.cells
-                        if c.attributes == t_names
-                    ]
+                    cons = cells_by_subset.get(t_names)
                     if not cons:
                         continue
                     active = np.zeros(t_shape, dtype=bool)

@@ -176,8 +176,10 @@ class RunRegistry:
         """One-shot import of a flat ``BENCH_discovery.json`` trajectory.
 
         Each trajectory record becomes a ``benchmark`` run whose metrics
-        document is the record itself, timestamped from the record, with
-        the CPU count lifted from its parallel section.  Content-derived
+        document is the record itself, timestamped from the record.  The
+        git sha and CPU count come from the record's own stamps; records
+        written before ``run_all`` stamped them take the CPU count from
+        their parallel section and no sha.  Content-derived
         run_ids make re-imports no-ops; returns how many records were
         newly inserted.
         """
@@ -202,7 +204,8 @@ class RunRegistry:
                 kind="benchmark",
                 metrics=entry,
                 smoke=bool(entry.get("smoke", False)),
-                cpus=int(parallel.get("cpus", 0)),
+                cpus=int(entry.get("cpus") or parallel.get("cpus", 0)),
+                git_sha=entry.get("git_sha") or "",
                 created_at=entry.get("timestamp") or utc_now(),
             )
         return len(self.runs(kind="benchmark")) - before

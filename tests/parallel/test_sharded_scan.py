@@ -12,7 +12,6 @@ constraints and fitted marginals bit-identical to a serial run's.
 
 import contextlib
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -294,7 +293,12 @@ class TestTransportBitIdentity:
 
 
 class TestLazyScanTests:
-    """The lazy CellTest list: decode-once, and decodable after close."""
+    """The executor's lazy CellTest list decodes after the pool is gone.
+
+    Decode-once under concurrent readers and the argmax are properties of
+    :class:`~repro.significance.kernels.LazyScanTests` itself, tested in
+    ``tests/significance/test_lazy_scan.py``.
+    """
 
     def _scan(self, table):
         constraints = ConstraintSet.first_order(table)
@@ -311,38 +315,6 @@ class TestLazyScanTests:
         executor.end_order()
         serial = OrderScanKernel(table, 2, constraints).scan(model)
         return executor, tests, serial
-
-    def test_concurrent_readers_materialize_once(self, table, monkeypatch):
-        executor, tests, serial = self._scan(table)
-        executor.close()
-        from repro.parallel import scan as scan_module
-
-        decodes = []
-        real = scan_module.tests_from_columns
-
-        def counting(columns):
-            decodes.append(threading.get_ident())
-            return real(columns)
-
-        monkeypatch.setattr(scan_module, "tests_from_columns", counting)
-        shard_count = len(tests._shards)
-        barrier = threading.Barrier(8)
-        results = []
-
-        def read():
-            barrier.wait()
-            results.append(list(tests))
-
-        threads = [threading.Thread(target=read) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # One decode pass (one call per shard), all by the same winner.
-        assert len(decodes) == shard_count
-        assert len(set(decodes)) == 1
-        assert all(result == serial for result in results)
-        assert tests.materialized
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_decodes_after_executor_closed(self, table, codec):

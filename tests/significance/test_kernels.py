@@ -24,7 +24,8 @@ from repro.maxent.constraints import ConstraintSet
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
 from repro.scenarios.registry import get_scenario
-from repro.significance.kernels import DiscoveryProfile, OrderScanKernel
+from repro.discovery.profile import DiscoveryProfile
+from repro.significance.kernels import OrderScanKernel
 from repro.significance.mml import (
     most_significant,
     reference_scan_order,
@@ -139,6 +140,49 @@ class TestKernelMatchesReference:
             except ConstraintError:
                 break
             kernel.notify_adopted(constraint.key)
+
+    @pytest.mark.parametrize(
+        "cardinalities, adopted",
+        [
+            # Several shape groups in one batched build.
+            ((2, 3, 4, 2), ()),
+            # Order-3 subsets holding an adopted order-2 cell take the
+            # lower-order correction; the others take the first-order
+            # gather alone.
+            ((2, 2, 3, 2), ((("ATTR0", "ATTR1"), (0, 1)),)),
+            # At order 2, the adopted cell is masked out of its subset and
+            # determines the sibling it leaves alone in its row.
+            ((2, 2, 3), ((("ATTR0", "ATTR1"), (0, 0)),)),
+        ],
+        ids=["mixed-cardinalities", "order3-over-pair", "same-subset"],
+    )
+    def test_batched_build_branches_match_reference(
+        self, cardinalities, adopted
+    ):
+        schema = Schema(
+            [
+                Attribute(f"ATTR{i}", tuple(f"v{v}" for v in range(size)))
+                for i, size in enumerate(cardinalities)
+            ]
+        )
+        counts = np.random.default_rng(5).integers(1, 40, size=schema.shape)
+        table = ContingencyTable(schema, counts)
+        constraints = ConstraintSet.first_order(table)
+        for names, values in adopted:
+            constraints.add_cell(
+                constraints.cell_from_table(table, names, values)
+            )
+        model = fit_ipf(
+            constraints, max_sweeps=40, require_convergence=False
+        ).model
+        determined = False
+        for order in range(2, len(schema) + 1):
+            reference = reference_scan_order(table, model, order, constraints)
+            tests = OrderScanKernel(table, order, constraints).scan(model)
+            assert tests.best() == most_significant(reference)
+            assert tests == reference
+            determined |= any(test.determined for test in reference)
+        assert determined == bool(adopted)
 
     def test_scan_order_facade_is_kernel_backed(self, table):
         from repro.baselines.independence import independence_model

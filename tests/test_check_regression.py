@@ -57,20 +57,32 @@ def write(path, records):
     return str(path)
 
 
+def imported(tmp_path, records):
+    """A run registry holding ``records``, imported from a trajectory."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.store import RunRegistry
+
+    trajectory = write(tmp_path / "base.json", records)
+    path = tmp_path / "base.db"
+    with RunRegistry(path) as registry:
+        registry.import_trajectory(trajectory)
+    return str(path)
+
+
 class TestRatioComparison:
     def test_within_tolerance_passes(self, gate, tmp_path):
-        baseline = write(tmp_path / "base.json", [record(warm=8.0)])
+        baseline = imported(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=6.0)])
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_degradation_over_tolerance_fails(self, gate, tmp_path, capsys):
-        baseline = write(tmp_path / "base.json", [record(warm=8.0)])
+        baseline = imported(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=4.0)])
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 1
         )
         assert "scan_speedup_warm" in capsys.readouterr().err
@@ -78,33 +90,33 @@ class TestRatioComparison:
     def test_baseline_is_minimum_over_matching_records(self, gate, tmp_path):
         # Two baseline runs, one slow: the candidate only has to beat the
         # *worst* baseline by the tolerance, damping one-off noise.
-        baseline = write(
-            tmp_path / "base.json", [record(warm=9.0), record(warm=5.0)]
+        baseline = imported(
+            tmp_path, [record(warm=9.0), record(warm=5.0)]
         )
         candidate = write(tmp_path / "cand.json", [record(warm=4.0)])
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_smoke_and_full_records_not_mixed(self, gate, tmp_path):
-        baseline = write(
-            tmp_path / "base.json",
+        baseline = imported(
+            tmp_path,
             [record(smoke=False, warm=20.0), record(smoke=True, warm=6.0)],
         )
         candidate = write(
             tmp_path / "cand.json", [record(smoke=True, warm=5.5)]
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_no_matching_mode_means_no_ratio_floor(self, gate, tmp_path):
         # A full-size-only baseline sets no floor for a smoke candidate:
         # toy-size timings are never judged against full-size ones.
-        baseline = write(
-            tmp_path / "base.json", [record(smoke=False, warm=20.0)]
+        baseline = imported(
+            tmp_path, [record(smoke=False, warm=20.0)]
         )
         candidate = write(
             tmp_path / "cand.json", [record(smoke=True, warm=2.0)]
@@ -113,7 +125,7 @@ class TestRatioComparison:
         assert (
             gate.main(
                 [
-                    "--baseline",
+                    "--registry",
                     baseline,
                     "--candidate",
                     candidate,
@@ -132,36 +144,36 @@ class TestRatioComparison:
     def test_parallel_ratios_skipped_on_single_cpu_candidate(
         self, gate, tmp_path, capsys
     ):
-        baseline = write(tmp_path / "base.json", [record(parallel_cold=3.0)])
+        baseline = imported(tmp_path, [record(parallel_cold=3.0)])
         candidate = write(
             tmp_path / "cand.json",
             [record(cpus=1, parallel_cold=0.6)],
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 0
         )
         assert "skipped" in capsys.readouterr().out
 
     def test_single_cpu_baseline_sets_no_parallel_floor(self, gate, tmp_path):
-        baseline = write(
-            tmp_path / "base.json", [record(cpus=1, parallel_cold=0.9)]
+        baseline = imported(
+            tmp_path, [record(cpus=1, parallel_cold=0.9)]
         )
         candidate = write(
             tmp_path / "cand.json", [record(cpus=4, parallel_cold=0.5)]
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_parallel_regression_on_multicore_fails(self, gate, tmp_path):
-        baseline = write(tmp_path / "base.json", [record(parallel_cold=3.0)])
+        baseline = imported(tmp_path, [record(parallel_cold=3.0)])
         candidate = write(
             tmp_path / "cand.json", [record(parallel_cold=1.0)]
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 1
         )
 
@@ -184,8 +196,8 @@ class TestServingGate:
     def test_faster_single_client_is_not_flagged(self, gate, tmp_path):
         # Single-client RPS rising 5x drops throughput_ratio from ~2.8 to
         # ~0.9; that is a faster lone request, not a regression.
-        baseline = write(
-            tmp_path / "base.json", [serving_record(300.0, 830.0)]
+        baseline = imported(
+            tmp_path, [serving_record(300.0, 830.0)]
         )
         candidate = write(
             tmp_path / "cand.json", [serving_record(1500.0, 1400.0)]
@@ -194,7 +206,7 @@ class TestServingGate:
         assert (
             gate.main(
                 [
-                    "--baseline",
+                    "--registry",
                     baseline,
                     "--candidate",
                     candidate,
@@ -214,15 +226,15 @@ class TestServingGate:
     def test_served_vs_inprocess_drop_over_tolerance_fails(
         self, gate, tmp_path, capsys
     ):
-        baseline = write(
-            tmp_path / "base.json", [serving_record(300.0, 900.0)]
+        baseline = imported(
+            tmp_path, [serving_record(300.0, 900.0)]
         )
         # Same host speed, 40% less served throughput.
         candidate = write(
             tmp_path / "cand.json", [serving_record(300.0, 540.0)]
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 1
         )
         assert "served_vs_inprocess" in capsys.readouterr().err
@@ -230,12 +242,12 @@ class TestServingGate:
 
 class TestScenarioGates:
     def test_gate_regression_fails(self, gate, tmp_path, capsys):
-        baseline = write(tmp_path / "base.json", [record()])
+        baseline = imported(tmp_path, [record()])
         candidate = write(
             tmp_path / "cand.json", [record(scenario_passed=False)]
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 1
         )
         assert "independence" in capsys.readouterr().err
@@ -243,20 +255,20 @@ class TestScenarioGates:
     def test_known_bad_baseline_scenario_does_not_block(self, gate, tmp_path):
         # A scenario already failing in the committed baseline is not a
         # *regression*; the gate only fails on newly-failing scenarios.
-        baseline = write(
-            tmp_path / "base.json", [record(scenario_passed=False)]
+        baseline = imported(
+            tmp_path, [record(scenario_passed=False)]
         )
         candidate = write(
             tmp_path / "cand.json", [record(scenario_passed=False)]
         )
         assert (
-            gate.main(["--baseline", baseline, "--candidate", candidate])
+            gate.main(["--registry", baseline, "--candidate", candidate])
             == 0
         )
 
 
 class TestRegistryBaseline:
-    """--registry and the legacy --baseline shim reach the same verdict."""
+    """Recorded and imported runs reach the same verdict."""
 
     def _registry(self, tmp_path, records):
         sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -277,12 +289,12 @@ class TestRegistryBaseline:
     @pytest.mark.parametrize("warm", [6.0, 4.0])
     def test_same_verdict_as_flat_file(self, gate, tmp_path, warm):
         records = [record(warm=8.0), record(warm=9.0)]
-        baseline = write(tmp_path / "base.json", records)
+        baseline = imported(tmp_path, records)
         registry = self._registry(tmp_path, records)
         candidate = write(tmp_path / "cand.json", [record(warm=warm)])
         flat_exit = gate.main(
             [
-                "--baseline",
+                "--registry",
                 baseline,
                 "--candidate",
                 candidate,
@@ -307,31 +319,14 @@ class TestRegistryBaseline:
         assert reg["ratios"] == flat["ratios"]
         assert reg["scenarios"] == flat["scenarios"]
 
-    def test_flat_file_path_prints_deprecation_note(
-        self, gate, tmp_path, capsys
-    ):
-        baseline = write(tmp_path / "base.json", [record()])
-        candidate = write(tmp_path / "cand.json", [record()])
-        gate.main(["--baseline", baseline, "--candidate", candidate])
-        assert "deprecated" in capsys.readouterr().err
-
     def test_exactly_one_baseline_source_required(self, gate, tmp_path):
         candidate = write(tmp_path / "cand.json", [record()])
         with pytest.raises(SystemExit):
             gate.main(["--candidate", candidate])
+        # The flat-file flag is gone; a trajectory is imported first.
         baseline = write(tmp_path / "base.json", [record()])
-        registry = self._registry(tmp_path, [record()])
         with pytest.raises(SystemExit):
-            gate.main(
-                [
-                    "--baseline",
-                    baseline,
-                    "--registry",
-                    registry,
-                    "--candidate",
-                    candidate,
-                ]
-            )
+            gate.main(["--baseline", baseline, "--candidate", candidate])
 
     def test_empty_registry_warns_and_passes_without_floors(
         self, gate, tmp_path, capsys
@@ -353,12 +348,12 @@ class TestRegistryBaseline:
 
 class TestReportArtifact:
     def test_output_written_with_verdict(self, gate, tmp_path):
-        baseline = write(tmp_path / "base.json", [record(warm=8.0)])
+        baseline = imported(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=4.0)])
         output = tmp_path / "diff.json"
         gate.main(
             [
-                "--baseline",
+                "--registry",
                 baseline,
                 "--candidate",
                 candidate,
@@ -374,12 +369,12 @@ class TestReportArtifact:
         assert report["regressions"]
 
     def test_custom_tolerance(self, gate, tmp_path):
-        baseline = write(tmp_path / "base.json", [record(warm=8.0)])
+        baseline = imported(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=4.5)])
         assert (
             gate.main(
                 [
-                    "--baseline",
+                    "--registry",
                     baseline,
                     "--candidate",
                     candidate,

@@ -149,6 +149,26 @@ class TestTrajectoryRecord:
         ]
         assert "timestamp" in record and "python" in record
 
+    def test_record_is_stamped_with_git_sha_and_cpus(
+        self, run_all, stubbed, tmp_path, monkeypatch
+    ):
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+        import repro.store
+        from repro.store import RunRegistry
+
+        monkeypatch.setattr(repro.store, "current_git_sha", lambda: "abc123")
+        monkeypatch.setattr(run_all.os, "cpu_count", lambda: 6)
+        target = tmp_path / "traj.json"
+        assert run_all.main(["--json", str(target), "--skip-suite"]) == 0
+        record = json.loads(target.read_text())[-1]
+        assert record["git_sha"] == "abc123"
+        assert record["cpus"] == 6
+        # An imported trajectory keeps both stamps.
+        with RunRegistry(tmp_path / "runs.db") as registry:
+            assert registry.import_trajectory(target) == 1
+            run = registry.runs(kind="benchmark")[0]
+            assert (run.git_sha, run.cpus) == ("abc123", 6)
+
     def test_records_append_across_invocations(
         self, run_all, stubbed, tmp_path
     ):
