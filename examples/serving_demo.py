@@ -11,7 +11,7 @@ deployment would:
 3. start client threads that hammer ``POST /kb/paper/query``
    continuously (coalesced server-side into shared batch evaluations);
 4. mid-traffic, ``POST /kb/paper/update`` with a new batch of survey
-   rows — the server rediscovers on a clone and atomically swaps the
+   rows — the server rediscovers on a copy and atomically swaps the
    served model, so not one in-flight query fails or blocks;
 5. verify every served answer is *bit-identical* to in-process
    ``kb.query()`` against the matching revision (the fingerprint in
@@ -52,8 +52,8 @@ def main(seconds: float = 3.0) -> None:
     kb = ProbabilisticKnowledgeBase.from_data(paper_table())
 
     # In-process mirrors of both revisions, for the bit-identity check.
-    before = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
-    after = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
+    before = kb.copy()
+    after = kb.copy()
 
     config = ServeConfig(max_batch=32, pool_size=4)
     with serve_in_thread({"paper": kb}, config=config) as handle:

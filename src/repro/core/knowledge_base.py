@@ -394,6 +394,36 @@ class ProbabilisticKnowledgeBase:
         builder.reset()
         return revision
 
+    def copy(self) -> "ProbabilisticKnowledgeBase":
+        """A knowledge base whose updates never reach this one.
+
+        Copies what an update mutates in place — the model (``update``
+        absorbs the refit into it) and the revision list — and shares
+        what is never mutated after it is built: the training table, the
+        adopted constraints, the scan records and the config.  An update
+        of the copy merges into a *new* table and builds a new discovery
+        result, so the original's answers, fingerprint and serialized
+        form stay exactly as they were.  The copy shares no estimator and
+        no session; its first update rehydrates an estimator from the
+        trace, as a loaded knowledge base does.
+        """
+        model = self.model.copy()
+        discovery = None
+        if self.discovery is not None:
+            discovery = DiscoveryResult(
+                table=self.discovery.table,
+                model=model,
+                constraints=self.discovery.constraints,
+                scans=self.discovery.scans,
+                config=self.discovery.config,
+            )
+        return type(self)(
+            model,
+            self.sample_size,
+            discovery=discovery,
+            revisions=self.revisions,
+        )
+
     # -- knowledge ----------------------------------------------------------------
 
     @property

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-__all__ = ["canonical_bytes", "canonical_json", "content_hash"]
+__all__ = ["canonical_bytes", "canonical_json", "content_hash", "payload_hash"]
 
 
 def canonical_json(obj) -> str:
@@ -43,4 +43,13 @@ def content_hash(obj) -> str:
     Stable across platforms, processes, and dict insertion orders; two
     objects hash equal exactly when their canonical JSON is byte-equal.
     """
-    return hashlib.sha256(canonical_bytes(obj)).hexdigest()
+    return payload_hash(canonical_bytes(obj))
+
+
+def payload_hash(payload: bytes) -> str:
+    """The content address of bytes :func:`canonical_bytes` already made.
+
+    Lets a caller that stores the encoding address it without encoding
+    the object a second time.
+    """
+    return hashlib.sha256(payload).hexdigest()

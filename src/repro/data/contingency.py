@@ -11,7 +11,10 @@ computed at most once: :meth:`ContingencyTable.marginal_counts` keeps a
 per-subset cache of read-only count arrays, and :meth:`ContingencyTable.count`
 answers from it in O(1) after the first lookup of a subset.  This is what
 makes the discovery scan kernels array-native — the per-cell dict lookups
-of the scalar path all collapse into shared cached tensors.
+of the scalar path all collapse into shared cached tensors.  A sum
+``a + b`` starts with ``a``'s cache carried over (each entry plus ``b``'s
+marginal), so merging a small delta into a training table does not
+recompute the marginals the table already served.
 
 The text rendering helpers reproduce the paper's visual layout: a 2-D grid
 per slice of a third attribute (Figure 1) optionally bordered with marginal
@@ -128,7 +131,46 @@ class ContingencyTable:
             return NotImplemented
         if self.schema != other.schema:
             raise DataError("cannot add tables with different schemas")
-        return ContingencyTable(self.schema, self.counts + other.counts)
+        merged = ContingencyTable(self.schema, self.counts + other.counts)
+        merged._carry_marginals(self, other)
+        return merged
+
+    def _carry_marginals(
+        self, left: "ContingencyTable", addend: "ContingencyTable"
+    ) -> None:
+        """Seed this sum's cache from ``left``'s: ``cached + addend's``.
+
+        The addend's marginal over each subset is one ``np.bincount`` over
+        its occupied cells, which a small delta batch keeps to a few
+        thousand entries however large the tensor is, so a merged
+        training table starts with every marginal its predecessor served
+        instead of recomputing them by axis sums.  The float weights are
+        exact while the addend's total stays below 2^53; past that
+        nothing is carried and the sum computes its marginals as usual.
+        """
+        # Snapshot first: a reader may be filling left's cache meanwhile.
+        # The full set is skipped; this table's counts is that entry.
+        full = self.schema.names
+        carried = [
+            (names, cached)
+            for names, cached in list(left._marginal_cache.items())
+            if names != full
+        ]
+        if not carried or addend.total >= 2**53:
+            return
+        occupied = np.flatnonzero(addend.counts)
+        weights = addend.counts.ravel()[occupied]
+        coords = np.unravel_index(occupied, self.schema.shape)
+        for names, cached in carried:
+            axes = self.schema.axes(names)
+            flat = np.ravel_multi_index(
+                tuple(coords[axis] for axis in axes), cached.shape
+            )
+            marginal = cached + np.bincount(
+                flat, weights=weights, minlength=cached.size
+            ).astype(np.int64).reshape(cached.shape)
+            marginal.setflags(write=False)
+            self._marginal_cache[names] = marginal
 
     # -- marginals (Eqs 1-6) ------------------------------------------------------
 

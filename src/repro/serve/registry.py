@@ -19,9 +19,12 @@ Hot-swap semantics
 ------------------
 ``POST /update`` must not mutate the served model in place: executor
 threads may be reading its tensors mid-request.  Instead the update runs
-on a *clone* (an exact float-preserving ``to_dict``/``from_dict`` round
-trip of the knowledge base, whose warm rediscovery is therefore
-bit-identical to updating the original), and the registry entry is
+on :meth:`~repro.core.knowledge_base.ProbabilisticKnowledgeBase.copy`,
+which copies the model and the revision list and shares the immutable
+trace — training table, constraints, scans, config.  The rerun merges
+the delta into a new table and builds a new discovery result, so the
+served knowledge base is never touched, and the copy's warm rediscovery
+is bit-identical to updating the original.  The registry entry is then
 swapped atomically on the event loop: in-flight requests finish on the
 session pool — and model fingerprint — they checked out, requests still
 queued for the executor and new requests see the new revision, the
@@ -267,7 +270,7 @@ class HostedKB:
     # -- hot-swap -----------------------------------------------------------------
 
     def _apply_update(self, rows, samples):
-        """Executor side of an update: tally, clone, warm-rediscover.
+        """Executor side of an update: tally, copy, warm-rediscover.
 
         Runs under the update lock, so ``self.kb`` is stable for the
         duration even though this executes off the event loop.
@@ -287,7 +290,7 @@ class HostedKB:
                 f"knowledge base {self.name!r} has no discovery audit "
                 f"trail and cannot absorb updates",
             )
-        clone = ProbabilisticKnowledgeBase.from_dict(self.kb.to_dict())
+        clone = self.kb.copy()
         revision = clone.update(builder.snapshot())
         return clone, revision
 

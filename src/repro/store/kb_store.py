@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
-from repro.core.serialization import canonical_bytes, content_hash
+from repro.core.serialization import canonical_bytes, payload_hash
 from repro.exceptions import DataError
 from repro.store.db import StoreDB, utc_now
 from repro.store.records import ArtifactRecord, KBRecord, RevisionRecord
@@ -129,7 +129,8 @@ class KBStore:
         document = kb.to_dict()
         revisions = document.pop("revisions", [])
         payload = canonical_bytes(document)
-        sha = content_hash(document)
+        # Hash the bytes already encoded: equal to content_hash(document).
+        sha = payload_hash(payload)
         now = utc_now()
         self._db.insert_ignore(
             ArtifactRecord(

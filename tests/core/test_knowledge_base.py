@@ -1,8 +1,11 @@
 """Tests for the public knowledge-base facade."""
 
+import numpy as np
 import pytest
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
+from repro.core.serialization import canonical_bytes
+from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
 from repro.discovery.config import DiscoveryConfig
 from repro.exceptions import DataError
@@ -137,8 +140,6 @@ class TestIncrementalUpdate:
         assert revision.added_samples == 5
 
     def test_empty_update_is_noop(self, kb, schema, table):
-        from repro.data.contingency import ContingencyTable
-
         fingerprint = kb.model.fingerprint()
         revision = kb.update(ContingencyTable.zeros(schema))
         assert revision.mode == "noop"
@@ -199,3 +200,100 @@ class TestIncrementalUpdate:
         assert not bare.can_update
         with pytest.raises(DataError, match="cannot be updated"):
             bare.update([("smoker", "yes", "no")])
+
+
+def _independent_delta(table):
+    """A delta with no correlations: the product of ``table``'s margins."""
+    joint = np.ones(table.schema.shape)
+    for axis, name in enumerate(table.schema.names):
+        shape = [1] * len(table.schema)
+        shape[axis] = -1
+        joint = joint * table.first_order_probabilities(name).reshape(shape)
+    return ContingencyTable(
+        table.schema, np.round(joint * table.total).astype(np.int64)
+    )
+
+
+def _warm_delta(schema, table, seed):
+    return Dataset.from_joint(
+        schema, table.probabilities(), 400, np.random.default_rng(seed)
+    )
+
+
+class TestCopy:
+    """``copy()`` clones by sharing the trace; updates never reach back."""
+
+    QUERIES = [
+        "CANCER=yes",
+        "CANCER=yes | SMOKING=smoker",
+        "SMOKING=smoker | CANCER=yes, FAMILY_HISTORY=no",
+    ]
+
+    @staticmethod
+    def _state(kb):
+        return (
+            canonical_bytes(kb.to_dict()),
+            kb.model.fingerprint(),
+            [kb.query(text) for text in TestCopy.QUERIES],
+        )
+
+    def test_copy_serializes_identically(self, kb):
+        assert canonical_bytes(kb.copy().to_dict()) == canonical_bytes(
+            kb.to_dict()
+        )
+
+    def test_copy_shares_the_trace_and_copies_the_model(self, kb):
+        copy = kb.copy()
+        assert copy.model is not kb.model
+        assert copy.discovery is not kb.discovery
+        assert copy.discovery.model is copy.model
+        assert copy.discovery.table is kb.discovery.table
+        assert copy.discovery.constraints is kb.discovery.constraints
+        assert copy.discovery.scans is kb.discovery.scans
+        assert copy.revisions == kb.revisions
+        assert copy.revisions is not kb.revisions
+
+    @pytest.mark.parametrize("mode", ["warm", "cold"])
+    def test_updating_the_copy_leaves_the_original(
+        self, kb, schema, table, mode
+    ):
+        if mode == "warm":
+            delta = _warm_delta(schema, table, seed=3)
+        else:
+            delta = _independent_delta(table)
+        before = self._state(kb)
+        copy = kb.copy()
+        revision = copy.update(delta)
+        assert revision.mode == mode
+        assert copy.model.fingerprint() != before[1]
+        assert self._state(kb) == before
+        assert len(kb.revisions) == 1
+
+    def test_chained_copies_match_round_trip_clones(self, kb, schema, table):
+        copied = kb
+        cloned = ProbabilisticKnowledgeBase.from_dict(kb.to_dict())
+        deltas = [_warm_delta(schema, table, seed) for seed in range(3)]
+        deltas.append(_independent_delta(table))
+        modes = []
+        for delta in deltas:
+            copied = copied.copy()
+            cloned = ProbabilisticKnowledgeBase.from_dict(cloned.to_dict())
+            modes.append(copied.update(delta).mode)
+            cloned.update(delta)
+            assert canonical_bytes(copied.to_dict()) == canonical_bytes(
+                cloned.to_dict()
+            )
+        assert modes[:3] == ["warm"] * 3 and modes[3] == "cold"
+
+    def test_kb_without_audit_trail_copies_but_cannot_update(self, kb):
+        bare = ProbabilisticKnowledgeBase.from_dict(
+            kb.to_dict(include_audit=False)
+        )
+        copy = bare.copy()
+        assert copy.discovery is None
+        assert not copy.can_update
+        assert canonical_bytes(copy.to_dict()) == canonical_bytes(
+            bare.to_dict()
+        )
+        with pytest.raises(DataError, match="cannot be updated"):
+            copy.update([("smoker", "yes", "no")])

@@ -226,3 +226,100 @@ class TestMarginalCountsCache:
         assert doubled.marginal_counts(["SMOKING"]).tolist() == (
             (2 * table.marginal_counts(["SMOKING"])).tolist()
         )
+
+    # -- the cache a sum carries over from its left operand ---------------
+
+    @staticmethod
+    def _fill_cache(table):
+        for order in range(1, len(table.schema) + 1):
+            for subset in table.subsets_of_order(order):
+                table.marginal_counts(subset)
+
+    @staticmethod
+    def _assert_carried_exact(merged, expected_subsets):
+        carried = dict(merged._marginal_cache)
+        assert set(carried) == set(expected_subsets)
+        for names, marginal in carried.items():
+            drop = merged.schema.drop_axes(names)
+            assert marginal.dtype == np.int64
+            assert not marginal.flags.writeable
+            assert np.array_equal(marginal, merged.counts.sum(axis=drop))
+
+    @staticmethod
+    def _random_delta(schema, seed, rows=50):
+        rng = np.random.default_rng(seed)
+        samples = [
+            [int(rng.integers(card)) for card in schema.shape]
+            for _ in range(rows)
+        ]
+        return ContingencyTable.from_samples(schema, samples)
+
+    def test_sum_carries_left_cache_exactly(self, table):
+        self._fill_cache(table)
+        merged = table + self._random_delta(table.schema, seed=1)
+        # SMOKING has three values; every proper subset is carried, the
+        # full set is not (the sum's counts is that entry).
+        proper = [
+            subset
+            for order in range(1, len(table.schema))
+            for subset in table.subsets_of_order(order)
+        ]
+        self._assert_carried_exact(merged, proper)
+        assert merged.marginal_counts(table.schema.names) is merged.counts
+
+    def test_sum_carries_only_what_left_had_cached(self, table):
+        table.marginal_counts(["CANCER", "SMOKING"])
+        merged = table + table
+        self._assert_carried_exact(merged, [("SMOKING", "CANCER")])
+
+    def test_chain_of_merges_stays_exact(self, table):
+        self._fill_cache(table)
+        merged = table
+        for seed in range(5):
+            merged = merged + self._random_delta(table.schema, seed)
+        proper = [
+            subset
+            for order in range(1, len(table.schema))
+            for subset in table.subsets_of_order(order)
+        ]
+        self._assert_carried_exact(merged, proper)
+        assert merged.total == table.total + 5 * 50
+        assert merged.marginal_counts(table.schema.names) is merged.counts
+
+    def test_empty_addend_carries_the_same_counts(self, table):
+        self._fill_cache(table)
+        merged = table + ContingencyTable.zeros(table.schema)
+        for names, marginal in merged._marginal_cache.items():
+            assert marginal is not table._marginal_cache[names]
+            assert np.array_equal(marginal, table.marginal_counts(names))
+            assert not marginal.flags.writeable
+
+    def test_cell_counts_above_int32(self, table):
+        big = 3 * 2**31
+        counts = table.counts.copy()
+        counts[0, 0, 0] += big
+        left = ContingencyTable(table.schema, counts)
+        self._fill_cache(left)
+        addend_counts = np.zeros(table.schema.shape, dtype=np.int64)
+        addend_counts[2, 1, 1] = big + 7
+        merged = left + ContingencyTable(table.schema, addend_counts)
+        proper = [
+            subset
+            for order in range(1, len(table.schema))
+            for subset in table.subsets_of_order(order)
+        ]
+        self._assert_carried_exact(merged, proper)
+        assert int(merged.marginal_counts(["SMOKING"])[2]) == (
+            int(table.marginal_counts(["SMOKING"])[2]) + big + 7
+        )
+
+    def test_addend_past_float_exactness_carries_nothing(self, table):
+        self._fill_cache(table)
+        huge = 2**53 + 1
+        addend_counts = np.zeros(table.schema.shape, dtype=np.int64)
+        addend_counts[1, 0, 1] = huge
+        merged = table + ContingencyTable(table.schema, addend_counts)
+        assert merged._marginal_cache == {}
+        assert int(merged.marginal_counts(["SMOKING"])[1]) == (
+            int(table.marginal_counts(["SMOKING"])[1]) + huge
+        )

@@ -189,6 +189,12 @@ def _cell_sweep(tensor, constraints, model, cell_slicers) -> None:
         target = cell.probability
         total = float(tensor.sum())
         share = mass / total
+        if share >= 1.0:
+            # Nothing is left outside the cell to carry 1 - target.
+            raise ConstraintError(
+                f"cell target {cell.key} = {target} < 1 but the model "
+                f"puts all its mass in that cell (structural conflict)"
+            )
         if target == 0.0:
             if share > 0.0:
                 tensor[slicer] = 0.0

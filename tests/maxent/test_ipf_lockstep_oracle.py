@@ -227,3 +227,18 @@ def test_conflict_names_the_same_constraint():
     error = _assert_identical(constraints, None)
     assert isinstance(error, ConstraintError)
     assert error.constraint == "X2"
+
+
+def test_all_mass_in_a_zero_target_cell_is_a_conflict():
+    # Zero targets on all four (X0, X1) cells: zeroing three leaves the
+    # fourth with all the mass, which its own zero target cannot shed.
+    schema = _schema([2, 2])
+    constraints = ConstraintSet(schema)
+    for name in schema.names:
+        constraints.set_margin(name, [0.5, 0.5])
+    for values in ((0, 0), (1, 0), (1, 1), (0, 1)):
+        constraints.add_cell(CellConstraint(("X0", "X1"), values, 0.0))
+    error = _assert_identical(constraints, None)
+    assert isinstance(error, ConstraintError)
+    assert error.constraint == (("X0", "X1"), (0, 1))
+    assert "puts all its mass in that cell" in str(error)

@@ -236,3 +236,20 @@ def test_cells_swept_skips_frozen_singletons():
     assert fit.sweep_cells == 2 * 2 + 3 + 2
     assert fit.cells_swept < fit.sweeps * fit.sweep_cells
     assert fit.cells_swept <= 2 * 2 * fit.sweeps + 2 * (3 + 2)
+
+
+def test_all_mass_in_one_cell_is_a_conflict_like_the_oracle():
+    # The hole empties X0=0 & X1=0 and zero cells empty X0=1, so the
+    # positive-target cell (0, 1) ends up holding all the mass.
+    schema = _schema([2, 2])
+    constraints = ConstraintSet(schema)
+    constraints.set_margin("X0", [0.25, 0.75])
+    constraints.set_margin("X1", [0.5, 0.5])
+    for values in ((0, 0), (1, 0), (1, 1)):
+        constraints.add_cell(CellConstraint(("X0", "X1"), values, 0.0))
+    constraints.add_cell(CellConstraint(("X0", "X1"), (0, 1), 0.25))
+    ours = _outcome(fit_ipf, constraints, None)
+    dense = _outcome(dense_fit_ipf, constraints, None)
+    assert isinstance(ours, ConstraintError)
+    assert "puts all its mass in that cell" in str(ours)
+    _assert_same_outcome(ours, dense)

@@ -9,6 +9,8 @@ its latest persisted revision — same fingerprint, same served answers.
 import pytest
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
+from repro.core.serialization import content_hash
+from repro.data.streaming import TableBuilder
 from repro.eval.paper import paper_table
 from repro.exceptions import DataError
 from repro.serve import ServeClient, ServedError, serve_in_thread
@@ -26,6 +28,17 @@ NEW_ROWS = [
 ] * 40 + [
     {"SMOKING": "non-smoker", "CANCER": "no", "FAMILY_HISTORY": "no"}
 ] * 60
+
+MARRIED_ROWS = [
+    {
+        "SMOKING": "non-smoker married to smoker",
+        "CANCER": "yes",
+        "FAMILY_HISTORY": "no",
+    }
+] * 25
+SMOKER_ROWS = [
+    {"SMOKING": "smoker", "CANCER": "no", "FAMILY_HISTORY": "no"}
+] * 3000
 
 
 def build_kb() -> ProbabilisticKnowledgeBase:
@@ -85,6 +98,52 @@ class TestServeRestart:
         store.close()
 
 
+class TestServedRevisionsByteIdentical:
+    """Every persisted revision of a served update is the artifact an
+    in-process replay writes, where the replay clones each revision
+    through a full ``from_dict(to_dict())`` round trip — an oracle that
+    shares nothing with the server's ``copy()``."""
+
+    # Warm, warm, warm, then two cold fallbacks, then warm again.
+    UPDATES = [
+        NEW_ROWS,
+        NEW_ROWS[::-1][:70],
+        MARRIED_ROWS,
+        NEW_ROWS[30:],
+        SMOKER_ROWS,
+        NEW_ROWS[:55],
+    ]
+
+    def test_latest_artifact_matches_round_trip_replay(self, tmp_path):
+        store = KBStore(tmp_path / "kb.db")
+        with serve_in_thread({"paper": build_kb()}, store=store) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                modes = [
+                    client.update("paper", rows=rows)["mode"]
+                    for rows in self.UPDATES
+                ]
+        replay = build_kb()
+        expected = [_artifact_sha(replay)]
+        for rows in self.UPDATES:
+            replay = ProbabilisticKnowledgeBase.from_dict(replay.to_dict())
+            builder = TableBuilder(replay.schema)
+            for row in rows:
+                builder.add_record(row)
+            replay.update(builder.snapshot())
+            expected.append(_artifact_sha(replay))
+        history = store.history("paper")
+        assert [record.artifact_sha for record in history] == expected
+        assert store.describe("paper").latest_artifact == expected[-1]
+        assert modes == [revision.mode for revision in replay.revisions[1:]]
+        store.close()
+
+
+def _artifact_sha(kb: ProbabilisticKnowledgeBase) -> str:
+    document = kb.to_dict()
+    document.pop("revisions")
+    return content_hash(document)
+
+
 class TestRegistryStoreBinding:
     def test_add_persists_the_boot_state(self, tmp_path):
         store = KBStore(tmp_path / "kb.db")
@@ -138,8 +197,6 @@ class TestRegistryStoreBinding:
                 before = client.describe("paper")
                 # Poison the stored lineage behind the server's back.
                 fork = build_kb()
-                from repro.data.streaming import TableBuilder
-
                 builder = TableBuilder(fork.schema)
                 for row in NEW_ROWS[:30]:
                     builder.add_record(row)

@@ -1,5 +1,8 @@
 """Tests for KBStore: revisions, content-addressed artifacts, diffs."""
 
+import sqlite3
+from pathlib import Path
+
 import pytest
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
@@ -213,3 +216,41 @@ class TestDiff:
         diff = store.diff("paper", number, number)
         assert diff.identical
         assert "(no constraint changes)" in diff.describe()
+
+
+class TestStoresWrittenBefore:
+    """Stores written when save encoded the document twice still resolve."""
+
+    LEGACY = Path(__file__).parent / "data" / "legacy_store.sql"
+
+    @pytest.fixture
+    def legacy(self, tmp_path) -> KBStore:
+        path = tmp_path / "legacy.db"
+        connection = sqlite3.connect(path)
+        connection.executescript(self.LEGACY.read_text())
+        connection.close()
+        with KBStore(path) as store:
+            yield store
+
+    def test_load_and_diff_resolve(self, legacy):
+        history = legacy.history("paper")
+        assert [record.number for record in history] == [0, 1]
+        for record in history:
+            kb = legacy.load("paper", revision=record.number)
+            document = kb.to_dict()
+            document.pop("revisions")
+            assert content_hash(document) == record.artifact_sha
+        diff = legacy.diff("paper", 0, 1)
+        assert diff.artifact_a == history[0].artifact_sha
+        assert diff.artifact_b == history[1].artifact_sha
+        assert diff.sample_size_b == diff.sample_size_a + len(NEW_ROWS)
+
+    def test_resaving_keeps_every_address(self, legacy, store):
+        for record in legacy.history("paper"):
+            kb = legacy.load("paper", revision=record.number)
+            assert store.save("paper", kb) == record.artifact_sha
+            assert store.artifact(record.artifact_sha) == legacy.artifact(
+                record.artifact_sha
+            )
+        latest = legacy.describe("paper").latest_artifact
+        assert legacy.save("paper", legacy.load("paper")) == latest
