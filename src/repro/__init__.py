@@ -66,7 +66,6 @@ from repro.exceptions import (
     ConstraintError,
     ConvergenceError,
     DataError,
-    MissingDependencyError,
     QueryError,
     ReproError,
     SchemaError,
@@ -120,7 +119,6 @@ __all__ = [
     "LiveKnowledgeBase",
     "MMLPriors",
     "MaxEntModel",
-    "MissingDependencyError",
     "OrderScanKernel",
     "ProbabilisticKnowledgeBase",
     "Query",

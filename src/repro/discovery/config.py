@@ -13,7 +13,12 @@ from repro.maxent.constraints import (
 from repro.significance.mml import MMLPriors
 
 #: Solver names accepted by :class:`DiscoveryConfig`.
-SOLVERS = ("ipf", "gevarter")
+SOLVERS = ("dual", "gevarter")
+
+# The name stored before the Newton fit, still accepted: ``"ipf"`` fits
+# with ``"dual"``, which reaches the same fixed point.  The name itself is
+# kept, so re-saving a stored knowledge base keeps its content address.
+_LEGACY_SOLVERS = ("ipf",)
 
 
 @dataclass(frozen=True)
@@ -28,10 +33,14 @@ class DiscoveryConfig:
     priors:
         MML hypothesis priors; the default cancels the prior terms (Eq 63).
     solver:
-        ``"ipf"`` (fast sweeps) or ``"gevarter"`` (the paper's sequential
-        scalar updates with full traces).
+        ``"dual"`` (Newton on the max-ent dual,
+        :func:`~repro.maxent.dual.fit_dual`) or ``"gevarter"`` (the
+        paper's sequential scalar updates with full traces).  Both reach
+        the same fixed point.  ``"ipf"``, the name stored before the
+        Newton fit, is accepted and fits with ``"dual"``.
     tol / max_sweeps:
-        Solver convergence settings for each refit.
+        Solver convergence settings for each refit: the max constraint
+        violation, and the budget of Newton iterations (Gevarter sweeps).
     max_constraints:
         Safety cap on the total number of cell constraints adopted;
         ``None`` means unlimited (the scan itself terminates because each
@@ -76,7 +85,7 @@ class DiscoveryConfig:
 
     max_order: int | None = None
     priors: MMLPriors = field(default_factory=MMLPriors.equal)
-    solver: str = "ipf"
+    solver: str = "dual"
     tol: float = 1e-10
     max_sweeps: int = 500
     max_constraints: int | None = None
@@ -90,7 +99,7 @@ class DiscoveryConfig:
             object.__setattr__(
                 self, "given_constraints", tuple(self.given_constraints)
             )
-        if self.solver not in SOLVERS:
+        if self.solver not in SOLVERS and self.solver not in _LEGACY_SOLVERS:
             raise DataError(
                 f"unknown solver {self.solver!r}; choose one of {SOLVERS}"
             )
@@ -158,7 +167,7 @@ class DiscoveryConfig:
                     p_h1=float(priors.get("p_h1", 0.5)),
                     p_h2_prime=float(priors.get("p_h2_prime", 0.5)),
                 ),
-                solver=data.get("solver", "ipf"),
+                solver=data.get("solver", "dual"),
                 tol=float(data.get("tol", 1e-10)),
                 max_sweeps=int(data.get("max_sweeps", 500)),
                 max_constraints=data.get("max_constraints"),

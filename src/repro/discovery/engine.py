@@ -28,8 +28,12 @@ from repro.discovery.profile import DiscoveryProfile
 from repro.discovery.trace import DiscoveryResult, ScanRecord
 from repro.exceptions import ConstraintError, DataError, StaleConstraintError
 from repro.maxent.constraints import ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.gevarter import fit_gevarter
-from repro.maxent.ipf import fit_ipf, warm_start_model
+
+# The engine fits with fit_dual.  fit_ipf stays importable from here
+# because tracing harnesses wrap ``repro.discovery.engine.fit_ipf`` by name.
+from repro.maxent.ipf import fit_ipf, warm_start_model  # noqa: F401
 from repro.maxent.model import MaxEntModel
 from repro.significance.kernels import OrderScanKernel
 from repro.significance.mml import (
@@ -48,12 +52,6 @@ __all__ = [
 #: Scan implementations an engine can run: the vectorized kernel layer
 #: (default) or the scalar cell-by-cell oracle it is verified against.
 SCAN_BACKENDS = ("kernel", "reference")
-
-# Tolerance for the rerun re-verification chain's intermediate fits; the
-# per-order final fit (and therefore the resulting model) always uses the
-# configured tolerance.
-_RERUN_CHAIN_TOL = 1e-5
-
 
 class DiscoveryEngine:
     """Finds all statistically significant correlations in a table.
@@ -174,10 +172,10 @@ class DiscoveryEngine:
         Per order, the previous run's adopted constraints are re-imposed in
         their original adoption order — each one first re-verified with the
         MML test against the current intermediate model (the same test a
-        cold greedy run applies at that point, evaluated against a
-        chain-tolerance fit — see below), then retargeted at the
-        new table's observed probability and refitted warm.  The chain
-        starts from the previous revision's fitted *margin* factors
+        cold greedy run applies at that point, against the same converged
+        model), then retargeted at the new table's observed probability
+        and refitted warm.  The chain starts from the previous revision's
+        fitted *margin* factors
         (Figure 4's "last previously calculated a values") and evolves
         like cold discovery's own within-run warm starts; re-adopted cell
         factors are re-derived from neutral 1.0 seeds — measured faster
@@ -195,14 +193,10 @@ class DiscoveryEngine:
         constraint a :class:`StaleConstraintError` is raised (and a
         :class:`ConstraintError` when they outright contradict one);
         callers should fall back to a cold :meth:`run` in either case.
-        A rerun can differ from a cold refit only on near-ties: a flip in
-        the greedy argmax between equally defensible cells, or a
-        constraint whose significance margin is thinner than the
-        intermediate chain fits' loosened tolerance
-        (:data:`_RERUN_CHAIN_TOL`; the per-order final fit, and therefore
-        the resulting model, always uses the configured tolerance).  Both
-        outcomes then satisfy the same termination criterion, but the
-        adopted cells may differ.
+        A rerun can differ from a cold refit only on a near-tie: a flip in
+        the greedy argmax between equally defensible cells.  Both outcomes
+        then satisfy the same termination criterion, but the adopted cells
+        may differ.
         """
         if table.total == 0:
             raise DataError("cannot run rediscovery on an empty table")
@@ -237,11 +231,8 @@ class DiscoveryEngine:
         carried_sweeps = fit.sweeps
 
         # The re-verification chain replays cold discovery's adoption
-        # sequence (minus the candidate scans).  Its intermediate models
-        # only feed the per-cell significance tests, so they are fitted at
-        # a looser tolerance; each order then gets one full-tolerance fit,
-        # which is what the verification scan and the final model see.
-        chain_tol = max(config.tol, _RERUN_CHAIN_TOL)
+        # sequence (minus the candidate scans), each fit at the configured
+        # tolerance.
         highest_order = config.max_order or len(schema)
         highest_order = min(highest_order, len(schema))
         previous_cells = previous.constraints.cells
@@ -278,14 +269,11 @@ class DiscoveryEngine:
                     table, cell.attributes, cell.values
                 )
                 constraints.add_cell(retargeted)
-                fit = self._fit(constraints, model, tol=chain_tol)
+                fit = self._fit(constraints, model)
                 model = fit.model
                 sweeps += fit.sweeps
                 readopted.append(cell.key)
             if readopted:
-                fit = self._fit(constraints, model)
-                model = fit.model
-                sweeps += fit.sweeps
                 carried_sweeps = 0
                 result.scans.append(
                     ScanRecord(
@@ -435,29 +423,22 @@ class DiscoveryEngine:
                 )
             )
 
-    def _fit(
-        self,
-        constraints: ConstraintSet,
-        warm_start: MaxEntModel,
-        tol: float | None = None,
-    ):
+    def _fit(self, constraints: ConstraintSet, warm_start: MaxEntModel):
         config = self.config
-        if tol is None:
-            tol = config.tol
         fit_start = time.perf_counter()
         if config.solver == "gevarter":
             fit = fit_gevarter(
                 constraints,
                 initial=warm_start,
-                tol=tol,
+                tol=config.tol,
                 max_sweeps=config.max_sweeps,
                 record_trace=False,
             )
         else:
-            fit = fit_ipf(
+            fit = fit_dual(
                 constraints,
                 initial=warm_start,
-                tol=tol,
+                tol=config.tol,
                 max_sweeps=config.max_sweeps,
             )
         self.profile.add_fit(

@@ -34,13 +34,16 @@ class DiscoveryProfile:
     :meth:`stage_percentile_ms` is what the scenario fleet's latency SLOs
     read.
 
-    ``fit_cells`` counts the tensor cells the fit swept, summed over
-    sweeps and fits (:attr:`~repro.maxent.ipf.FitResult.cells_swept`): a
-    sweep works on one small tensor per connected component of the
-    constraint graph and skips the components frozen at a fixed point, so
-    this is what shows the fit's cost following the adopted structure
-    rather than the joint's size.  The Gevarter solver does not report
-    it.
+    ``fit_sweeps`` sums the fits' iterations
+    (:attr:`~repro.maxent.ipf.FitResult.sweeps`): Newton iterations for
+    the default ``"dual"`` solver, sweeps for Gevarter's; the rendered row
+    still calls them sweeps.  ``fit_cells`` counts the tensor cells the
+    fit worked on, summed over iterations and fits
+    (:attr:`~repro.maxent.ipf.FitResult.cells_swept`): an iteration works
+    on one small tensor per connected component of the constraint graph
+    and skips the components already at their fixed point, so this is
+    what shows the fit's cost following the adopted structure rather than
+    the joint's size.  The Gevarter solver does not report it.
     ``scan_model_cells`` is the scans' counterpart: the component-tensor
     cells each candidate-pool scan (scan and verify stages alike)
     reduced to form its marginals

@@ -36,13 +36,6 @@ class ConvergenceError(ReproError):
     """An iterative solver failed to reach the requested tolerance."""
 
 
-class MissingDependencyError(ReproError):
-    """An optional package that one solver needs is not installed.
-
-    The library itself needs only numpy; ``fit_dual`` also needs scipy.
-    The message names the missing package."""
-
-
 class ParallelError(ReproError):
     """A worker pool failed: a worker died, a task could not be shipped,
     or a worker raised an error the master could not map back onto the

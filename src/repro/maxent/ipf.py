@@ -93,7 +93,8 @@ class FitResult:
     converged:
         True if the max constraint violation dropped below tolerance.
     sweeps:
-        Number of full sweeps performed.
+        Number of full sweeps performed; Newton iterations for
+        :func:`~repro.maxent.dual.fit_dual`.
     max_violation:
         Final maximum absolute constraint violation.
     history:
@@ -108,7 +109,10 @@ class FitResult:
     cells_swept:
         Tensor cells the sweeps actually worked on: each sweep adds the
         sizes of the components it ran, so a component frozen at a fixed
-        point stops counting.  0 from solvers that do not report it.
+        point stops counting.  For :func:`~repro.maxent.dual.fit_dual`
+        each Newton iteration adds its components' sizes and each
+        closed-form component adds its size once.  0 from solvers that do
+        not report it.
     """
 
     model: MaxEntModel

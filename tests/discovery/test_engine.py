@@ -78,14 +78,26 @@ class TestConfig:
         assert len(result.found) == 2
 
     def test_gevarter_solver_agrees(self, table):
-        ipf_result = discover(table, DiscoveryConfig(solver="ipf"))
+        dual_result = discover(table, DiscoveryConfig(solver="dual"))
         gevarter_result = discover(table, DiscoveryConfig(solver="gevarter"))
-        assert [c.key for c in ipf_result.found] == [
+        assert [c.key for c in dual_result.found] == [
             c.key for c in gevarter_result.found
         ]
         assert np.allclose(
-            ipf_result.model.joint(), gevarter_result.model.joint(), atol=1e-6
+            dual_result.model.joint(), gevarter_result.model.joint(), atol=1e-6
         )
+
+    def test_stored_ipf_solver_fits_with_dual(self, table):
+        # Configs stored before the Newton fit name it "ipf"; they load,
+        # fit with the dual solver and save back unchanged.
+        stored = {**DiscoveryConfig().to_dict(), "solver": "ipf"}
+        config = DiscoveryConfig.from_dict(stored)
+        assert config.to_dict() == stored
+        assert DiscoveryConfig().solver == "dual"
+        legacy = discover(table, config)
+        dual = discover(table, DiscoveryConfig())
+        assert [c.key for c in legacy.found] == [c.key for c in dual.found]
+        assert np.array_equal(legacy.model.joint(), dual.model.joint())
 
     def test_invalid_config(self):
         with pytest.raises(DataError):

@@ -7,10 +7,11 @@ that would multiply nothing changes no float, so the two must agree byte
 for byte: every factor, ``a0``, the sweep count, the violation history,
 the trace, and the error (type, message and constraint) of a failed fit.
 
-The cases are the smoke fleet's planted-truth constraint sets, every fit
-a cold run and a warm rerun make on the two stress worlds the benchmark
-runs, and random constraint sets with zero-target cells, structural
-conflicts and warm starts.
+The cases are the smoke fleet's planted-truth constraint sets, every
+constraint set and warm start a cold run and a warm rerun hand the
+engine's fit on the two stress worlds the benchmark runs, and random
+constraint sets with zero-target cells, structural conflicts and warm
+starts.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.exceptions import ConstraintError, ReproError
 from repro.maxent.constraints import CellConstraint, ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
 from repro.scenarios.registry import get_scenario, scenario_names
@@ -89,7 +91,8 @@ def test_planted_truth_fit_is_bit_identical(name):
 
 def _recorded_fits(world: str) -> list:
     """Every ``(constraints, initial, kwargs)`` a cold run and a warm rerun
-    of ``world`` hand to the fit, copied at the call.  The rows are the
+    of ``world`` hand to the engine's fit (:func:`fit_dual`), copied at
+    the call.  The rows are the
     ones the benchmark's ``discover-*`` workloads draw at their default
     seed: 40,000 for the run plus a 2,000-row delta for the rerun."""
     scenario = get_scenario(world)
@@ -108,11 +111,11 @@ def _recorded_fits(world: str) -> list:
                 kwargs,
             )
         )
-        return fit_ipf(constraints, initial=initial, **kwargs)
+        return fit_dual(constraints, initial=initial, **kwargs)
 
     config = DiscoveryConfig(max_order=scenario.max_order, max_workers=1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_module, "fit_ipf", recording_fit)
+        patch.setattr(engine_module, "fit_dual", recording_fit)
         with DiscoveryEngine(config) as engine:
             result = engine.run(table)
             try:

@@ -21,6 +21,7 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.exceptions import ConstraintError, DataError
 from repro.maxent.constraints import ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
 from repro.scenarios.registry import get_scenario
@@ -338,10 +339,10 @@ class TestEngineEquivalence:
         fits = []
 
         def recording_fit(*args, **kwargs):
-            fits.append(fit_ipf(*args, **kwargs))
+            fits.append(fit_dual(*args, **kwargs))
             return fits[-1]
 
-        monkeypatch.setattr(engine_module, "fit_ipf", recording_fit)
+        monkeypatch.setattr(engine_module, "fit_dual", recording_fit)
         profile = DiscoveryEngine(DiscoveryConfig(max_order=2)).run(
             table
         ).profile

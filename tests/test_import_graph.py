@@ -1,7 +1,6 @@
 """The library and its CLI run on numpy alone.
 
-scipy serves only ``fit_dual`` (imported when it runs) and the test
-oracles; networkx serves only a test oracle.  A fresh interpreter that
+scipy and networkx serve only test oracles.  A fresh interpreter that
 imports the package, the CLI and the server, then discovers and queries
 the paper's table, must load neither.
 """
