@@ -92,7 +92,7 @@ def explain(
         raise QueryError(
             "explanations are for conditional queries; supply evidence"
         )
-    answer = model.conditional(target, given)
+    answer = _conditional(model, target, given)
 
     # Under independence, evidence is irrelevant: the answer is the product
     # of the target attributes' first-order probabilities (which the model
@@ -109,7 +109,7 @@ def explain(
         ablated.cell_factors = dict(model.cell_factors)
         ablated.cell_factors[key] = 1.0
         try:
-            without = ablated.conditional(target, given)
+            without = _conditional(ablated, target, given)
         except QueryError:
             continue
         influences.append(
@@ -126,3 +126,13 @@ def explain(
         independence_answer=independence_answer,
         influences=influences,
     )
+
+
+def _conditional(
+    model: MaxEntModel, target: Assignment, given: Assignment
+) -> float:
+    """``P(target | given)`` through a query session, as ``kb.query``
+    answers it: the same backend and summation order, so the same bits."""
+    from repro.api.session import QuerySession
+
+    return QuerySession(model).probability(target, given)

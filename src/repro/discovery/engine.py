@@ -5,7 +5,10 @@ scans every marginal cell at order 2 with the MML test, adopts the most
 significant cell as a new constraint, refits the ``a`` values (warm-started,
 per Figure 4's "starting with the last previously calculated a values"),
 and rescans — until no cell at that order is significant.  It then moves to
-order 3 and so on up to R (or ``config.max_order``).
+order 3 and so on up to R (or ``config.max_order``).  A cell the settled
+model already meets — typically a determined cell, fixed by its containing
+marginal and constrained siblings — joins with factor 1 and no refit: the
+maxent solution has not moved.
 
 When data arrives incrementally, :meth:`DiscoveryEngine.rerun` (facade:
 :func:`rediscover`) extends Figure 4's warm start across *revisions*: the
@@ -28,13 +31,17 @@ from repro.discovery.profile import DiscoveryProfile
 from repro.discovery.trace import DiscoveryResult, ScanRecord
 from repro.exceptions import ConstraintError, DataError, StaleConstraintError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.dual import fit_dual
+from repro.maxent.dual import _POLISH_FLOOR, fit_dual
 from repro.maxent.gevarter import fit_gevarter
 
 # The engine fits with fit_dual.  fit_ipf stays importable from here
 # because tracing harnesses wrap ``repro.discovery.engine.fit_ipf`` by name.
-from repro.maxent.ipf import fit_ipf, warm_start_model  # noqa: F401
-from repro.maxent.model import MaxEntModel
+from repro.maxent.ipf import (  # noqa: F401
+    _CELL_TARGET_CEILING,
+    fit_ipf,
+    warm_start_model,
+)
+from repro.maxent.model import FactoredJoint, MaxEntModel
 from repro.significance.kernels import OrderScanKernel
 from repro.significance.mml import (
     evaluate_cell,
@@ -96,6 +103,11 @@ class DiscoveryEngine:
             )
         self.scan_backend = scan_backend
         self.profile = DiscoveryProfile()
+        # The last fit's model while it meets every constraint to within
+        # the solver's polishing floor (see _refit), and the last model
+        # factored with its joint (see _factored).
+        self._settled: MaxEntModel | None = None
+        self._joint: tuple[MaxEntModel, FactoredJoint] | None = None
         self._owns_executor = False
         if (
             executor is None
@@ -137,6 +149,7 @@ class DiscoveryEngine:
         config = self.config
         schema = table.schema
         self.profile = DiscoveryProfile()
+        self._settled = self._joint = None
         constraints = ConstraintSet.first_order(table)
         model = MaxEntModel.independent(
             schema,
@@ -208,6 +221,7 @@ class DiscoveryEngine:
                 "discovery's schema"
             )
         self.profile = DiscoveryProfile()
+        self._settled = self._joint = None
         constraints = ConstraintSet.first_order(table)
         for given in config.given_constraints:
             # A-priori constraints keep their given targets; they are
@@ -238,6 +252,7 @@ class DiscoveryEngine:
         previous_cells = previous.constraints.cells
         for order in range(2, highest_order + 1):
             readopted: list = []
+            order_cells = table.num_cells_of_order(order)
             sweeps = carried_sweeps
             for cell in previous_cells:
                 if cell.order != order or constraints.has_cell(cell.key):
@@ -248,6 +263,7 @@ class DiscoveryEngine:
                     # a lowered cap keeps the earliest adoptions.
                     break
                 verify_start = time.perf_counter()
+                joint = self._factored(model)
                 test = evaluate_cell(
                     table,
                     model,
@@ -255,6 +271,8 @@ class DiscoveryEngine:
                     cell.values,
                     constraints,
                     config.priors,
+                    candidate_pool=order_cells - len(constraints.cells_of_order(order)),
+                    predicted=float(joint.marginal(cell.attributes)[cell.values]),
                 )
                 self.profile.add_verify(
                     time.perf_counter() - verify_start, 1
@@ -269,9 +287,10 @@ class DiscoveryEngine:
                     table, cell.attributes, cell.values
                 )
                 constraints.add_cell(retargeted)
-                fit = self._fit(constraints, model)
-                model = fit.model
-                sweeps += fit.sweeps
+                model, fit_sweeps = self._refit(
+                    constraints, model, retargeted, test.predicted_probability
+                )
+                sweeps += fit_sweeps
                 readopted.append(cell.key)
             if readopted:
                 carried_sweeps = 0
@@ -370,7 +389,7 @@ class DiscoveryEngine:
                 # Both scan paths pick the adopted cell from the columns;
                 # the lazy test list builds its other CellTest rows only
                 # when the trace is read.
-                tests = kernel.scan(model)
+                tests = kernel.scan(self._factored(model))
                 best = tests.best()
                 model_cells = kernel.last_model_cells
             else:
@@ -412,16 +431,64 @@ class DiscoveryEngine:
                 executor.notify_adopted(constraint)
             elif kernel is not None:
                 kernel.notify_adopted(constraint.key)
-            fit = self._fit(constraints, model)
-            model = fit.model
+            model, fit_sweeps = self._refit(
+                constraints, model, constraint, best.predicted_probability
+            )
             result.scans.append(
                 ScanRecord(
                     order=order,
                     tests=tests,
                     chosen=best,
-                    fit_sweeps=fit.sweeps,
+                    fit_sweeps=fit_sweeps,
                 )
             )
+
+    def _refit(
+        self,
+        constraints: ConstraintSet,
+        model: MaxEntModel,
+        cell,
+        predicted: float,
+    ) -> tuple[MaxEntModel, int]:
+        """Refit after ``cell`` joined ``constraints``: (model, sweeps).
+
+        ``predicted`` is the cell's probability under ``model``, from the
+        test that adopted it.  When ``model`` is a settled fit and already
+        meets ``cell``'s target as closely, it is the maxent model of the
+        enlarged set as well — it satisfies the new constraint and has the
+        most entropy over a larger feasible set — so no fit runs and the
+        cell joins with Eq 116's neutral factor 1.  A determined cell
+        (Eq 41), whose target its containing marginal and constrained
+        siblings fix, is the usual case.  A zero target always fits: its
+        cells must become exact zeros.
+        """
+        if not (
+            model is self._settled
+            and 0.0 < cell.probability < _CELL_TARGET_CEILING
+            and abs(predicted - cell.probability) < _POLISH_FLOOR * self.config.tol
+        ):
+            fit = self._fit(constraints, model)
+            return fit.model, fit.sweeps
+        adopted = model.copy()
+        adopted.cell_factors[cell.key] = 1.0
+        self._settled = adopted
+        joint = self._joint
+        if (
+            joint is not None
+            and joint[0] is model
+            and any(set(cell.attributes) <= set(names) for names in joint[1].components)
+        ):
+            # Inside one component the factor 1 leaves every component
+            # tensor as it was, bit for bit.
+            self._joint = (adopted, joint[1])
+        return adopted, 0
+
+    def _factored(self, model: MaxEntModel) -> FactoredJoint:
+        """``model.factored()``, built once per model and carried across
+        adoptions that need no fit."""
+        if self._joint is None or self._joint[0] is not model:
+            self._joint = (model, model.factored())
+        return self._joint[1]
 
     def _fit(self, constraints: ConstraintSet, warm_start: MaxEntModel):
         config = self.config
@@ -446,6 +513,8 @@ class DiscoveryEngine:
             fit.sweeps,
             fit.cells_swept,
         )
+        settled = fit.max_violation < _POLISH_FLOOR * config.tol
+        self._settled = fit.model if settled else None
         return fit
 
     def _at_capacity(self, constraints: ConstraintSet) -> bool:

@@ -19,15 +19,19 @@ IPF took dozens of sweeps.
 returns its :class:`~repro.maxent.ipf.FitResult`:
 
 - It fits per connected component of the constraint graph
-  (:meth:`~repro.maxent.model.MaxEntModel.component_models`), each started
-  from the ``initial`` factors: Figure 4's warm start.  A component that
-  holds only a margin is set in closed form.
-- Every zero target (a margin value, a subset-margin entry, a cell) first
-  sets its factor to exactly zero, as IPF's first multiply would.  The
-  zeroed cells leave the problem; the features are the indicators of the
-  remaining positive targets.  The last positive value of each margin and
-  entry of each subset margin is implied by normalization, so it is only
-  checked, never solved for.
+  (:meth:`~repro.maxent.model.MaxEntModel.components`), each started from
+  the ``initial`` factors: Figure 4's warm start.  A component that holds
+  only a margin is set in closed form.
+- When a target is zero (a margin value, a subset-margin entry, a cell)
+  or the starting model has a zero cell, the fit starts from IPF's first
+  two sweeps (``fit_ipf(..., max_sweeps=2, require_convergence=False)``).
+  They set every zero target's factor to exactly zero and meet any
+  structural conflict, so the error, its ``.constraint`` and the
+  precedence among components are ``fit_ipf``'s own.  The zeroed cells
+  leave the problem; the features are the indicators of the remaining
+  positive targets.  The last positive value of each margin and entry of
+  each subset margin is implied by normalization, so it is only checked,
+  never solved for.
 - The step solves the Newton system with a tiny ridge (covering features
   that coincide on the support), then backtracks until the dual meets the
   Armijo condition or the max violation halves.  The second rule keeps
@@ -37,10 +41,7 @@ returns its :class:`~repro.maxent.ipf.FitResult`:
   marginals within ~1e-13 of IPF run to ``tol = 1e-13``.
 - Each ``a`` factor is multiplied by ``exp(θ)`` and ``a0`` normalizes.
   The factors are in another gauge than IPF's; the joint is the same.
-- Structural conflicts raise what ``fit_ipf`` raises: the same
-  :class:`ConstraintError`, carrying the same ``.constraint``, chosen by
-  the same precedence (the first one IPF's lockstep sweeps would meet).
-  Running out of budget raises :class:`ConvergenceError`.
+- Running out of budget raises :class:`ConvergenceError`.
 
 ``max_sweeps`` budgets Newton iterations; ``FitResult.sweeps`` counts them
 (components step in lockstep, so it is the most any component took).  The
@@ -57,7 +58,7 @@ import numpy as np
 
 from repro.exceptions import ConstraintError, ConvergenceError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import _CELL_TARGET_CEILING, FitResult, _conflict, _slicer
+from repro.maxent.ipf import _CELL_TARGET_CEILING, FitResult, fit_ipf
 from repro.maxent.model import MaxEntModel
 
 #: Most component cells one indicator block covers.
@@ -116,45 +117,37 @@ def fit_dual(
         if names not in model.table_factors:
             model.table_factors[names] = np.ones(target.shape)
 
-    parts = model.component_models()
-    singles = [_is_single(part) for part in parts]
-    # A one-attribute component's tensor is its margin factor.
-    tensors = [
-        part.margin_factors[part.schema.names[0]] if single else part.unnormalized()
-        for part, single in zip(parts, singles)
-    ]
+    parts, tensors = _split(model)
     if model.a0 * math.prod(float(t.sum()) for t in tensors) <= 0:
         raise ConstraintError("initial model has zero total mass")
-
-    # Where each constraint sits in IPF's visiting order.
-    positions = {name: axis for axis, name in enumerate(schema.names)}
-    positions.update(
-        (names, i) for i, names in enumerate(constraints.subset_margins)
-    )
-    positions.update((cell.key, i) for i, cell in enumerate(constraints.cells))
-    conflicts = []
-    coupled = []
-    violation = 0.0
     cells_swept = 0
-    for part, tensor, single in zip(parts, tensors, singles):
-        if single:
-            name = part.schema.names[0]
-            conflict = _margin_conflict(
-                (1, 0, positions[name]), name, tensor, constraints.margin(name)
+    if _has_zero_target(constraints) or not all(
+        (tensor > 0).all() for tensor in tensors
+    ):
+        # IPF's first two sweeps zero every zero target's factor exactly and
+        # meet any structural conflict the zeros make, so the error, its
+        # ``.constraint`` and the precedence among components are fit_ipf's.
+        settled = fit_ipf(
+            constraints, model, tol=tol, max_sweeps=2, require_convergence=False
+        )
+        model = settled.model
+        cells_swept = settled.cells_swept
+        parts, tensors = _split(model)
+
+    violation = 0.0
+    shares = [1.0] * len(parts)  # each component's share of a0
+    components = []
+    homes = []  # the position of each coupled component in parts
+    for index, (part, tensor) in enumerate(zip(parts, tensors)):
+        if _is_single(part):
+            shares[index], margin_violation = _set_margin(
+                model, part[0][0], constraints
             )
-            violation = max(violation, _set_margin(part, constraints))
+            violation = max(violation, margin_violation)
             cells_swept += tensor.size
         else:
-            sub = constraints.restricted(part.schema)
-            conflict = _settle_zeros(part, tensor, sub, positions)
-            coupled.append((part, tensor, sub))
-        if conflict is not None:
-            conflicts.append(conflict)
-    if conflicts:
-        raise min(conflicts, key=lambda conflict: conflict[0])[1]
-    components = [
-        _Component(part, tensor, sub, tol) for part, tensor, sub in coupled
-    ]
+            components.append(_Component(model, part, tensor, constraints, tol))
+            homes.append(index)
 
     history: list[float] = []
     sweeps = 0
@@ -179,13 +172,9 @@ def fit_dual(
             f"tol {tol:.3g})"
         )
 
-    for component in components:
-        component.write_factors()
-    for part in parts:
-        model.margin_factors.update(part.margin_factors)
-        model.cell_factors.update(part.cell_factors)
-        model.table_factors.update(part.table_factors)
-    model.a0 = math.prod(part.a0 for part in parts)
+    for index, component in zip(homes, components):
+        shares[index] = component.write_factors()
+    model.a0 = math.prod(shares)
     return FitResult(
         model=model,
         converged=converged,
@@ -197,112 +186,44 @@ def fit_dual(
     )
 
 
+def _split(model: MaxEntModel):
+    """``(names, cell factors, table factors)`` per constraint-graph
+    component of ``model``, and each one's unnormalized tensor.
+
+    The factors are ``model``'s own, which the fit writes in place.  A
+    one-attribute component's tensor is its margin factor."""
+    parts = model._split()
+    tensors = [
+        model.margin_factors[part[0][0]]
+        if _is_single(part)
+        else model._product(*part)
+        for part in parts
+    ]
+    return parts, tensors
+
+
+def _has_zero_target(constraints: ConstraintSet) -> bool:
+    """Whether a margin value, subset-margin entry or cell has target 0."""
+    return (
+        any(not constraints.margin(name).all() for name in constraints.schema.names)
+        or any(not target.all() for target in constraints.subset_margins.values())
+        or any(cell.probability == 0.0 for cell in constraints.cells)
+    )
+
+
 def _is_single(part) -> bool:
     """Whether a component holds one attribute and no other factor."""
-    return (
-        len(part.schema) == 1
-        and not part.cell_factors
-        and not part.table_factors
-    )
+    names, cells, tables = part
+    return len(names) == 1 and not cells and not tables
 
 
-def _margin_conflict(rank, name, current, target):
-    """IPF's conflict for a margin whose positive target meets zero mass."""
-    missing = ~(current > 0) & (target > 0)
-    if not missing.any():
-        return None
-    value = int(np.flatnonzero(missing)[0])
-    return rank, _conflict(
-        f"margin target P({name}={value}) > 0 but the "
-        f"model assigns it zero mass (structural conflict)",
-        name,
-    )
-
-
-def _settle_zeros(part, tensor, constraints, positions):
-    """Zero the factors of ``part``'s zero targets, as IPF's first sweep
-    does, and find the structural conflict IPF would meet first.
-
-    ``tensor`` is ``part``'s unnormalized product and is zeroed alongside.
-    The constraints are visited as IPF's sweeps visit them: margins, subset
-    margins, then cells, once to zero, and once more (only if anything was
-    zeroed) to find conflicts the zeros made.  Returns ``None`` or
-    ``((sweep, phase, position), error)``; the smallest rank over all
-    components is the conflict IPF's lockstep raises.
-    """
-    schema = part.schema
-    axes = range(len(schema))
-    cells = [
-        (cell, _slicer(schema, cell.attributes, cell.values))
-        for cell in constraints.cells
-    ]
-    for sweep in (1, 2):
-        zeroed = False
-        for axis, attribute in enumerate(schema):
-            name = attribute.name
-            target = constraints.margin(name)
-            current = tensor.sum(axis=tuple(a for a in axes if a != axis))
-            if (current > 0).all() and target.all():
-                continue
-            conflict = _margin_conflict(
-                (sweep, 0, positions[name]), name, current, target
-            )
-            if conflict is not None:
-                return conflict
-            for value in np.flatnonzero((target == 0) & (current > 0)):
-                part.margin_factors[name][value] = 0.0
-                tensor[_slicer(schema, (name,), (value,))] = 0.0
-                zeroed = True
-        for names, target in constraints.subset_margins.items():
-            drop = tuple(a for a in axes if schema.names[a] not in names)
-            current = tensor.sum(axis=drop) if drop else tensor
-            if (current > 0).all() and target.all():
-                continue
-            if (~(current > 0) & (target > 0)).any():
-                return (sweep, 1, positions[names]), _conflict(
-                    f"subset margin for {names} puts mass on a cell the "
-                    f"model assigns zero (structural conflict)",
-                    names,
-                )
-            for entry in zip(*np.nonzero((target == 0) & (current > 0))):
-                part.table_factors[names][entry] = 0.0
-                tensor[_slicer(schema, names, entry)] = 0.0
-                zeroed = True
-        total = float(tensor.sum())
-        for cell, slicer in cells:
-            share = float(tensor[slicer].sum()) / total
-            if share >= 1.0:
-                return (sweep, 2, positions[cell.key]), _conflict(
-                    f"cell target {cell.key} = {cell.probability} < 1 but "
-                    f"the model puts all its mass in that cell "
-                    f"(structural conflict)",
-                    cell.key,
-                )
-            if cell.probability == 0.0:
-                if share > 0.0:
-                    part.cell_factors[cell.key] = 0.0
-                    tensor[slicer] = 0.0
-                    total = float(tensor.sum())
-                    zeroed = True
-            elif share <= 0.0:
-                return (sweep, 2, positions[cell.key]), _conflict(
-                    f"cell target {cell.key} = {cell.probability} > 0 but "
-                    f"the model assigns it zero mass (structural conflict)",
-                    cell.key,
-                )
-        if not zeroed:
-            return None
-    return None
-
-
-def _set_margin(part, constraints) -> float:
-    """Fit a one-attribute component in closed form; its max violation."""
-    name = part.schema.names[0]
+def _set_margin(model, name, constraints) -> tuple[float, float]:
+    """Fit a one-attribute component in closed form: its ``a0`` share and
+    max violation."""
     target = constraints.margin(name)
-    part.margin_factors[name] = target.copy()
+    model.margin_factors[name] = target.copy()
     total = float(target.sum())
-    part.a0 = 1.0 / total
-    return float(np.abs(target / total - target).max())
+    return 1.0 / total, float(np.abs(target / total - target).max())
 
 
 class _Point:
@@ -322,57 +243,64 @@ class _Point:
 class _Component:
     """Newton's state for one coupled component of the constraint graph.
 
-    The base measure is the component's (zeroed) starting tensor,
-    normalized, on its support.  ``features`` lists, per positive target,
-    the factor it scales and the cells it covers; the first ``free`` of
-    them are solved for, the rest only checked.
+    ``part`` is the component's ``(names, cell factors, table factors)``
+    in ``model``, whose factors the fit writes in place.  The base measure
+    is the component's (zeroed) starting tensor, normalized, on its
+    support.  ``features`` lists, per positive target, the factor it
+    scales, the ``(axis, value)`` pairs of the cells it covers and the
+    target; the first ``free`` of them are solved for, the rest only
+    checked.
     """
 
-    def __init__(self, part, tensor, constraints, tol):
-        schema = part.schema
-        self.part = part
+    def __init__(self, model, part, tensor, constraints, tol):
+        self.model = model
+        self.names, self.cells, self.tables = part
         self.size = tensor.size
         self.shape = tensor.shape
+        self.mass = float(tensor.sum())
         flat = tensor.ravel()
         self.support = np.flatnonzero(flat > 0)
         base = flat[self.support]
         self.log_base = np.log(base / base.sum())
 
+        axis_of = {name: axis for axis, name in enumerate(self.names)}
         free: list[tuple] = []
         checked: list[tuple] = []
-        for axis, attribute in enumerate(schema):
-            target = constraints.margin(attribute.name)
-            values = np.flatnonzero(target > 0)
+        for name, axis in axis_of.items():
+            target = constraints.margin(name).tolist()
+            values = [value for value, share in enumerate(target) if share > 0]
             for value in values:
-                feature = (
-                    ("margin", attribute.name, int(value)),
-                    ((axis,), (int(value),)),
-                    float(target[value]),
-                )
+                feature = (("margin", name, value), ((axis, value),), target[value])
                 (free if value != values[-1] else checked).append(feature)
         for names, target in constraints.subset_margins.items():
-            subset_axes = tuple(schema.axis(name) for name in names)
-            entries = list(zip(*np.nonzero(target > 0)))
+            if names[0] not in axis_of:
+                continue
+            axes = [axis_of[name] for name in names]
+            entries = [tuple(entry) for entry in np.argwhere(target > 0).tolist()]
             for entry in entries:
-                entry = tuple(int(value) for value in entry)
                 feature = (
                     ("table", names, entry),
-                    (subset_axes, entry),
+                    tuple(zip(axes, entry)),
                     float(target[entry]),
                 )
                 (free if entry != entries[-1] else checked).append(feature)
         for cell in constraints.cells:
-            if cell.probability > 0.0:
-                free.append(
-                    (
-                        ("cell", cell.key, None),
-                        (schema.axes(cell.attributes), cell.values),
-                        cell.probability,
-                    )
-                )
+            if cell.probability > 0.0 and cell.attributes[0] in axis_of:
+                names, values = cell.key
+                pairs = tuple(zip([axis_of[name] for name in names], values))
+                free.append((("cell", cell.key, None), pairs, cell.probability))
         self.features = free + checked
         self.free = len(free)
         self.targets = np.array([target for _, _, target in self.features])
+        # Each feature's (axis, value) pairs, padded to a common width with
+        # a pair on an extra all-zero coordinate, which every cell meets.
+        width = max(len(pairs) for _, pairs, _ in self.features)
+        pad = ((len(self.shape), 0),)
+        pairs = np.array(
+            [pairs + pad * (width - len(pairs)) for _, pairs, _ in self.features]
+        )
+        self.pair_axes = pairs[:, :, 0]
+        self.pair_values = pairs[:, :, 1:]
         self.bounds = [
             (start, min(start + _BLOCK, len(self.support)))
             for start in range(0, len(self.support), _BLOCK)
@@ -390,14 +318,10 @@ class _Component:
     def _indicators(self, start, stop) -> np.ndarray:
         """The indicators of support cells ``start:stop``, one row per
         feature (``Fᵀ``'s columns ``start:stop``)."""
-        coords = np.unravel_index(self.support[start:stop], self.shape)
-        block = np.empty((len(self.features), stop - start))
-        for row, (_, (axes, values), _) in enumerate(self.features):
-            inside = coords[axes[0]] == values[0]
-            for axis, value in zip(axes[1:], values[1:]):
-                inside &= coords[axis] == value
-            block[row] = inside
-        return block
+        coords = np.zeros((len(self.shape) + 1, stop - start), dtype=np.intp)
+        coords[:-1] = np.unravel_index(self.support[start:stop], self.shape)
+        inside = coords[self.pair_axes] == self.pair_values
+        return inside.all(axis=1).astype(float)
 
     def _blocks(self):
         for start, stop in self.bounds:
@@ -468,17 +392,25 @@ class _Component:
             below and violation < self.tol
         )
 
-    def write_factors(self) -> None:
-        """Multiply each solved-for factor by ``exp(θ)``; normalize."""
-        part = self.part
-        for ((kind, key, index), _, _), theta in zip(
-            self.features[: self.free], self.point.theta
+    def write_factors(self) -> float:
+        """Multiply each solved-for factor by ``exp(θ)``; return the
+        component's share of ``a0`` (one over its mass)."""
+        model = self.model
+        if not self.point.theta.any():
+            # Nothing moved: the starting mass stands.
+            return 1.0 / self.mass
+        scales = np.exp(self.point.theta)  # inf, not OverflowError, if unbounded
+        for ((kind, key, index), _, _), scale in zip(
+            self.features[: self.free], scales
         ):
-            scale = np.exp(theta)  # inf, not OverflowError, if unbounded
             if kind == "margin":
-                part.margin_factors[key][index] *= scale
+                model.margin_factors[key][index] *= scale
             elif kind == "table":
-                part.table_factors[key][index] *= scale
+                model.table_factors[key][index] *= scale
             else:
-                part.cell_factors[key] *= scale
-        part.normalize()
+                model.cell_factors[key] *= float(scale)
+        cells = {key: model.cell_factors[key] for key in self.cells}
+        mass = float(model._product(self.names, cells, self.tables).sum())
+        if mass <= 0:
+            raise ConstraintError("model has zero total mass")
+        return 1.0 / mass

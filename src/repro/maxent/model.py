@@ -337,12 +337,13 @@ class MaxEntModel:
         return hash(tuple(parts))
 
     def copy(self) -> "MaxEntModel":
+        # The constructor copies every factor array and the cell dict.
         return MaxEntModel(
             self.schema,
-            {k: v.copy() for k, v in self.margin_factors.items()},
-            dict(self.cell_factors),
+            self.margin_factors,
+            self.cell_factors,
             self.a0,
-            {k: v.copy() for k, v in self.table_factors.items()},
+            self.table_factors,
         )
 
     def absorb(self, other: "MaxEntModel") -> None:

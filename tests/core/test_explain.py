@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.explain import explain
+from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.discovery.engine import discover
 from repro.exceptions import QueryError
 
@@ -20,6 +21,11 @@ class TestExplain:
         assert explanation.answer == pytest.approx(
             model.conditional({"CANCER": "yes"}, {"SMOKING": "smoker"})
         )
+
+    def test_answer_is_kb_query_bit_for_bit(self, table):
+        kb = ProbabilisticKnowledgeBase.from_data(table)
+        explanation = explain(kb.model, {"CANCER": "yes"}, {"SMOKING": "smoker"})
+        assert explanation.answer == kb.query("CANCER=yes | SMOKING=smoker")
 
     def test_independence_baseline(self, model, table):
         explanation = explain(

@@ -7,6 +7,7 @@ from repro.data.contingency import ContingencyTable
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine, discover
 from repro.exceptions import DataError
+from repro.maxent.dual import fit_dual
 from repro.synth.generators import (
     independent_population,
     random_planted_population,
@@ -66,6 +67,49 @@ class TestPaperRun:
         text = result.summary()
         assert "SMOKING=smoker" in text
         assert f"N={table.total}" in text
+
+
+class TestSettledAdoptions:
+    """A cell the settled model already meets joins without a fit."""
+
+    @staticmethod
+    def _discover(table, patch, refit_always=False):
+        import repro.discovery.engine as engine_module
+
+        fits = []
+
+        def recording_fit(constraints, initial=None, **kwargs):
+            fits.append(len(constraints.cells))
+            return fit_dual(constraints, initial=initial, **kwargs)
+
+        patch.setattr(engine_module, "fit_dual", recording_fit)
+        if refit_always:
+            patch.setattr(engine_module, "_POLISH_FLOOR", 0.0)
+        return discover(table), fits
+
+    def test_determined_cells_join_without_a_fit(self, table, monkeypatch):
+        result, fits = self._discover(table, monkeypatch)
+        adopted = [scan.chosen for scan in result.scans if scan.chosen]
+        skipped = [
+            test
+            for count, test in enumerate(adopted, start=1)
+            if count not in fits
+        ]
+        assert len(fits) == result.profile.fit_calls
+        assert skipped
+        assert all(test.determined for test in skipped)
+        assert all(result.model.cell_factors[c.key] > 0 for c in result.found)
+
+    def test_skipping_moves_nothing(self, table, monkeypatch):
+        with monkeypatch.context() as patch:
+            result, fits = self._discover(table, patch)
+        with monkeypatch.context() as patch:
+            always, every_fit = self._discover(table, patch, refit_always=True)
+        assert len(every_fit) == len(always.found) > len(fits)
+        assert [c.key for c in result.found] == [c.key for c in always.found]
+        np.testing.assert_allclose(
+            result.model.joint(), always.model.joint(), rtol=0, atol=1e-12
+        )
 
 
 class TestConfig:
