@@ -94,18 +94,20 @@ def feasible_range(
     ]
     position = {name: i for i, name in enumerate(attributes)}
 
+    def count(names, values) -> int:
+        # Every subset read here is canonical: one attribute, or the key of
+        # a constraint.  Its count is one read of the cached marginal.
+        return int(table.marginal_counts(names)[values])
+
     bounds: list[int] = []
     determined = False
     for size in range(1, order):
         for combo in combinations(range(order), size):
             t_names = tuple(attributes[i] for i in combo)
             t_values = tuple(values[i] for i in combo)
-            if size == 1:
-                base = table.count({t_names[0]: t_values[0]})
-            elif constraints.has_cell((t_names, t_values)):
-                base = table.count(dict(zip(t_names, t_values)))
-            else:
+            if size > 1 and not constraints.has_cell((t_names, t_values)):
                 continue
+            base = count(t_names, t_values)
             sharing = [
                 cell
                 for cell in same_subset
@@ -115,8 +117,7 @@ def feasible_range(
                 )
             ]
             shared_count = sum(
-                table.count(dict(zip(cell.attributes, cell.values)))
-                for cell in sharing
+                count(cell.attributes, cell.values) for cell in sharing
             )
             bounds.append(base - shared_count)
             siblings = 1
