@@ -27,12 +27,12 @@ from repro.maxent.model import MaxEntModel
 
 SEED = 71
 ORDER = 3
-#: Enforced floors (full size, >= 4 CPUs): sharded scan and parallel
-#: batch-query speedup at 4 workers.
+#: Enforced floor (full size, >= 4 CPUs): warm sharded-scan speedup at
+#: 4 workers.
 MIN_PARALLEL_SPEEDUP = 2.0
 #: Cold-path floor (full size, >= 4 CPUs): with the shm transport the
-#: first scan/batch after a rebuild must no longer lose to serial —
-#: the cold pessimization the zero-copy transport exists to kill.
+#: first scan after a rebuild must no longer lose to serial — the cold
+#: pessimization the zero-copy transport exists to kill.
 MIN_PARALLEL_COLD_SPEEDUP = 1.0
 WORKERS = 4
 
@@ -92,34 +92,6 @@ def build_world(smoke: bool):
     return table, constraints, model
 
 
-def query_traffic(schema: Schema, n_queries: int) -> list[str]:
-    """Distinct conditional query strings over many marginal subsets —
-    the cold-cache serving shape (every query compiles a fresh plan)."""
-    names = schema.names
-    queries = []
-    index = 0
-    while len(queries) < n_queries:
-        target = names[index % len(names)]
-        given = names[(index + 1 + index // len(names)) % len(names)]
-        if given == target:
-            given = names[(index + 2) % len(names)]
-        target_attr = schema.attribute(target)
-        given_attr = schema.attribute(given)
-        target_value = target_attr.values[index % len(target_attr.values)]
-        given_value = given_attr.values[
-            (index // 3) % len(given_attr.values)
-        ]
-        queries.append(
-            f"{target}={target_value} | {given}={given_value}"
-        )
-        index += 1
-    return queries
-
-
-def num_queries(smoke: bool) -> int:
-    return 400 if smoke else 4000
-
-
 def best_of(fn, rounds: int) -> float:
     best = float("inf")
     for _ in range(rounds):
@@ -130,21 +102,20 @@ def best_of(fn, rounds: int) -> float:
 
 
 def measure_parallel(smoke: bool) -> dict:
-    """Parallel-subsystem trajectory metrics (equivalence always checked).
+    """Sharded-scan trajectory metrics (equivalence always checked).
 
     One definition for ``run_all.py --json`` and the standalone
     ``bench_parallel.py --json`` emitter: serial-vs-sharded scan timings
-    (cold and warm), serial-vs-parallel batch query timings, and the
-    transport ledger — payload bytes moved through shared memory vs
-    pickling, broadcasts amortized away by the model fingerprint, worker
-    attach time.  Speedup ratios are recorded, not asserted — they depend
-    on the machine's core count (present in the record); the benchmark
-    asserts them under its own CPU gate, and ``check_regression.py``
-    gates the recorded ratios against the baseline trajectory.
+    (cold and warm) and the transport ledger — payload bytes moved
+    through shared memory vs pickling, broadcasts amortized away by the
+    model fingerprint, worker attach time.  Speedup ratios are recorded,
+    not asserted — they depend on the machine's core count (present in
+    the record); the benchmark asserts them under its own CPU gate, and
+    ``check_regression.py`` gates the recorded ratios against the
+    baseline trajectory.
     """
     import os
 
-    from repro.api.session import QuerySession
     from repro.parallel.scan import ShardedScanExecutor
     from repro.significance.kernels import OrderScanKernel
     from repro.significance.mml import most_significant
@@ -183,33 +154,11 @@ def measure_parallel(smoke: bool) -> dict:
         transport = executor.transport
         scan_counters = executor.counters.to_dict()
 
-    queries = query_traffic(model.schema, num_queries(smoke))
-    serial_values = QuerySession(model).batch(queries)
-    query_serial = best_of(
-        lambda: QuerySession(model).batch(queries), repeats
-    )
-    with QuerySession(model, max_workers=WORKERS) as session:
-        if session.batch(queries) != serial_values:
-            raise AssertionError(
-                "parallel batch evaluation diverged from the serial session"
-            )
-
-        def query_cold():
-            session._parallel.reset()
-            session.batch(queries)
-
-        query_parallel_cold = best_of(query_cold, repeats)
-        query_parallel_warm = best_of(
-            lambda: session.batch(queries), repeats
-        )
-        query_counters = session._parallel.counters.to_dict()
-
     return {
         "workers": WORKERS,
         "cpus": os.cpu_count() or 1,
         "transport": transport,
         "candidate_cells": len(serial_tests),
-        "n_queries": len(queries),
         "scan_serial_cold_ms": 1e3 * scan_serial_cold,
         "scan_sharded_cold_ms": 1e3 * scan_parallel_cold,
         "scan_speedup_cold": scan_serial_cold / scan_parallel_cold,
@@ -221,14 +170,4 @@ def measure_parallel(smoke: bool) -> dict:
         "scan_broadcasts_total": scan_counters["broadcasts_total"],
         "scan_broadcasts_skipped": scan_counters["broadcasts_skipped"],
         "scan_attach_ns": scan_counters["attach_ns"],
-        "query_serial_s": query_serial,
-        "query_parallel_cold_s": query_parallel_cold,
-        "query_parallel_warm_s": query_parallel_warm,
-        "query_speedup_cold": query_serial / query_parallel_cold,
-        "query_speedup_warm": query_serial / query_parallel_warm,
-        "query_bytes_shared": query_counters["bytes_shared"],
-        "query_bytes_pickled": query_counters["bytes_pickled"],
-        "query_broadcasts_total": query_counters["broadcasts_total"],
-        "query_broadcasts_skipped": query_counters["broadcasts_skipped"],
-        "query_attach_ns": query_counters["attach_ns"],
     }

@@ -1,7 +1,7 @@
-"""Parallel execution subsystem: sharded scans + concurrent batch serving.
+"""Sharded discovery scans against the serial kernel.
 
-Two workloads from ``_parallel_scenario`` (the wide order-3 world — see
-that module for why the paper-sized survey is below process-pool
+The workload comes from ``_parallel_scenario`` (the wide order-3 world —
+see that module for why the paper-sized survey is below process-pool
 round-trip cost):
 
 - **sharded discovery scans**: a serial
@@ -12,19 +12,15 @@ round-trip cost):
   ship columnar payloads and the shard-merged argmax, so the master
   never materializes the full CellTest list on the hot path — the audit
   trail decodes lazily on first read.
-- **concurrent batch queries**: a serial
-  :class:`~repro.api.session.QuerySession.batch` vs the same batch
-  sharded over 4 worker sessions, on cold plan caches (distinct query
-  strings — the compile-heavy serving shape).
 
 Shape criteria: the sharded scan's merged output — every CellTest float
-and the greedy argmax — equals the serial scan exactly, a 4-worker
+and the greedy argmax — equals the serial scan exactly, and a 4-worker
 discovery run on the medical-survey scenario equals the serial run
-exactly (adopted constraints, fitted marginals), and parallel batch
-results equal serial results exactly, in input order.  At full size on a
-machine with >= 4 CPUs, sharded scans and parallel batches are both at
-least 2x the serial path; under ``REPRO_BENCH_SMOKE=1`` (or fewer
-cores) the equivalences stay enforced and the ratios are reported only.
+exactly (adopted constraints, fitted marginals).  At full size on a
+machine with >= 4 CPUs, the warm sharded scan is at least 2x the serial
+kernel and the cold one at least breaks even; under
+``REPRO_BENCH_SMOKE=1`` (or fewer cores) the equivalences stay enforced
+and the ratios are reported only.
 """
 
 import argparse
@@ -47,11 +43,8 @@ from _parallel_scenario import (
     best_of,
     build_world,
     measure_parallel,
-    num_queries,
-    query_traffic,
     timing_repeats,
 )
-from repro.api.session import QuerySession
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.eval.tables import format_table
@@ -187,78 +180,6 @@ def test_bench_parallel_discovery_equivalence(write_report):
     )
 
 
-def test_bench_parallel_batch_query_speedup(world, write_report):
-    _table, _constraints, model = world
-    queries = query_traffic(model.schema, num_queries(SMOKE))
-
-    serial_values = QuerySession(model).batch(queries)
-
-    # Cold plan caches on both sides: fresh sessions per measurement —
-    # the first-contact serving shape where compilation dominates.
-    serial_s = best_of(
-        lambda: QuerySession(model).batch(queries), REPEATS
-    )
-    with QuerySession(model, max_workers=WORKERS) as session:
-        parallel_values = session.batch(queries)
-        assert parallel_values == serial_values  # exact, in input order
-
-        def parallel_cold():
-            session._parallel.reset()  # rebuild worker sessions
-            session.batch(queries)
-
-        parallel_cold_s = best_of(parallel_cold, REPEATS)
-        parallel_warm_s = best_of(lambda: session.batch(queries), REPEATS)
-        transport = session._parallel.transport
-        counters = session._parallel.counters.snapshot()
-
-    cold_speedup = serial_s / parallel_cold_s
-    n = len(queries)
-    rows = [
-        [
-            "serial session (cold plans)",
-            f"{serial_s:.4f}",
-            f"{n / serial_s:.0f}",
-            "1.0x",
-        ],
-        [
-            f"parallel x{WORKERS} (cold plans)",
-            f"{parallel_cold_s:.4f}",
-            f"{n / parallel_cold_s:.0f}",
-            f"{cold_speedup:.1f}x",
-        ],
-        [
-            f"parallel x{WORKERS} (warm workers)",
-            f"{parallel_warm_s:.4f}",
-            f"{n / parallel_warm_s:.0f}",
-            f"{serial_s / parallel_warm_s:.1f}x",
-        ],
-    ]
-    write_report(
-        "parallel_batch_query.txt",
-        f"CONCURRENT BATCH QUERIES ({n} conditional queries, "
-        f"{WORKERS} workers, {CPUS} cpus, best of {REPEATS})\n\n"
-        + format_table(
-            ["path", "seconds", "queries/sec", "speedup"], rows
-        )
-        + f"\n\ntransport {transport}: "
-        f"{counters.bytes_shared} B shared, "
-        f"{counters.bytes_pickled} B pickled, "
-        f"{counters.broadcasts_skipped}/{counters.broadcasts_total} "
-        f"broadcasts amortized away",
-    )
-
-    if ENFORCE_RATIOS:
-        assert cold_speedup >= MIN_PARALLEL_SPEEDUP, (
-            f"parallel batch only {cold_speedup:.1f}x the serial session "
-            f"(need >= {MIN_PARALLEL_SPEEDUP}x)"
-        )
-        warm_speedup = serial_s / parallel_warm_s
-        assert warm_speedup >= MIN_PARALLEL_COLD_SPEEDUP, (
-            f"parallel warm batch only {warm_speedup:.2f}x the serial "
-            f"session (need >= {MIN_PARALLEL_COLD_SPEEDUP}x)"
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -283,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         "parallel": metrics,
     }
     Path(args.json).write_text(json.dumps(record, indent=2) + "\n")
-    shared = metrics["scan_bytes_shared"] + metrics["query_bytes_shared"]
-    pickled = metrics["scan_bytes_pickled"] + metrics["query_bytes_pickled"]
+    shared = metrics["scan_bytes_shared"]
+    pickled = metrics["scan_bytes_pickled"]
     print(
         f"parallel-bench record written to {args.json} "
         f"(transport {metrics['transport']}: cold scan "

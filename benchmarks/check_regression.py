@@ -15,9 +15,9 @@ flat ``BENCH_discovery.json`` trajectory becomes a registry with
 
 Checks, against the baseline trajectory records:
 
-- **tracked speedup ratios** (vectorized-scan speedup, sharded-scan and
-  parallel-query speedups, served throughput as a share of in-process
-  throughput): fail when
+- **tracked speedup ratios** (vectorized-scan speedup, sharded-scan
+  speedups, served throughput as a share of in-process throughput): fail
+  when
   the candidate degrades more than
   ``--tolerance`` (default 30%) below the baseline.  Ratios are compared
   only between records with the same ``smoke`` flag (toy-size and
@@ -27,16 +27,10 @@ Checks, against the baseline trajectory records:
   single-record timing noise.  Parallel ratios additionally require the
   baseline machine to have had at least as many CPUs as workers; a
   laptop baseline can't set a multicore floor.
-- **tracked wire costs** (distributed bytes-on-wire per warm scan):
-  the mirror image — fail when the candidate *exceeds* the best
-  baseline by more than the tolerance, so re-broadcasting the joint
-  every scan can't creep back in.
-- **absolute floors**: the sharded-scan and parallel-query *cold*
-  speedups, and the warm distributed scan/query speedups, must stay
-  above fixed floors (no baseline needed) on full-size candidates
-  whose machine has at least as many CPUs as that subsystem's workers
-  — the shm transport's break-even contract for the first scan/batch
-  after a rebuild, and TCP's steady-state break-even against serial.
+- **absolute floor**: the sharded scan's *cold* speedup must stay above
+  a fixed floor (no baseline needed) on full-size candidates whose
+  machine has at least as many CPUs as workers — the shm transport's
+  break-even contract for the first scan after a rebuild.
 - **scenario conformance gates and latency SLOs**: fail when any
   scenario that passed in the baseline fails in the candidate (and when
   the candidate has any gate or SLO failure at all — same contract as
@@ -65,39 +59,21 @@ TRACKED_RATIOS = (
     ("metrics.scan_speedup_warm", False),
     ("parallel.scan_speedup_cold", True),
     ("parallel.scan_speedup_warm", True),
-    ("parallel.query_speedup_cold", True),
     # Multi-client served throughput over in-process warm-session QPS on
     # the same host: what the network stack keeps of the library's
     # speed.  Not cpu-bound.  (``serving.throughput_ratio``, multi- over
     # single-client RPS, stays recorded but is not gated: a faster lone
     # request lowers it.)
     ("serving.served_vs_inprocess", False),
-    # Warm distributed scan over localhost TCP worker daemons.
-    ("distributed.scan_speedup", True),
 )
 
-#: Dotted paths of cost metrics (lower is better): the candidate fails
-#: when it exceeds every-comparable-baseline's *minimum* by more than
-#: the tolerance.  Wire bytes per warm scan is the broadcast-amortization
-#: contract made enforceable — re-shipping the joint every scan would
-#: blow straight through it.
-TRACKED_COSTS = (
-    ("distributed.wire_bytes_per_scan", False),
-)
-
-#: Baseline-independent floors on the cold parallel paths, enforced only
+#: Baseline-independent floors on the cold sharded scan, enforced only
 #: for full-size candidates recorded on a machine with enough CPUs.  The
-#: shm transport's contract is that the *first* scan/batch after a
-#: rebuild breaks even against serial (1.0x); 0.95 leaves timing noise
-#: below the bar without letting the cold-path pessimization creep back.
+#: shm transport's contract is that the *first* scan after a rebuild
+#: breaks even against serial (1.0x); 0.95 leaves timing noise below the
+#: bar without letting the cold-path pessimization creep back.
 ABSOLUTE_FLOORS = (
     ("parallel.scan_speedup_cold", 0.95),
-    ("parallel.query_speedup_cold", 0.95),
-    # Warm distributed paths must at least break even against serial at
-    # full size on a real multicore box — the fingerprint-amortized
-    # broadcasts exist to keep TCP round trips off the steady state.
-    ("distributed.scan_speedup", 1.0),
-    ("distributed.query_speedup", 1.0),
 )
 
 
@@ -122,9 +98,8 @@ def lookup(record: dict, dotted: str):
 def has_enough_cpus(record: dict, metric: str = "parallel.") -> bool:
     """Did the recording machine have enough CPUs for ``metric``?
 
-    The gate reads the section the metric lives in (``parallel.*`` or
-    ``distributed.*`` — each records its own ``cpus``/``workers``), so a
-    laptop baseline can't set a multicore floor for either subsystem.
+    The gate reads the ``cpus``/``workers`` the metric's section records,
+    so a laptop baseline can't set a multicore floor.
     """
     section = record.get(metric.split(".", 1)[0]) or {}
     return section.get("cpus", 0) >= section.get("workers", 1)
@@ -180,55 +155,13 @@ def compare_ratios(
     return rows
 
 
-def compare_costs(
-    baseline_records: list[dict], candidate: dict, tolerance: float
-) -> list[dict]:
-    """Cost metrics (lower is better), mirror-imaged ``compare_ratios``:
-    the ceiling is ``(1 + tolerance)`` times the best (minimum)
-    comparable baseline, and a candidate above it regressed."""
-    rows = []
-    for metric, cpu_bound in TRACKED_COSTS:
-        candidate_value = lookup(candidate, metric)
-        if candidate_value is None:
-            continue
-        usable = [
-            record
-            for record in baseline_records
-            if lookup(record, metric) is not None
-            and (not cpu_bound or has_enough_cpus(record, metric))
-        ]
-        if not usable:
-            rows.append(
-                {
-                    "metric": metric,
-                    "baseline": None,
-                    "candidate": candidate_value,
-                    "status": "no comparable baseline",
-                }
-            )
-            continue
-        baseline_value = min(lookup(record, metric) for record in usable)
-        ceiling = (1.0 + tolerance) * baseline_value
-        regressed = candidate_value > ceiling
-        rows.append(
-            {
-                "metric": metric,
-                "baseline": baseline_value,
-                "candidate": candidate_value,
-                "ceiling": ceiling,
-                "status": "regressed" if regressed else "ok",
-            }
-        )
-    return rows
-
-
 def check_absolute_floors(candidate: dict) -> list[dict]:
     """Floors that hold regardless of baseline history.
 
     Skipped for smoke candidates (toy sizes sit below process round-trip
-    cost by design) and, per metric, for machines with fewer CPUs than
-    that subsystem's workers — the same gate the benchmarks themselves
-    apply.  The skip is surfaced as a status row, never silent.
+    cost by design) and for machines with fewer CPUs than workers — the
+    same gate the benchmarks themselves apply.  The skip is surfaced as a
+    status row, never silent.
     """
     rows = []
     full_size = not candidate.get("smoke", False)
@@ -333,18 +266,12 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     ratios = compare_ratios(baseline, candidate, args.tolerance)
-    costs = compare_costs(baseline, candidate, args.tolerance)
     floors = check_absolute_floors(candidate)
     scenarios = compare_scenarios(baseline, candidate)
     regressions = [
         f"{row['metric']}: {row['candidate']:.3g}x < floor "
         f"{row['floor']:.3g}x (baseline {row['baseline']:.3g}x)"
         for row in ratios
-        if row["status"] == "regressed"
-    ] + [
-        f"{row['metric']}: {row['candidate']:.0f} > ceiling "
-        f"{row['ceiling']:.0f} (baseline {row['baseline']:.0f})"
-        for row in costs
         if row["status"] == "regressed"
     ] + [
         f"{row['metric']}: {row['candidate']:.2f}x < absolute floor "
@@ -375,7 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         "baseline_records_compared": len(baseline),
         "candidate_timestamp": candidate.get("timestamp"),
         "ratios": ratios,
-        "costs": costs,
         "absolute_floors": floors,
         "scenarios": scenarios,
         "scorecard": scorecard,
@@ -392,14 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{row['metric']:<32} baseline {baseline_text:>8} "
             f"candidate {row['candidate']:.3g}x  [{row['status']}]"
-        )
-    for row in costs:
-        baseline_text = (
-            f"{row['baseline']:.0f}" if row["baseline"] is not None else "-"
-        )
-        print(
-            f"{row['metric']:<32} baseline {baseline_text:>8} "
-            f"candidate {row['candidate']:.0f}  [{row['status']}]"
         )
     for row in floors:
         print(

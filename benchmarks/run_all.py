@@ -16,11 +16,11 @@ Usage::
 (scalar reference vs vectorized kernel, cold and warm), full kernel- and
 reference-backed discovery runs, and the engine's per-stage split — checks
 that the vectorized and reference decisions are identical, measures the
-parallel subsystem (sharded scans and concurrent batch queries vs the
-serial paths, equivalence asserted, ratios recorded with the machine's
-CPU count), measures the serving layer (closed/open-loop RPS and latency
-through the :mod:`repro.serve` network stack, served answers asserted
-bit-identical to in-process queries), runs the scenario conformance
+sharded scan against the serial one (equivalence asserted, ratios
+recorded with the machine's CPU count), measures the serving layer
+(closed/open-loop RPS and latency through the :mod:`repro.serve`
+network stack, served answers asserted bit-identical to in-process
+queries), runs the scenario conformance
 matrix (``repro.scenarios``; ``--tier`` selects registry tiers, so the
 nightly job replays the stress fleet with ``--tier stress``) and embeds
 its per-scenario precision/recall/KL/stage/latency-SLO metrics, and
@@ -149,38 +149,19 @@ def measure_discovery(smoke: bool) -> dict:
 
 
 def measure_parallel(smoke: bool) -> dict:
-    """Parallel-subsystem trajectory metrics (equivalence always checked).
+    """Sharded-scan trajectory metrics (equivalence always checked).
 
     The workload and measurement live in ``_parallel_scenario`` — the
     module the enforced ``bench_parallel.py`` (and its standalone
     ``--json`` emitter) uses — so trajectory records, CI artifacts, and
     the asserted benchmarks always measure exactly the same thing.  The
     record includes the resolved transport and its payload ledger
-    (``scan_bytes_shared`` / ``scan_bytes_pickled`` and the query-side
-    equivalents) alongside the cold and warm speedups.
+    (``scan_bytes_shared`` / ``scan_bytes_pickled``) alongside the cold
+    and warm speedups.
     """
     from _parallel_scenario import measure_parallel as _measure
 
     return _measure(smoke)
-
-
-def measure_distributed(smoke: bool) -> dict:
-    """Distributed-transport trajectory metrics (bit-identity checked).
-
-    The workload and the worker-daemon lifecycle come from
-    ``_distributed_scenario`` — the module ``bench_distributed.py``
-    uses — so trajectory records and the CI artifact measure the same
-    thing.  Environments that cannot spawn localhost daemons (no
-    subprocesses, no loopback) record a ``skipped`` reason instead of
-    failing the whole emitter: the distributed metrics are additive to
-    the trajectory, not a precondition for it.
-    """
-    try:
-        from _distributed_scenario import measure_distributed as _measure
-
-        return _measure(smoke)
-    except Exception as error:  # noqa: BLE001 - recorded, not swallowed
-        return {"skipped": f"{type(error).__name__}: {error}"}
 
 
 def measure_serving(smoke: bool) -> dict:
@@ -326,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         started = time.time()
         metrics = measure_discovery(args.smoke)
         parallel = measure_parallel(args.smoke)
-        distributed = measure_distributed(args.smoke)
         serving = measure_serving(args.smoke)
         scenarios = measure_scenarios(args.smoke, tiers=args.tier)
         record = {
@@ -339,7 +319,6 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count() or 1,
             "metrics": metrics,
             "parallel": parallel,
-            "distributed": distributed,
             "serving": serving,
             "scenarios": scenarios,
         }
@@ -386,19 +365,12 @@ def main(argv: list[str] | None = None) -> int:
             for failure in failed:
                 print(f"  {failure}", file=sys.stderr)
             return 1
-        distributed_note = (
-            f"tcp x{distributed['workers']} warm scan "
-            f"{distributed['scan_speedup']:.1f}x, "
-            if "skipped" not in distributed
-            else f"distributed skipped ({distributed['skipped']}), "
-        )
         print(
             f"trajectory record appended to {path} "
             f"(warm scan speedup {metrics['scan_speedup_warm']:.1f}x, "
             f"sharded x{parallel['workers']} cold scan "
             f"{parallel['scan_speedup_cold']:.1f}x on "
             f"{parallel['cpus']} cpus, "
-            f"{distributed_note}"
             f"served x{serving['clients']} throughput "
             f"{serving['throughput_ratio']:.1f}x the single-client floor, "
             f"{len(scenarios)} scenarios conformant)"

@@ -46,21 +46,9 @@ class QuerySession:
         plugin) or ``"auto"`` to select per-model.
     cache_size:
         Bound on both the marginal LRU cache and the compiled-plan cache.
-    max_workers:
-        Worker-process count for :meth:`batch`.  1 (the default)
-        evaluates in-process; above 1 batches are sharded across a
-        :class:`~repro.parallel.query.ParallelQueryEvaluator` — each
-        worker holds its own session (plan cache, marginal LRU, backend
-        artifact) that stays warm across batches.  Results keep input
-        order, and single-query paths (:meth:`ask`, :meth:`probability`)
-        stay in-process either way.  Call :meth:`close` (or use the
-        session as a context manager) to stop the workers.
-    worker_addresses:
-        ``HOST:PORT`` addresses of remote ``repro worker`` daemons; a
-        non-empty list shards batches over TCP (one pinned remote
-        session per address) regardless of ``max_workers``.  Empty (the
-        default) leaves batches local unless ``REPRO_WORKER_ADDRESSES``
-        names daemons.
+
+    A session holds no external resources; it is a context manager only
+    so ``with kb.session() as session:`` reads naturally.
     """
 
     def __init__(
@@ -68,20 +56,11 @@ class QuerySession:
         model: MaxEntModel,
         backend: str = "auto",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        max_workers: int = 1,
-        worker_addresses=(),
     ):
         if cache_size < 1:
             raise QueryError(f"cache_size must be positive, got {cache_size}")
-        if max_workers < 1:
-            raise QueryError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         self._requested_backend = backend
         self._cache_size = int(cache_size)
-        self._max_workers = int(max_workers)
-        self._worker_addresses = tuple(worker_addresses or ())
-        self._parallel = None
         self.set_model(model)
 
     # -- model / backend lifecycle -------------------------------------------------
@@ -107,8 +86,6 @@ class QuerySession:
         self._fingerprint = model.fingerprint()
         self._hits = 0
         self._misses = 0
-        if self._parallel is not None:
-            self._parallel.set_model(model)
 
     def invalidate(self) -> None:
         """Drop caches without replacing the model (after in-place edits)."""
@@ -117,24 +94,12 @@ class QuerySession:
         self._plans.clear()
         self._hits = 0
         self._misses = 0
-        if self._parallel is not None:
-            self._parallel.reset()
-
-    def close(self) -> None:
-        """Stop batch worker processes, if any were started; idempotent.
-
-        The session remains usable afterwards — a later :meth:`batch`
-        starts a fresh pool.
-        """
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
 
     def __enter__(self) -> "QuerySession":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        pass
 
     # -- compilation ---------------------------------------------------------------
 
@@ -254,47 +219,10 @@ class QuerySession:
         the whole batch.  The model-mutation check runs once per batch —
         mutating the model concurrently with a running batch is a race in
         any case (sessions are not thread-safe).
-
-        With ``max_workers > 1`` the batch is sharded across worker
-        processes (contiguous shards, results concatenated back in input
-        order); each worker compiles and caches plans and marginals
-        locally, so repeated traffic shapes stay warm per worker.
         """
-        if self._max_workers > 1 or self._worker_addresses:
-            return self._parallel_batch(queries)
         plans = [self.compile(query) for query in queries]
         self._sync()
         return [self._evaluate(plan) for plan in plans]
-
-    def _parallel_batch(
-        self, queries: Iterable[str | Query | QueryPlan]
-    ) -> list[float]:
-        # A worker death self-closes the pool (mid-batch or out-of-band);
-        # a dead evaluator is dropped — before use and after a failing
-        # batch — so the next batch starts a fresh pool instead of
-        # failing forever on "pool is closed".  Query errors leave the
-        # pool healthy and the warm evaluator in place.
-        if self._parallel is not None and self._parallel.pool.closed:
-            # close() (not just dropping the reference) so the evaluator's
-            # shared-memory segments are unlinked now, not at GC's leisure.
-            self._parallel.close()
-            self._parallel = None
-        if self._parallel is None:
-            from repro.parallel.query import ParallelQueryEvaluator
-
-            self._parallel = ParallelQueryEvaluator(
-                self._model,
-                backend=self._requested_backend,
-                cache_size=self._cache_size,
-                max_workers=self._max_workers,
-                worker_addresses=self._worker_addresses,
-            )
-        try:
-            return self._parallel.batch(queries)
-        finally:
-            if self._parallel.pool.closed:
-                self._parallel.close()
-                self._parallel = None
 
     def distribution(
         self, name: str, given: Assignment | None = None
@@ -327,12 +255,7 @@ class QuerySession:
         return self._backend.most_probable(fixed)
 
     def __repr__(self) -> str:
-        workers = (
-            f", max_workers={self._max_workers}"
-            if self._max_workers > 1
-            else ""
-        )
         return (
             f"QuerySession({self._model!r}, backend={self._backend.name!r}, "
-            f"cache_size={self._cache_size}{workers})"
+            f"cache_size={self._cache_size})"
         )

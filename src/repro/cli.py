@@ -14,7 +14,6 @@ Usage::
     repro recovery           # A1 selector-recovery ablation
     repro query "CANCER=yes | SMOKING=smoker"   # probability queries
     repro query --batch queries.txt --backend elimination
-    repro query --batch queries.txt --workers 4 # concurrent batch serving
     repro query --mpe --given "SMOKING=smoker"  # most probable explanation
     repro scenarios list                        # registered workloads
     repro scenarios list --tier stress          # just the stress tier
@@ -32,10 +31,6 @@ Usage::
     repro serve --store kb.db                   # serve + persist every update
     repro runs import BENCH_discovery.json --registry runs.db
     repro runs list --registry runs.db          # recorded benchmark/scenario runs
-    repro worker --listen 127.0.0.1:8950        # remote worker daemon
-    repro discover --workers-remote 10.0.0.2:8950,10.0.0.3:8950
-    repro query --batch queries.txt --workers-remote 10.0.0.2:8950
-    repro serve --workers-remote 10.0.0.2:8950,10.0.0.3:8950
 """
 
 from __future__ import annotations
@@ -57,29 +52,6 @@ def _worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _worker_addresses(text: str) -> tuple[str, ...]:
-    """argparse type for --workers-remote: comma-separated HOST:PORT list."""
-    from repro.distributed import parse_worker_addresses
-    from repro.exceptions import ParallelError
-
-    try:
-        addresses = parse_worker_addresses(text)
-    except ParallelError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    if not addresses:
-        raise argparse.ArgumentTypeError(
-            "expected at least one HOST:PORT address"
-        )
-    return addresses
-
-
-_WORKERS_REMOTE_HELP = (
-    "comma-separated HOST:PORT list of 'repro worker' daemons to shard "
-    "across over TCP (each address is one worker slot; results are "
-    "bit-identical to local execution)"
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,13 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             "worker processes for the candidate scans (default 1 = "
             "serial; results are bit-identical either way)"
         ),
-    )
-    discover_parser.add_argument(
-        "--workers-remote",
-        type=_worker_addresses,
-        default=(),
-        metavar="HOST:PORT[,...]",
-        help=_WORKERS_REMOTE_HELP,
     )
     discover_parser.add_argument(
         "--store",
@@ -312,22 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     query_parser.add_argument(
         "--given", help='evidence for --mpe, e.g. "SMOKING=smoker"'
-    )
-    query_parser.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=1,
-        help=(
-            "worker processes for batch evaluation (default 1 = "
-            "in-process); each worker keeps its own plan/marginal caches"
-        ),
-    )
-    query_parser.add_argument(
-        "--workers-remote",
-        type=_worker_addresses,
-        default=(),
-        metavar="HOST:PORT[,...]",
-        help=_WORKERS_REMOTE_HELP,
     )
 
     scenarios_parser = subparsers.add_parser(
@@ -515,45 +464,11 @@ def main(argv: list[str] | None = None) -> int:
         help="inference backend for pooled sessions",
     )
     serve_parser.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=1,
-        help=(
-            "worker processes per pooled session for batch evaluation "
-            "(default 1 = in-process)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--workers-remote",
-        type=_worker_addresses,
-        default=(),
-        metavar="HOST:PORT[,...]",
-        help=_WORKERS_REMOTE_HELP,
-    )
-    serve_parser.add_argument(
         "--store",
         help=(
             "durable store (SQLite): host every stored knowledge base at "
             "its latest revision and persist hosted updates back, so a "
             "restarted server resumes where the previous one stopped"
-        ),
-    )
-
-    worker_parser = subparsers.add_parser(
-        "worker",
-        help=(
-            "run a remote worker daemon: holds pinned scan/query state "
-            "per connection and serves shards to TCP-transport masters "
-            "(trusted networks only — the protocol is pickle-based)"
-        ),
-    )
-    worker_parser.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help=(
-            "bind address (default 127.0.0.1:0 = loopback, ephemeral "
-            "port printed at startup)"
         ),
     )
 
@@ -580,9 +495,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         table = _load_table(args.csv)
         config = DiscoveryConfig(
-            max_order=args.max_order,
-            max_workers=args.workers,
-            worker_addresses=args.workers_remote,
+            max_order=args.max_order, max_workers=args.workers
         )
         if args.save or args.store:
             kb = ProbabilisticKnowledgeBase.from_data(table, config)
@@ -664,20 +577,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_scorecard(args)
     elif args.command == "serve":
         return _run_serve(args)
-    elif args.command == "worker":
-        return _run_worker(args)
-    return 0
-
-
-def _run_worker(args) -> int:
-    from repro.distributed.worker import serve as serve_worker
-    from repro.exceptions import ReproError
-
-    try:
-        serve_worker(args.listen)
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -726,8 +625,6 @@ def _run_serve_inner(args) -> int:
         max_batch=args.max_batch,
         pool_size=args.pool_size,
         backend=args.backend,
-        session_workers=args.workers,
-        worker_addresses=args.workers_remote,
     )
     server = ReproServer(
         host=args.host, port=args.port, config=config, store=store
@@ -1049,11 +946,7 @@ def _run_query_inner(args) -> int:
         kb = ProbabilisticKnowledgeBase.load(args.kb)
     else:
         kb = ProbabilisticKnowledgeBase.from_data(_load_table(args.csv))
-    session = kb.session(
-        backend=args.backend,
-        max_workers=args.workers,
-        worker_addresses=args.workers_remote,
-    )
+    session = kb.session(backend=args.backend)
     if args.mpe:
         given = (
             parse_assignment(kb.schema, args.given) if args.given else None
@@ -1071,10 +964,7 @@ def _run_query_inner(args) -> int:
     if not texts:
         print("no queries given; pass expressions, --batch FILE, or --mpe")
         return 2
-    try:
-        values = session.batch(texts)
-    finally:
-        session.close()
+    values = session.batch(texts)
     for text, value in zip(texts, values):
         print(f"{session.compile(text).description} = {value:.6f}")
     return 0
@@ -1267,8 +1157,6 @@ def _render_profile(result) -> str:
                 entry["transport"],
                 _format_bytes(entry.get("bytes_shared", 0)),
                 _format_bytes(entry.get("bytes_pickled", 0)),
-                _format_bytes(entry.get("bytes_wire", 0)),
-                str(entry.get("round_trips", 0)),
                 f"{entry.get('broadcasts_skipped', 0)}"
                 f"/{entry.get('broadcasts_total', 0)}",
                 f"{entry.get('attach_ns', 0) / 1e6:.2f}",
@@ -1276,18 +1164,14 @@ def _render_profile(result) -> str:
             for entry in profile.transports
         ]
         transport_table = format_table(
-            ["order", "transport", "shared", "pickled", "wire",
-             "round trips", "bcasts skipped", "attach ms"],
+            ["order", "transport", "shared", "pickled", "bcasts skipped",
+             "attach ms"],
             rows,
-        )
-        wire_total = sum(
-            entry.get("bytes_wire", 0) for entry in profile.transports
         )
         text += (
             f"\n\nsharded-scan transport (total "
             f"{_format_bytes(profile.bytes_shared)} shared, "
             f"{_format_bytes(profile.bytes_pickled)} pickled, "
-            f"{_format_bytes(wire_total)} on the wire, "
             f"{profile.broadcasts_skipped}/{profile.broadcasts_total} "
             f"broadcasts amortized)\n" + transport_table
         )

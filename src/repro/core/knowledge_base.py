@@ -212,35 +212,20 @@ class ProbabilisticKnowledgeBase:
         self,
         backend: str = "auto",
         cache_size: int | None = None,
-        max_workers: int = 1,
-        worker_addresses=(),
     ) -> QuerySession:
         """Open a new query session against this knowledge base's model.
 
         Sessions compile queries into plans, memoize marginals, and pick an
         inference backend (``"auto"``, ``"dense"``, ``"elimination"``, or
-        any registered plugin).  ``max_workers > 1`` shards
-        :meth:`~repro.api.session.QuerySession.batch` calls across worker
-        processes with per-worker caches (close the session to stop
-        them); ``worker_addresses`` shards them across remote ``repro
-        worker`` daemons instead.  The single-query convenience methods
+        any registered plugin).  The single-query convenience methods
         below all delegate to a shared default session.
         """
         from repro.api.session import QuerySession
 
         if cache_size is None:
-            return QuerySession(
-                self.model,
-                backend=backend,
-                max_workers=max_workers,
-                worker_addresses=worker_addresses,
-            )
+            return QuerySession(self.model, backend=backend)
         return QuerySession(
-            self.model,
-            backend=backend,
-            cache_size=cache_size,
-            max_workers=max_workers,
-            worker_addresses=worker_addresses,
+            self.model, backend=backend, cache_size=cache_size
         )
 
     @property
@@ -257,27 +242,12 @@ class ProbabilisticKnowledgeBase:
         self,
         queries: Iterable[str | Query],
         backend: str | None = None,
-        max_workers: int = 1,
-        worker_addresses=(),
     ) -> list[float]:
         """Batch-evaluate many queries, sharing marginal computations.
 
         With ``backend`` the batch runs in a fresh session on that backend;
         otherwise it uses the default session (and its warm caches).
-        ``max_workers > 1`` shards the batch across worker processes for
-        this call (pool started and stopped per call — hold a
-        :meth:`session` with ``max_workers`` to amortize startup across
-        batches); ``worker_addresses`` shards it across remote ``repro
-        worker`` daemons over TCP instead.  Results keep input order and
-        are bit-identical either way.
         """
-        if max_workers > 1 or worker_addresses:
-            with self.session(
-                backend=backend or "auto",
-                max_workers=max_workers,
-                worker_addresses=worker_addresses,
-            ) as parallel_session:
-                return parallel_session.batch(queries)
         if backend is not None:
             return self.session(backend=backend).batch(queries)
         return self._session.batch(queries)

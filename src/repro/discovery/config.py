@@ -51,14 +51,17 @@ class DiscoveryConfig:
         before the first scan, participate in the Eq-41 range bounds, and
         are never re-tested.
     max_workers:
-        Worker-process count for the per-order candidate scans.  1 (the
-        default) runs serially; above 1 the engine shards each scan
+        Local worker-process count for the per-order candidate scans.  1
+        (the default) runs serially; above 1 the engine shards each scan
         across a :class:`~repro.parallel.scan.ShardedScanExecutor`, with
-        adoption decisions bit-identical to the serial path.  Purely an
-        execution knob: it never changes results, only wall-clock — and
-        for that reason it is machine-local and deliberately *not*
-        serialized with the knowledge base (a saved artifact must not
-        spawn process pools on whatever host later loads it).
+        adoption decisions bit-identical to the serial path.  How tensors
+        move is not configured: shared memory where the platform has it,
+        pickled arrays otherwise (see
+        :func:`repro.parallel.shm.open_codec`).  Purely an execution knob:
+        it never changes results, only wall-clock — and for that reason it
+        is machine-local and deliberately *not* serialized with the
+        knowledge base (a saved artifact must not spawn process pools on
+        whatever host later loads it).
     parallel_scan_threshold:
         Minimum candidate-pool size (total marginal cells at an order)
         for a sharded scan to engage.  Below it the per-shard dispatch
@@ -68,19 +71,6 @@ class DiscoveryConfig:
         The chosen path per order lands in
         :attr:`~repro.discovery.profile.DiscoveryProfile.scan_paths`.
         Machine-local like ``max_workers`` and likewise not serialized.
-    worker_addresses:
-        ``HOST:PORT`` addresses of remote ``repro worker`` daemons to
-        shard scans across (each address is one pool slot).  Empty (the
-        default) leaves a ``max_workers > 1`` run to
-        ``REPRO_WORKER_ADDRESSES``, and to local workers when no
-        addresses are configured anywhere.  How tensors
-        move is not configured: it follows from the pool (shared memory
-        for local workers where the platform has it, inline otherwise —
-        see :func:`repro.parallel.shm.open_codec`), with bit-identical
-        results either way.  The most machine-local knob of all — it
-        names sockets on a specific network — so like ``max_workers`` it
-        is deliberately *not* serialized: a stored KB must never make a
-        loading host dial someone else's workers.
     """
 
     max_order: int | None = None
@@ -92,7 +82,6 @@ class DiscoveryConfig:
     given_constraints: tuple[CellConstraint, ...] = ()
     max_workers: int = 1
     parallel_scan_threshold: int = 512
-    worker_addresses: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.given_constraints, tuple):
@@ -124,16 +113,6 @@ class DiscoveryConfig:
                 f"parallel_scan_threshold must be >= 0, got "
                 f"{self.parallel_scan_threshold}"
             )
-        if not isinstance(self.worker_addresses, tuple):
-            object.__setattr__(
-                self, "worker_addresses", tuple(self.worker_addresses)
-            )
-        for address in self.worker_addresses:
-            if not isinstance(address, str) or ":" not in address:
-                raise DataError(
-                    f"worker address {address!r} is not of the form "
-                    f"HOST:PORT"
-                )
 
     def to_dict(self) -> dict:
         """JSON-ready dict (round-tripped in the knowledge-base format)."""

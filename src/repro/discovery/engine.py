@@ -76,7 +76,7 @@ class DiscoveryEngine:
         tests can enforce exactly that.
     executor:
         A :class:`~repro.parallel.scan.ShardedScanExecutor` to spread
-        per-order scans across worker processes.  When omitted and
+        per-order scans across local worker processes.  When omitted and
         ``config.max_workers > 1`` (kernel backend only), the engine
         creates — and owns — one; call :meth:`close` (or use the engine
         as a context manager) to stop its workers.  A config-created
@@ -112,17 +112,11 @@ class DiscoveryEngine:
         if (
             executor is None
             and scan_backend == "kernel"
-            and (
-                self.config.max_workers > 1
-                or self.config.worker_addresses
-            )
+            and self.config.max_workers > 1
         ):
             from repro.parallel.scan import ShardedScanExecutor
 
-            executor = ShardedScanExecutor(
-                self.config.max_workers,
-                worker_addresses=self.config.worker_addresses,
-            )
+            executor = ShardedScanExecutor(self.config.max_workers)
             self._owns_executor = True
         self.executor = executor
 

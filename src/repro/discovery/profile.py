@@ -94,7 +94,7 @@ class DiscoveryProfile:
     def add_transport(self, order: int, label: str, counters: dict) -> None:
         """Fold one sharded order's transport counters into the profile.
 
-        ``label`` names the medium (``"pipe"``, ``"shm"`` or ``"tcp"``).
+        ``label`` names the medium (``"pipe"`` or ``"shm"``).
         """
         self.bytes_pickled += counters.get("bytes_pickled", 0)
         self.bytes_shared += counters.get("bytes_shared", 0)

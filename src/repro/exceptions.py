@@ -46,13 +46,11 @@ class ParallelError(ReproError):
 class StaleWorkerStateError(ParallelError):
     """A worker was asked to reuse pinned state it no longer holds.
 
-    Workers pin data-side stats, cached joints, and query sessions; a
-    remote worker pins them per connection, so a reconnect (or a fresh
-    daemon) starts from nothing.  A worker raises this when the master
-    references cached
-    state — a table, a joint fingerprint, a session — that the
-    connection never received, so the master can re-ship the full
-    payload instead of silently serving stale or missing state."""
+    Scan workers pin data-side stats, the table and the model's
+    component tensors.  A worker raises this when the master references
+    cached state — a table, a kernel, a model fingerprint — that the
+    worker does not hold, so the master can re-ship the full payload
+    instead of silently scanning stale or missing state."""
 
 
 class QueryError(ReproError):

@@ -256,18 +256,13 @@ class LiveKnowledgeBase:
         self,
         backend: str = "auto",
         cache_size: int | None = None,
-        max_workers: int = 1,
     ):
         """Open a query session; it stays valid across refits.
 
-        ``max_workers > 1`` serves batches from worker processes; their
-        sessions track refits through the model fingerprint just like
-        in-process ones, so a policy-triggered refit is picked up on the
-        next batch.
+        The session tracks refits through the model fingerprint, so a
+        policy-triggered refit is picked up on the next query.
         """
-        return self.kb.session(
-            backend=backend, cache_size=cache_size, max_workers=max_workers
-        )
+        return self.kb.session(backend=backend, cache_size=cache_size)
 
     def query(self, text: str) -> float:
         """Answer a textual probability query against the current model."""

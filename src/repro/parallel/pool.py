@@ -10,10 +10,9 @@ unpicklable ever crosses the pipe).
 
 Unlike :class:`concurrent.futures.ProcessPoolExecutor`, dispatch is
 *pinned*: ``run(task, args_per_worker)`` sends shard ``i`` to worker ``i``,
-always.  That is what lets the sharded scan keep worker-side caches (each
+always.  That is what lets the sharded scan keep worker-side caches: each
 worker's :class:`~repro.significance.kernels.OrderScanKernel` owns its
-shard's data-side statistics) and the query evaluator keep per-worker
-plan/marginal caches warm across batches.
+shard's data-side statistics across the scan-adopt-refit rounds.
 
 ``max_workers=1`` (or ``inline=True``) runs every task in-process against
 the same per-worker state dicts — the deterministic fallback for platforms
@@ -23,7 +22,9 @@ have cores for.
 
 Failure contract: a worker exception that is a :class:`ReproError`
 subclass is re-raised in the master as that same class; anything else —
-including a worker dying mid-task — surfaces as :class:`ParallelError`.
+including a worker dying mid-task, or one that does not reply within
+:data:`REPLY_TIMEOUT` — surfaces as :class:`ParallelError`.  Inline and
+process pools follow it alike; neither retries a task.
 """
 
 from __future__ import annotations
@@ -38,13 +39,16 @@ import weakref
 from repro.exceptions import ParallelError, ReproError
 
 __all__ = [
+    "REPLY_TIMEOUT",
     "WorkerPool",
     "default_start_method",
-    "dispatch",
     "resolve_task",
-    "results_of",
     "shard_bounds",
 ]
+
+#: Seconds the master waits for each worker reply before it declares the
+#: worker hung, closes the pool and raises :class:`ParallelError`.
+REPLY_TIMEOUT = 120.0
 
 
 def default_start_method() -> str:
@@ -118,36 +122,14 @@ def _close_live_pools() -> None:
 atexit.register(_close_live_pools)
 
 
-def dispatch(handlers: dict, state: dict, message: tuple) -> tuple:
-    """Run one ``("call", task, args)`` message against a worker's state.
-
-    The per-message step of every worker loop — pipe-connected process or
-    TCP connection alike: resolve the task through ``handlers`` (the
-    loop's resolution cache), call it, and build the reply —
-    ``("ok", result)``, or ``("error", module, name, message, traceback)``
-    for *any* exception, so the master can re-raise library exceptions as
-    themselves and the worker loops on.
-    """
-    _, task, args = message
-    try:
-        handler = handlers.get(task)
-        if handler is None:
-            handler = handlers[task] = resolve_task(task)
-        return ("ok", handler(state, *args))
-    except BaseException as error:  # ship everything back, loop on
-        return (
-            "error",
-            type(error).__module__,
-            type(error).__name__,
-            str(error),
-            traceback.format_exc(),
-        )
-
-
 def _worker_main(connection) -> None:
-    """Worker loop: receive a message, :func:`dispatch` it, send the reply.
+    """Worker loop: receive a ``("call", task, args)`` message, run it
+    against this worker's state, send the reply.
 
-    Only a hard crash (signal, ``os._exit``) breaks the pipe.
+    The reply is ``("ok", result)``, or ``("error", module, name,
+    message, traceback)`` for *any* exception, so the master can re-raise
+    library exceptions as themselves while the worker loops on.  Only a
+    hard crash (signal, ``os._exit``) breaks the pipe.
     """
     handlers: dict = {}
     state: dict = {}
@@ -158,15 +140,29 @@ def _worker_main(connection) -> None:
             break
         if message[0] == "exit":
             break
+        _, task, args = message
         try:
-            connection.send(dispatch(handlers, state, message))
+            handler = handlers.get(task)
+            if handler is None:
+                handler = handlers[task] = resolve_task(task)
+            reply = ("ok", handler(state, *args))
+        except BaseException as error:  # ship everything back, loop on
+            reply = (
+                "error",
+                type(error).__module__,
+                type(error).__name__,
+                str(error),
+                traceback.format_exc(),
+            )
+        try:
+            connection.send(reply)
         except (BrokenPipeError, OSError):
             break
     with contextlib.suppress(OSError):
         connection.close()
 
 
-def _raise_remote(module: str, name: str, message: str, trace: str):
+def _raise_worker_error(module: str, name: str, message: str, trace: str):
     """Re-raise a worker-side exception in the master.
 
     :class:`ReproError` subclasses come back as themselves (a poisoned
@@ -188,18 +184,6 @@ def _raise_remote(module: str, name: str, message: str, trace: str):
     )
 
 
-def results_of(replies: list) -> list:
-    """Unpack a run's replies in shard order, raising the first error.
-
-    Every reply is collected before this is called, keeping each worker's
-    stream in sync; failed shards then surface via :func:`_raise_remote`.
-    """
-    for reply in replies:
-        if reply[0] != "ok":
-            _raise_remote(*reply[1:])
-    return [reply[1] for reply in replies]
-
-
 class WorkerPool:
     """``max_workers`` pinned workers, each with persistent private state.
 
@@ -216,15 +200,6 @@ class WorkerPool:
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default picks fork
         where available (see :func:`default_start_method`).
-    retry:
-        A :class:`~repro.distributed.retry.RetryPolicy` — the *same*
-        config surface every transport honors.  ``read_timeout`` bounds
-        each wait for a worker reply (a hung worker raises
-        :class:`ParallelError` instead of blocking forever), and the
-        inline fallback retries transient task errors through
-        ``retry.call`` exactly as the TCP pool retries connections — so
-        error-path tests exercise one retry code path regardless of
-        transport.
 
     Workers start lazily on the first :meth:`run` and live until
     :meth:`close`; the pool is a context manager.
@@ -235,17 +210,11 @@ class WorkerPool:
         max_workers: int,
         inline: bool | None = None,
         start_method: str | None = None,
-        retry=None,
     ):
         if max_workers < 1:
             raise ParallelError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if retry is None:
-            from repro.distributed.retry import DEFAULT_RETRY
-
-            retry = DEFAULT_RETRY
-        self.retry = retry
         self.max_workers = int(max_workers)
         self.inline = (max_workers == 1) if inline is None else bool(inline)
         self._start_method = start_method or default_start_method()
@@ -360,28 +329,22 @@ class WorkerPool:
         self._ensure_started()
         if self.inline:
             # Same failure contract as the process path: every shard
-            # runs (replies are "collected"), then the first error is
-            # raised — library errors as themselves, the rest wrapped.
-            # Transient errors go through the shared retry policy, the
-            # same one the TCP pool applies to connections.
+            # runs, then the first error is raised.
             handler = resolve_task(task)
             results = []
             failure: Exception | None = None
-            for index, args in enumerate(args_per_worker):
-                state = self._states[index]
+            for state, args in zip(self._states, args_per_worker):
                 try:
-                    results.append(
-                        self.retry.call(lambda: handler(state, *args))
-                    )
+                    results.append(handler(state, *args))
                 except Exception as error:
                     results.append(None)
                     if failure is None:
                         failure = error
             if failure is not None:
                 # `type(...) is not ParallelError` (not isinstance):
-                # _raise_remote re-raises ParallelError *subclasses* —
+                # _raise_worker_error re-raises ParallelError *subclasses* —
                 # StaleWorkerStateError in particular — as themselves,
-                # and the inline path must agree with the remote one.
+                # and the inline path must agree with the process one.
                 if isinstance(failure, ReproError) and (
                     type(failure) is not ParallelError
                 ):
@@ -401,19 +364,13 @@ class WorkerPool:
                     f"could not dispatch task {task!r}: a worker died"
                 ) from None
         replies = []
-        read_timeout = self.retry.read_timeout
         for index, (_process, connection) in enumerate(active):
             try:
-                # The same read_timeout the TCP pool sets on its
-                # sockets: a hung worker raises instead of blocking the
-                # master forever.
-                if read_timeout is not None and not connection.poll(
-                    read_timeout
-                ):
+                if not connection.poll(REPLY_TIMEOUT):
                     self.close()
                     raise ParallelError(
                         f"worker {index} did not reply within "
-                        f"{read_timeout}s while running task {task!r}"
+                        f"{REPLY_TIMEOUT}s while running task {task!r}"
                     )
                 replies.append(connection.recv())
             except (EOFError, OSError):
@@ -421,7 +378,12 @@ class WorkerPool:
                 raise ParallelError(
                     f"worker {index} died while running task {task!r}"
                 ) from None
-        return results_of(replies)
+        # Every reply is collected first, keeping each worker's pipe in
+        # sync; failed shards then surface in shard order.
+        for reply in replies:
+            if reply[0] != "ok":
+                _raise_worker_error(*reply[1:])
+        return [reply[1] for reply in replies]
 
     def broadcast(self, task: str, *args) -> list:
         """Run ``task`` with the same arguments on every worker."""

@@ -14,8 +14,8 @@ Per scan the master ships the model's per-component tensors
 connected component of the constraint graph — never the ``2^n`` joint)
 once; per adoption it broadcasts the adopted constraint so every worker's
 constraint-set copy (and kernel cache invalidation) tracks the master's.
-One protocol runs on every pool; the only per-medium piece is the tensor
-codec (:mod:`repro.parallel.shm`), derived from the pool:
+The only per-medium piece is the tensor codec (:mod:`repro.parallel.shm`),
+derived from the platform:
 
 - the component tensors travel as one flat float64 block plus a
   components/shapes layout, fingerprint-amortized — shipped (as a
@@ -31,8 +31,7 @@ codec (:mod:`repro.parallel.shm`), derived from the pool:
 
 A worker asked to reuse state it does not hold raises
 :class:`~repro.exceptions.StaleWorkerStateError`, and the master replays
-the order with full payloads — the recovery a reconnected remote worker
-needs, on one code path for every pool.
+the order with full payloads rather than scan stale state.
 
 Three things keep the parallel path fast where a naive port would not be:
 
@@ -105,8 +104,8 @@ def _init_order(state, table_ref, order, constraints, priors, subsets) -> None:
     if kind == "table":
         state["table"] = table_ref[1]
     elif "table" not in state:
-        # StaleWorkerStateError so a master talking to a reconnected (or
-        # fresh) remote worker can recover by re-shipping the full table.
+        # StaleWorkerStateError so the master recovers by re-shipping
+        # the full table.
         raise StaleWorkerStateError(
             "worker was told to reuse a cached table it never received"
         )
@@ -119,9 +118,7 @@ def _init_order(state, table_ref, order, constraints, priors, subsets) -> None:
 def _active_kernel(state) -> OrderScanKernel:
     kernel = state.get("kernel")
     if kernel is None:
-        raise StaleWorkerStateError(
-            "scan worker has no active order (fresh connection?)"
-        )
+        raise StaleWorkerStateError("scan worker has no active order")
     return kernel
 
 
@@ -226,11 +223,8 @@ class ShardedScanExecutor:
     One executor (and its pool) serves a whole discovery run — workers
     persist across orders, only their per-order kernels are rebuilt.
 
-    Without a ``pool``, worker addresses (``worker_addresses``, else
-    ``REPRO_WORKER_ADDRESSES``) mean remote daemons — one pool slot per
-    entry, shards running over TCP, ``retry`` bounding connect/read
-    behavior — and otherwise ``max_workers`` local processes.  The
-    tensor codec follows from the pool (see
+    Without a ``pool`` the executor runs ``max_workers`` local worker
+    processes.  The tensor codec follows from the platform (see
     :func:`repro.parallel.shm.open_codec`); :attr:`transport` names it
     for profiles, and ``counters`` accumulates what it moved.
     """
@@ -239,16 +233,16 @@ class ShardedScanExecutor:
         self,
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
-        worker_addresses=None,
-        retry=None,
     ):
         if pool is None:
-            from repro.distributed.client import open_pool
-
-            pool = open_pool(max_workers, worker_addresses, retry)
+            if max_workers is None:
+                raise ParallelError(
+                    "a sharded scan needs max_workers or a pool"
+                )
+            pool = WorkerPool(max_workers)
         self.pool = pool
         self.max_workers = pool.max_workers
-        self._codec = open_codec(pool)
+        self._codec = open_codec()
         self.counters = self._codec.counters
         self._active_shards = 0
         self._published_fingerprint: int | None = None
@@ -265,7 +259,7 @@ class ShardedScanExecutor:
 
     @property
     def transport(self) -> str:
-        """Profile label of the medium: ``"pipe"``, ``"shm"`` or ``"tcp"``."""
+        """Profile label of the medium: ``"pipe"`` or ``"shm"``."""
         return self._codec.label
 
     def begin_order(
@@ -294,8 +288,8 @@ class ShardedScanExecutor:
         try:
             self.pool.run(_TASK_INIT, init_args(table_ref))
         except StaleWorkerStateError:
-            # A reconnected remote worker lost its cached table (and
-            # model factors); re-ship both in full.
+            # A worker without the cached table (or model factors)
+            # gets both re-shipped in full.
             self._published_fingerprint = None
             self.pool.run(_TASK_INIT, init_args(("table", table)))
         self._order_args = (table, order, constraints, priors)
@@ -340,10 +334,10 @@ class ShardedScanExecutor:
         the serial scan, read from the columns without decoding the full
         results.
 
-        A :class:`StaleWorkerStateError` from any worker — a reconnected
-        connection whose pinned kernel/factors died with its predecessor —
-        is recovered by replaying the whole order with full payloads and
-        scanning again.  The replay rebuilds each worker kernel from the
+        A :class:`StaleWorkerStateError` from any worker — one asked to
+        reuse a kernel or model factors it does not hold — is recovered
+        by replaying the whole order with full payloads and scanning
+        again.  The replay rebuilds each worker kernel from the
         master's *current* constraint set, which is exactly the state an
         uninterrupted worker holds, so the retried scan stays
         bit-identical.
@@ -374,7 +368,7 @@ class ShardedScanExecutor:
         # a failed dispatch must not leave a "cached" reference behind.
         self._published_fingerprint = None
         layout, block = model.factored().pack()
-        ref = self._codec.put("factors", block, self._active_shards)
+        ref = self._codec.put(block, self._active_shards)
         return ("factors", fingerprint, layout, ref)
 
     def _run_scan(self, factors_ref: tuple) -> list:

@@ -1,20 +1,17 @@
 """Tensor codecs for the worker protocol, and the shared memory behind one.
 
-The sharded scan and the query evaluator speak one protocol to every
-worker pool; the only per-medium piece is how a dense float64 tensor (a
-model's packed component tensors, a packed model block, a shard's result
-columns) gets from one side to the other.  That is a *codec*, derived
-from the pool, never configured:
+The sharded scan speaks one protocol to its worker pool; the only
+per-medium piece is how a dense float64 tensor (a model's packed
+component tensors, a shard's result columns) gets from one side to the
+other.  That is a *codec*, derived from the platform, never configured:
 
-- ``shm`` (a local :class:`~repro.parallel.pool.WorkerPool` where
-  :func:`shm_available`): the master writes the tensor into a
-  :class:`SharedTensorPool` segment and ships a :class:`SharedTensorHandle`
-  a few dozen bytes long; workers attach zero-copy read-only views and
-  may write large results back through per-worker output slabs.
-- ``inline`` (a :class:`~repro.distributed.client.TcpWorkerPool`, or a
-  local pool on a platform without usable shared memory): the array
-  itself travels inside the task message and results come back in the
-  reply.
+- ``shm`` (where :func:`shm_available`): the master writes the tensor
+  into a :class:`SharedTensorPool` segment and ships a
+  :class:`SharedTensorHandle` a few dozen bytes long; workers attach
+  zero-copy read-only views and may write large results back through
+  per-worker output slabs.
+- ``inline`` (a platform without usable shared memory): the array itself
+  travels inside the task message and results come back in the reply.
 
 The building blocks:
 
@@ -30,11 +27,7 @@ The building blocks:
   attach (``attach_ns``) for the instrumentation.
 - :class:`TransportCounters` is that instrumentation: payload bytes moved
   inline (pickled) vs through shared segments, broadcasts skipped by
-  fingerprint amortization, attach time, wire bytes.
-- :func:`pack_model` / :func:`unpack_model` flatten a
-  :class:`~repro.maxent.model.MaxEntModel`'s factors into one float64
-  block (plus a tiny layout description), so a model crosses either codec
-  as one tensor.
+  fingerprint amortization, attach time.
 
 **Bit-identity.**  Shared views expose the exact float64 bytes the master
 wrote and pickled arrays round-trip bit-exactly — no encode/decode step
@@ -53,7 +46,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.exceptions import ParallelError
-from repro.maxent.model import MaxEntModel
 
 __all__ = [
     "InlineCodec",
@@ -63,11 +55,9 @@ __all__ = [
     "ShmCodec",
     "TransportCounters",
     "open_codec",
-    "pack_model",
     "read_tensor",
     "shm_available",
     "take_attach_ns",
-    "unpack_model",
 ]
 
 _shm_probe: bool | None = None
@@ -127,10 +117,6 @@ class TransportCounters:
     framing around them is noise at these sizes).  ``broadcasts_skipped``
     counts rebroadcasts avoided because the model fingerprint had not
     changed; ``attach_ns`` is cumulative worker-side segment attach time.
-    ``bytes_wire`` counts every byte a TCP pool put on or read off the
-    network (frames *and* headers — on the wire, framing is not noise),
-    and ``round_trips`` counts dispatch cycles (one per ``pool.run``),
-    the latency-bound quantity a remote deployment actually pays for.
     """
 
     bytes_pickled: int = 0
@@ -138,8 +124,6 @@ class TransportCounters:
     broadcasts_total: int = 0
     broadcasts_skipped: int = 0
     attach_ns: int = 0
-    bytes_wire: int = 0
-    round_trips: int = 0
 
     def snapshot(self) -> "TransportCounters":
         return replace(self)
@@ -154,8 +138,6 @@ class TransportCounters:
                 self.broadcasts_skipped - earlier.broadcasts_skipped
             ),
             attach_ns=self.attach_ns - earlier.attach_ns,
-            bytes_wire=self.bytes_wire - earlier.bytes_wire,
-            round_trips=self.round_trips - earlier.round_trips,
         )
 
     def to_dict(self) -> dict:
@@ -165,8 +147,6 @@ class TransportCounters:
             "broadcasts_total": self.broadcasts_total,
             "broadcasts_skipped": self.broadcasts_skipped,
             "attach_ns": self.attach_ns,
-            "bytes_wire": self.bytes_wire,
-            "round_trips": self.round_trips,
         }
 
 
@@ -391,117 +371,18 @@ class SegmentAttachments:
             pass
 
 
-# -- model packing ----------------------------------------------------------------
-
-
-def _model_layout(model: MaxEntModel) -> dict:
-    """The packing order of a model's factors.
-
-    Cell and table factors keep the model's dict *insertion* order — not a
-    canonical sort — because
-    :meth:`~repro.maxent.model.MaxEntModel.unnormalized` multiplies them
-    in that order and float multiplication does not reassociate: an
-    unpacked model must rebuild its dicts in the master's order or its
-    joint drifts by an ulp.
-    """
-    return {
-        "margins": [
-            (name, int(model.margin_factors[name].shape[0]))
-            for name in model.schema.names
-        ],
-        "cells": list(model.cell_factors),
-        "tables": [
-            (names, tuple(model.table_factors[names].shape))
-            for names in model.table_factors
-        ],
-    }
-
-
-def pack_model(model: MaxEntModel) -> tuple[dict, np.ndarray]:
-    """Flatten a model's factors into ``(layout, float64 block)``.
-
-    The block holds ``a0``, then every margin vector in schema order,
-    then cell factors, then table factor tensors (raveled) — the latter
-    two in the model's own dict order (see :func:`_model_layout`).  The
-    layout is the tiny structural description that crosses the pipe; the
-    block crosses shared memory.  Bit-exact: every float lands in the
-    block unchanged and dict order is preserved, so
-    :func:`unpack_model` rebuilds a model whose joint — not just its
-    :meth:`~repro.maxent.model.MaxEntModel.fingerprint` — is
-    byte-identical to the packed one's.
-    """
-    layout = _model_layout(model)
-    parts: list[np.ndarray] = [np.array([model.a0], dtype=np.float64)]
-    parts.extend(
-        np.asarray(model.margin_factors[name], dtype=np.float64)
-        for name, _length in layout["margins"]
-    )
-    if layout["cells"]:
-        parts.append(
-            np.array(
-                [model.cell_factors[key] for key in layout["cells"]],
-                dtype=np.float64,
-            )
-        )
-    parts.extend(
-        np.asarray(model.table_factors[names], dtype=np.float64).ravel()
-        for names, _shape in layout["tables"]
-    )
-    return layout, np.concatenate(parts)
-
-
-def unpack_model(schema, layout: dict, block: np.ndarray) -> MaxEntModel:
-    """Rebuild the :func:`pack_model` model from a (shared) float block.
-
-    Slices of ``block`` are views; :class:`~repro.maxent.model.MaxEntModel`
-    copies them on construction, so the result owns its memory and stays
-    valid after the segment is rewritten or unlinked.
-    """
-    offset = 1
-    a0 = float(block[0])
-    margin_factors = {}
-    for name, length in layout["margins"]:
-        margin_factors[name] = block[offset : offset + length]
-        offset += length
-    cell_factors = {}
-    for key in layout["cells"]:
-        key = (tuple(key[0]), tuple(key[1]))
-        cell_factors[key] = float(block[offset])
-        offset += 1
-    table_factors = {}
-    for names, shape in layout["tables"]:
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        table_factors[tuple(names)] = np.asarray(
-            block[offset : offset + size]
-        ).reshape(tuple(shape))
-        offset += size
-    if offset != len(block):
-        raise ParallelError(
-            f"model block holds {len(block)} floats but the layout "
-            f"describes {offset}"
-        )
-    return MaxEntModel(
-        schema, margin_factors, cell_factors, a0, table_factors
-    )
-
-
 # -- codecs -----------------------------------------------------------------------
 
 
 class InlineCodec:
-    """Tensors travel inside the task message; results in the reply.
+    """Tensors travel inside the task message; results in the reply."""
 
-    ``label`` is the profile label of the medium the pickled bytes cross:
-    ``"tcp"`` for a remote pool, ``"pipe"`` for a local one.
-    """
+    label = "pipe"
 
-    def __init__(self, counters: TransportCounters, label: str):
-        self.counters = counters
-        self.label = label
+    def __init__(self):
+        self.counters = TransportCounters()
 
-    def put(self, slot: str, array: np.ndarray, fanout: int) -> np.ndarray:
+    def put(self, array: np.ndarray, fanout: int) -> np.ndarray:
         """The reference to ship for ``array``: the array itself."""
         self.counters.bytes_pickled += array.nbytes * fanout
         return array
@@ -520,27 +401,25 @@ class InlineCodec:
 class ShmCodec:
     """Tensors travel through master-owned shared segments.
 
-    :meth:`put` keeps one segment per named ``slot`` (``"factors"``,
-    ``"model"``) and rewrites it in place while the shape holds — workers
-    read a slot only inside the synchronous dispatch that follows, so the
-    rewrite can never race a reader.  Output slabs are per-shard segments
+    :meth:`put` keeps one segment for the model's packed factors and
+    rewrites it in place while the shape holds — workers read it only
+    inside the synchronous dispatch that follows, so the rewrite can
+    never race a reader.  Output slabs are per-shard segments
     the workers write float results into; :meth:`read_slab` copies a
     slab's used prefix out, because the slab is rewritten next scan.
     """
 
     label = "shm"
 
-    def __init__(self, counters: TransportCounters):
-        self.counters = counters
+    def __init__(self):
+        self.counters = TransportCounters()
         self._pool = SharedTensorPool()
-        self._slots: dict[str, tuple[SharedTensorHandle, np.ndarray]] = {}
+        self._factors: tuple[SharedTensorHandle, np.ndarray] | None = None
         self._slabs: list = []
 
-    def put(
-        self, slot: str, array: np.ndarray, fanout: int
-    ) -> SharedTensorHandle:
-        """Write ``array`` into the slot's segment; returns its handle."""
-        handle, view = self._slots.get(slot, (None, None))
+    def put(self, array: np.ndarray, fanout: int) -> SharedTensorHandle:
+        """Write ``array`` into the factors segment; returns its handle."""
+        handle, view = self._factors or (None, None)
         if (
             handle is not None
             and handle.shape == array.shape
@@ -552,7 +431,7 @@ class ShmCodec:
                 self._pool.release(handle)
             handle, view = self._pool.acquire(array.shape, array.dtype)
         view[...] = array
-        self._slots[slot] = (handle, view)
+        self._factors = (handle, view)
         self.counters.bytes_shared += array.nbytes
         return handle
 
@@ -579,28 +458,16 @@ class ShmCodec:
 
     def close(self) -> None:
         # Views first: the segments they alias are unmapped next.
-        self._slots = {}
+        self._factors = None
         self._slabs = []
         self._pool.close()
 
 
-def open_codec(pool) -> InlineCodec | ShmCodec:
-    """The tensor codec for ``pool`` — derived, never configured.
-
-    A remote :class:`~repro.distributed.client.TcpWorkerPool` gets
-    ``inline`` (label ``"tcp"``) and charges its payload bytes to the
-    pool's own counters, which already hold the wire ledger; a local pool
-    gets ``shm`` when :func:`shm_available`, else ``inline`` (label
-    ``"pipe"``) — which is what keeps platforms without ``/dev/shm``
-    working.
-    """
-    from repro.distributed.client import TcpWorkerPool
-
-    if isinstance(pool, TcpWorkerPool):
-        return InlineCodec(pool.counters, "tcp")
-    if shm_available():
-        return ShmCodec(TransportCounters())
-    return InlineCodec(TransportCounters(), "pipe")
+def open_codec() -> InlineCodec | ShmCodec:
+    """The tensor codec — derived, never configured: ``shm`` when
+    :func:`shm_available`, else ``inline`` (label ``"pipe"``), which is
+    what keeps platforms without ``/dev/shm`` working."""
+    return ShmCodec() if shm_available() else InlineCodec()
 
 
 def read_tensor(state: dict, ref, writable: bool = False) -> np.ndarray:

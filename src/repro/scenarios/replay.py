@@ -167,21 +167,11 @@ def replay_session(
     over ``model`` (sessions are not shared across threads), created
     inside the replay so plan compilation and first-touch marginal costs
     are part of the measured traffic — the cold/warm mix a freshly
-    deployed replica actually serves.  Sessions are closed afterwards.
+    deployed replica actually serves.
     """
     from repro.api.session import QuerySession
 
-    sessions: list[QuerySession] = []
-    lock = threading.Lock()
-
     def make_client() -> Callable[[str], float]:
-        session = QuerySession(model, backend=backend)
-        with lock:
-            sessions.append(session)
-        return session.ask
+        return QuerySession(model, backend=backend).ask
 
-    try:
-        return closed_loop_replay(make_client, queries, requests, clients)
-    finally:
-        for session in sessions:
-            session.close()
+    return closed_loop_replay(make_client, queries, requests, clients)

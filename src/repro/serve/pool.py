@@ -8,10 +8,8 @@ backend artifact intact) for the next request.
 
 A pool is bound to one model revision.  On hot-swap the registry builds a
 fresh pool for the new model and *retires* the old one: idle sessions are
-closed immediately, and sessions still out serving in-flight requests are
-closed at checkin instead of being recycled — which is what reaps
-process-backed sessions (``session_workers > 1``) without yanking a model
-out from under a running request.
+dropped immediately, and sessions still out serving in-flight requests
+finish their request and are dropped at checkin instead of being recycled.
 """
 
 from __future__ import annotations
@@ -32,14 +30,11 @@ class SessionPool:
     ----------
     model:
         The model revision every pooled session serves.
-    backend / cache_size / session_workers / worker_addresses:
-        Passed through to :class:`QuerySession` (``session_workers`` maps
-        to its ``max_workers`` — process-backed batch sharding inside one
-        session; ``worker_addresses`` shards batches across remote
-        ``repro worker`` daemons over TCP instead).
+    backend / cache_size:
+        Passed through to :class:`QuerySession`.
     size:
         Retained-session cap.  Checkout never blocks: when the idle list
-        is empty a fresh session is built, and checkin closes overflow
+        is empty a fresh session is built, and checkin drops overflow
         beyond ``size`` instead of retaining it.
     """
 
@@ -49,16 +44,12 @@ class SessionPool:
         backend: str = "auto",
         cache_size: int | None = None,
         size: int = 4,
-        session_workers: int = 1,
-        worker_addresses=(),
     ):
         if size < 1:
             raise DataError(f"pool size must be >= 1, got {size}")
         self._model = model
         self._backend = backend
         self._cache_size = cache_size
-        self._session_workers = int(session_workers)
-        self._worker_addresses = tuple(worker_addresses or ())
         self.size = int(size)
         self._idle: list[QuerySession] = []
         self._lock = threading.Lock()
@@ -80,14 +71,11 @@ class SessionPool:
         return self._outstanding
 
     def _build(self) -> QuerySession:
-        kwargs = {
-            "backend": self._backend,
-            "max_workers": self._session_workers,
-            "worker_addresses": self._worker_addresses,
-        }
-        if self._cache_size is not None:
-            kwargs["cache_size"] = self._cache_size
-        return QuerySession(self._model, **kwargs)
+        if self._cache_size is None:
+            return QuerySession(self._model, backend=self._backend)
+        return QuerySession(
+            self._model, backend=self._backend, cache_size=self._cache_size
+        )
 
     def checkout(self) -> QuerySession:
         """Borrow a session (exclusive use until :meth:`checkin`)."""
@@ -106,16 +94,11 @@ class SessionPool:
         return session
 
     def checkin(self, session: QuerySession) -> None:
-        """Return a borrowed session; retired/overflow sessions close."""
+        """Return a borrowed session; retired/overflow sessions are dropped."""
         with self._lock:
             self._outstanding = max(0, self._outstanding - 1)
-            recycle = (
-                not self._retired and len(self._idle) < self.size
-            )
-            if recycle:
+            if not self._retired and len(self._idle) < self.size:
                 self._idle.append(session)
-        if not recycle:
-            session.close()
 
     def run(self, fn):
         """Checkout → ``fn(session)`` → checkin, exception-safe."""
@@ -126,16 +109,14 @@ class SessionPool:
             self.checkin(session)
 
     def retire(self) -> None:
-        """Close idle sessions now, outstanding ones at checkin; idempotent.
+        """Drop idle sessions now, outstanding ones at checkin; idempotent.
 
         After retirement the pool refuses checkouts, so no new request can
         land on the superseded model revision.
         """
         with self._lock:
             self._retired = True
-            idle, self._idle = self._idle, []
-        for session in idle:
-            session.close()
+            self._idle = []
 
     def stats(self) -> dict:
         with self._lock:
@@ -145,8 +126,6 @@ class SessionPool:
                 "outstanding": self._outstanding,
                 "created": self._created,
                 "retired": self._retired,
-                "session_workers": self._session_workers,
-                "worker_addresses": list(self._worker_addresses),
             }
 
     def __repr__(self) -> str:

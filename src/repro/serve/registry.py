@@ -28,9 +28,8 @@ is bit-identical to updating the original.  The registry entry is then
 swapped atomically on the event loop: in-flight requests finish on the
 session pool — and model fingerprint — they checked out, requests still
 queued for the executor and new requests see the new revision, the
-superseded pool is retired (idle sessions
-closed now, outstanding ones at checkin — no leaked worker processes),
-and every subscriber gets a revision-change notification.
+superseded pool is retired (idle sessions dropped now, outstanding ones
+at checkin), and every subscriber gets a revision-change notification.
 
 A knowledge base updated *in place* from outside the server (e.g. an
 embedded :class:`~repro.lifecycle.LiveKnowledgeBase` absorbing a stream)
@@ -81,15 +80,6 @@ class ServeConfig:
         Inference backend for pooled sessions.
     cache_size:
         Session cache bound; None for the session default.
-    session_workers:
-        ``max_workers`` for pooled sessions — worker *processes* behind
-        each session's batch path.
-    worker_addresses:
-        ``HOST:PORT`` addresses of remote ``repro worker`` daemons; a
-        non-empty tuple makes every pooled session shard its batches
-        over TCP (``repro serve --workers-remote``), fanning served
-        traffic out across hosts.  Machine-local — never stored with a
-        knowledge base.
     executor_threads:
         Thread-pool size for blocking evaluation; None sizes it to
         ``pool_size`` + 2 (updates and stats never starve queries).
@@ -99,8 +89,6 @@ class ServeConfig:
     pool_size: int = 4
     backend: str = "auto"
     cache_size: int | None = None
-    session_workers: int = 1
-    worker_addresses: tuple[str, ...] = ()
     executor_threads: int | None = None
 
     def __post_init__(self) -> None:
@@ -111,14 +99,6 @@ class ServeConfig:
         if self.pool_size < 1:
             raise DataError(
                 f"pool_size must be >= 1, got {self.pool_size}"
-            )
-        if self.session_workers < 1:
-            raise DataError(
-                f"session_workers must be >= 1, got {self.session_workers}"
-            )
-        if not isinstance(self.worker_addresses, tuple):
-            object.__setattr__(
-                self, "worker_addresses", tuple(self.worker_addresses)
             )
 
 
@@ -153,8 +133,6 @@ class HostedKB:
             backend=self.config.backend,
             cache_size=self.config.cache_size,
             size=self.config.pool_size,
-            session_workers=self.config.session_workers,
-            worker_addresses=self.config.worker_addresses,
         )
 
     # -- bookkeeping --------------------------------------------------------------
@@ -348,7 +326,7 @@ class HostedKB:
     # -- shutdown -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop coalescing and reap every pooled session; idempotent."""
+        """Stop coalescing and retire the session pool; idempotent."""
         self.batcher.close()
         self.pool.retire()
 

@@ -5,7 +5,7 @@ frames HTTP requests via :mod:`repro.serve.transport`, hands them to the
 :class:`~repro.serve.app.ServeApp`, and speaks the WebSocket
 subscription protocol for ``/kb/{name}/subscribe``.  Graceful shutdown
 closes the listener, tears down open connections, and retires every
-session pool through the registry (reaping worker processes).
+session pool through the registry.
 
 :func:`serve_in_thread` hosts a server on a background event-loop thread
 and yields a handle with the bound port — the harness the tests,

@@ -2,8 +2,9 @@
 them by dotted name; see ``repro.parallel.pool.resolve_task``)."""
 
 import os
+import time
 
-from repro.exceptions import DataError
+from repro.exceptions import DataError, StaleWorkerStateError
 
 
 def echo(state, value):
@@ -30,6 +31,15 @@ def raise_data_error(state, message):
 
 def raise_value_error(state, message):
     raise ValueError(message)
+
+
+def raise_stale(state):
+    raise StaleWorkerStateError("pinned state is gone")
+
+
+def sleep_for(state, seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def die(state):

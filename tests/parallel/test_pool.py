@@ -4,7 +4,13 @@ import multiprocessing
 
 import pytest
 
-from repro.exceptions import DataError, ParallelError, ReproError
+from repro.exceptions import (
+    DataError,
+    ParallelError,
+    ReproError,
+    StaleWorkerStateError,
+)
+from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, resolve_task, shard_bounds
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -14,6 +20,8 @@ PUT = "_tasks:put"
 GET = "_tasks:get"
 DATA_ERROR = "_tasks:raise_data_error"
 VALUE_ERROR = "_tasks:raise_value_error"
+STALE = "_tasks:raise_stale"
+SLEEP = "_tasks:sleep_for"
 DIE = "_tasks:die"
 
 
@@ -110,6 +118,13 @@ class TestInlinePool:
             with pytest.raises(ParallelError, match="ValueError"):
                 pool.run(VALUE_ERROR, [("nope",), ("nope",)])
 
+    def test_stale_state_error_reraised_as_itself(self):
+        # A ParallelError subclass keeps its type, as on the process
+        # path, so the sharded scan's order replay sees it.
+        with WorkerPool(1) as pool:
+            with pytest.raises(StaleWorkerStateError):
+                pool.run(STALE, [()])
+
     def test_all_shards_run_before_an_error_is_raised(self):
         # Mirrors the process path, which collects every reply first:
         # shard 1 fails but shards 0 and 2 still execute.
@@ -156,6 +171,23 @@ class TestProcessPool:
         with WorkerPool(1, inline=False) as pool:
             with pytest.raises(ParallelError, match="ValueError"):
                 pool.run(VALUE_ERROR, [("nope",)])
+
+    def test_stale_state_error_reraised_as_itself(self):
+        with WorkerPool(1, inline=False) as pool:
+            with pytest.raises(StaleWorkerStateError):
+                pool.run(STALE, [()])
+
+    def test_read_timeout_raises(self, monkeypatch):
+        """A hung worker raises instead of blocking the master forever,
+        and the pool closes behind it."""
+        monkeypatch.setattr(pool_module, "REPLY_TIMEOUT", 0.2)
+        pool = WorkerPool(1, inline=False)
+        try:
+            with pytest.raises(ParallelError, match="did not reply"):
+                pool.run(SLEEP, [(2.0,)])
+            assert pool.closed
+        finally:
+            pool.close()
 
     def test_dead_worker_surfaces_as_repro_error(self):
         with WorkerPool(2) as pool:

@@ -1,8 +1,8 @@
-"""The shared-memory codec: segments, handles, packing, cleanup.
+"""The shared-memory codec: segments, handles, cleanup.
 
 Covers the codec seam in isolation — how the codec is derived from the
-pool, pool/free-list reuse, zero-copy attach views, bit-exact model
-packing — and its hard guarantees: no
+platform, pool/free-list reuse, zero-copy attach views — and its hard
+guarantees: no
 shared-memory segment outlives its owner, whether the owner closes
 cleanly, is garbage collected, dies with a worker, or exits the
 interpreter without cleaning up at all.
@@ -17,16 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.discovery.engine import discover
 from repro.exceptions import ParallelError
 from repro.maxent.model import MaxEntModel
 from repro.parallel.shm import (
     SegmentAttachments,
     SharedTensorPool,
     TransportCounters,
-    pack_model,
     shm_available,
-    unpack_model,
 )
 
 HAS_SHM = shm_available()
@@ -47,15 +44,13 @@ def shm_names() -> set:
 
 
 def test_transport_is_derived_from_where_workers_are(monkeypatch):
-    """No option picks the medium; the pool does.  Local workers get shm
-    where the platform has it and pipe (the inline codec) where it does
-    not; worker addresses — argument or environment — mean tcp; a
-    leftover ``REPRO_PARALLEL_TRANSPORT`` changes nothing."""
+    """No option picks the medium; the platform does.  Local workers get
+    shm where the platform has it and pipe (the inline codec) where it
+    does not; a leftover ``REPRO_PARALLEL_TRANSPORT`` changes nothing."""
     from repro.parallel import shm
     from repro.parallel.scan import ShardedScanExecutor
 
     monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "pipe")
-    monkeypatch.delenv("REPRO_WORKER_ADDRESSES", raising=False)
 
     def label(**kwargs):
         with ShardedScanExecutor(**kwargs) as executor:
@@ -65,9 +60,6 @@ def test_transport_is_derived_from_where_workers_are(monkeypatch):
         assert label(max_workers=2) == "shm"
     monkeypatch.setattr(shm, "shm_available", lambda: False)
     assert label(max_workers=2) == "pipe"
-    assert label(worker_addresses=["127.0.0.1:9999"]) == "tcp"
-    monkeypatch.setenv("REPRO_WORKER_ADDRESSES", "127.0.0.1:9999")
-    assert label(max_workers=2) == "tcp"
 
 
 @needs_shm
@@ -187,64 +179,7 @@ class TestTransportCounters:
             "broadcasts_total",
             "broadcasts_skipped",
             "attach_ns",
-            "bytes_wire",
-            "round_trips",
         }
-
-
-class TestModelPacking:
-    @pytest.fixture(scope="class")
-    def fitted_model(self):
-        from repro.eval.paper import paper_table
-
-        return discover(paper_table()).model
-
-    def test_round_trip_is_bit_identical(self, fitted_model):
-        layout, block = pack_model(fitted_model)
-        rebuilt = unpack_model(fitted_model.schema, layout, block)
-        assert rebuilt.fingerprint() == fitted_model.fingerprint()
-        # The joint — factor products in the original multiplication
-        # order — must match byte for byte, not just approximately.
-        assert (
-            rebuilt.joint().tobytes() == fitted_model.joint().tobytes()
-        )
-
-    def test_rebuilt_model_owns_its_memory(self, fitted_model):
-        layout, block = pack_model(fitted_model)
-        rebuilt = unpack_model(fitted_model.schema, layout, block)
-        block[:] = -1.0  # simulate the segment being rewritten
-        assert rebuilt.joint().tobytes() == fitted_model.joint().tobytes()
-
-    def test_independent_model_packs(self, schema, table):
-        model = MaxEntModel.independent(
-            schema,
-            {
-                name: table.first_order_probabilities(name)
-                for name in schema.names
-            },
-        )
-        layout, block = pack_model(model)
-        assert not layout["cells"] and not layout["tables"]
-        rebuilt = unpack_model(schema, layout, block)
-        assert rebuilt.joint().tobytes() == model.joint().tobytes()
-
-    def test_length_mismatch_rejected(self, fitted_model):
-        layout, block = pack_model(fitted_model)
-        with pytest.raises(ParallelError, match="layout"):
-            unpack_model(
-                fitted_model.schema, layout, np.append(block, 1.0)
-            )
-
-    def test_payload_bytes_counts_every_factor(self, fitted_model):
-        _layout, block = pack_model(fitted_model)
-        factors = [
-            *fitted_model.margin_factors.values(),
-            *fitted_model.table_factors.values(),
-        ]
-        expected = 8 * (1 + len(fitted_model.cell_factors)) + sum(
-            factor.nbytes for factor in factors
-        )
-        assert block.nbytes == expected
 
 
 @needs_shm

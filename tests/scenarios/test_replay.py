@@ -69,12 +69,9 @@ class TestScenarioQueryMix:
         from repro.api.session import QuerySession
 
         session = QuerySession(model)
-        try:
-            for text in scenario_query_mix(instance.table.schema, 11):
-                value = session.ask(text)
-                assert 0.0 <= value <= 1.0
-        finally:
-            session.close()
+        for text in scenario_query_mix(instance.table.schema, 11):
+            value = session.ask(text)
+            assert 0.0 <= value <= 1.0
 
 
 class TestClosedLoopReplay:

@@ -3,14 +3,16 @@
 scipy is the oracle.  Deep in the tail at large dof scipy's own
 ``gammaincc`` loses digits (up to ~2e-11 relative, against a 40-digit
 mpmath value); where scipy and the closed form disagree by more than
-1e-12, mpmath decides, and it must find scipy the one that is off.
+1e-12, mpmath decides: the closed form must be within 1e-12 of it and at
+least as close as scipy.  (Both can sit within 1e-12 of exact and still
+disagree by more than 1e-12, on opposite sides of it.)
 """
 
 from math import inf, isnan, sqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -41,7 +43,7 @@ def assert_matches_scipy(x: float, dof: int) -> None:
     if abs(got - expected) <= RELATIVE * expected:
         return
     exact = exact_sf(x, dof)
-    assert abs(expected - exact) > RELATIVE * exact, (x, dof, got, expected)
+    assert abs(got - exact) <= abs(expected - exact), (x, dof, got, expected)
     assert abs(got - exact) <= RELATIVE * exact, (x, dof, got, exact)
 
 
@@ -60,6 +62,8 @@ def tails(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(tails())
+# Closed form 8.4e-14 and scipy 9.6e-13 from exact, 1.04e-12 apart.
+@example((5786.73323030736, 2567))
 def test_matches_scipy(case):
     assert_matches_scipy(*case)
 

@@ -38,7 +38,6 @@ def record(
             "cpus": cpus,
             "scan_speedup_cold": parallel_cold,
             "scan_speedup_warm": parallel_cold,
-            "query_speedup_cold": parallel_cold,
         },
         "scenarios": [
             {
@@ -176,6 +175,51 @@ class TestRatioComparison:
             gate.main(["--registry", baseline, "--candidate", candidate])
             == 1
         )
+
+    def test_retired_metrics_in_old_baselines_are_ignored(
+        self, gate, tmp_path
+    ):
+        # Older records still hold the batch-query and TCP-worker keys;
+        # a candidate without them compares cleanly, and nothing of them
+        # shows up in the report.
+        old = record(smoke=False, parallel_cold=3.0)
+        old["parallel"]["query_speedup_cold"] = 9.0
+        old["distributed"] = {
+            "workers": 2,
+            "cpus": 4,
+            "scan_speedup": 9.0,
+            "query_speedup": 9.0,
+            "wire_bytes_per_scan": 1,
+        }
+        baseline = imported(tmp_path, [old])
+        candidate = write(
+            tmp_path / "cand.json", [record(smoke=False, parallel_cold=2.9)]
+        )
+        output = tmp_path / "diff.json"
+        assert (
+            gate.main(
+                [
+                    "--registry",
+                    baseline,
+                    "--candidate",
+                    candidate,
+                    "--output",
+                    str(output),
+                ]
+            )
+            == 0
+        )
+        report = json.loads(output.read_text())
+        metrics = {
+            row["metric"]
+            for row in report["ratios"] + report["absolute_floors"]
+        }
+        assert metrics == {
+            "metrics.scan_speedup_warm",
+            "parallel.scan_speedup_cold",
+            "parallel.scan_speedup_warm",
+        }
+        assert "costs" not in report
 
 
 def serving_record(single_rps, multi_rps, inprocess_qps=90_000.0):

@@ -71,7 +71,7 @@ def test_discover_profile_with_save(capsys, tmp_path):
     "command",
     [
         ["discover", "--workers", "0", "--max-order", "2"],
-        ["query", "--workers", "-2", "CANCER=yes"],
+        ["discover", "--workers", "-2", "--max-order", "2"],
         ["scenarios", "run", "--smoke", "--workers", "0"],
     ],
 )

@@ -33,7 +33,6 @@ def stubbed(run_all, monkeypatch):
         "suite": [],
         "discovery": [],
         "parallel": [],
-        "distributed": [],
         "serving": [],
         "scenarios": [],
     }
@@ -53,12 +52,6 @@ def stubbed(run_all, monkeypatch):
         "measure_parallel",
         lambda smoke: calls["parallel"].append(smoke)
         or {"workers": 4, "cpus": 4, "scan_speedup_cold": 2.5},
-    )
-    monkeypatch.setattr(
-        run_all,
-        "measure_distributed",
-        lambda smoke: calls["distributed"].append(smoke)
-        or {"workers": 4, "cpus": 4, "scan_speedup": 1.8},
     )
     monkeypatch.setattr(
         run_all,
@@ -135,11 +128,7 @@ class TestTrajectoryRecord:
             "cpus": 4,
             "scan_speedup_cold": 2.5,
         }
-        assert record["distributed"] == {
-            "workers": 4,
-            "cpus": 4,
-            "scan_speedup": 1.8,
-        }
+        assert "distributed" not in record
         assert record["serving"] == {
             "clients": 4,
             "throughput_ratio": 3.0,
