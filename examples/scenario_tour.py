@@ -1,11 +1,10 @@
 """Scenario tour: the conformance matrix over every registered workload.
 
-The ROADMAP asks the system to handle "as many scenarios as you can
-imagine"; :mod:`repro.scenarios` is where those live.  This example walks
-the whole registry — a null world, planted pairwise links, a genuine
-order-3 interaction, a near-deterministic rule, skewed margins,
-high-cardinality axes, sparse counts, EM-completed missing data, and a
-drifting stream — and for each one:
+:mod:`repro.scenarios` holds the fleet of seeded workloads with planted
+ground truth.  This example walks the registry — a null world, planted
+pairwise links, a genuine order-3 interaction, a near-deterministic
+rule, skewed margins, high-cardinality axes, sparse counts, EM-completed
+missing data, and a drifting stream — and for each one:
 
 1. materializes the seeded workload (same table every run);
 2. runs the Figure-3 discovery engine with per-stage profiling;

@@ -1,10 +1,10 @@
 """Scenario conformance matrix: diverse discovery workloads with gates.
 
-The package bundles the scenario registry (named, seeded workloads with
-planted ground truth, quality gates, and latency SLOs — see
-:mod:`repro.scenarios.registry`), the conformance runner that scores
+The package bundles the scenario registry (a table of named, seeded
+workloads with planted ground truth, quality gates, and latency SLOs —
+see :mod:`repro.scenarios.registry`), the conformance runner that scores
 discovery against them (:mod:`repro.scenarios.runner`), and the
-closed-loop query-traffic replay the latency SLOs gate on
+query-traffic replay the latency SLOs gate on
 (:mod:`repro.scenarios.replay`).
 """
 
@@ -18,9 +18,7 @@ from repro.scenarios.registry import (
     all_scenarios,
     default_slo,
     get_scenario,
-    register,
     scenario_names,
-    unregister,
 )
 from repro.scenarios.runner import (
     BaselineScore,
@@ -45,9 +43,7 @@ __all__ = [
     "get_scenario",
     "outcome_to_dict",
     "record_outcomes",
-    "register",
     "run_matrix",
     "run_scenario",
     "scenario_names",
-    "unregister",
 ]

@@ -4,8 +4,8 @@ The conformance matrix validates *quality*; the latency SLOs validate
 *scale* — and a knowledge base that discovers fast but serves slow still
 misses the production bar.  This module derives a deterministic, mixed
 query workload from any scenario's schema and replays it closed-loop
-(each client fires its next query the moment the previous answer lands)
-against in-process :class:`~repro.api.session.QuerySession` objects,
+(one client fires its next query the moment the previous answer lands)
+against an in-process :class:`~repro.api.session.QuerySession`,
 returning the latency percentiles the per-scenario SLOs gate on.
 
 The driver is the in-process twin of the network serving benchmark
@@ -15,9 +15,8 @@ helpers from here so both layers summarize latency the same way.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from repro.data.schema import Schema
 from repro.exceptions import DataError
 
 __all__ = [
-    "closed_loop_replay",
     "latency_stats",
     "percentile",
     "replay_session",
@@ -99,79 +97,35 @@ def scenario_query_mix(schema: Schema, seed: int, size: int = 8) -> list[str]:
     return queries
 
 
-def closed_loop_replay(
-    make_client: Callable[[], Callable[[str], float]],
-    queries: Sequence[str],
-    requests: int,
-    clients: int = 1,
-) -> dict:
-    """Closed-loop traffic replay: throughput and latency percentiles.
+def replay_session(model, queries: Sequence[str], requests: int) -> dict:
+    """Replay ``queries`` closed-loop against a fresh query session.
 
-    ``make_client`` builds one callable per client slot (called in the
-    client's own thread, so per-thread state like a dedicated session or
-    connection is safe); each of ``clients`` slots then issues
-    ``requests`` queries back-to-back, cycling ``queries`` offset by its
-    slot the way the serving benchmark spreads its mix.  Returns total
-    requests, wall-clock, sustained RPS, and p50/p99/max latency in ms.
-    """
-    if requests < 1:
-        raise DataError(f"requests must be >= 1, got {requests}")
-    if clients < 1:
-        raise DataError(f"clients must be >= 1, got {clients}")
-    if not queries:
-        raise DataError("the replay mix holds no queries")
-    latencies: list[list[float]] = [[] for _ in range(clients)]
-
-    def worker(slot: int) -> None:
-        ask = make_client()
-        for index in range(requests):
-            text = queries[(slot + index) % len(queries)]
-            start = time.perf_counter()
-            ask(text)
-            latencies[slot].append(time.perf_counter() - start)
-
-    started = time.perf_counter()
-    if clients == 1:
-        worker(0)
-    else:
-        threads = [
-            threading.Thread(target=worker, args=(slot,), daemon=True)
-            for slot in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    elapsed = time.perf_counter() - started
-    flat = [value for chunk in latencies for value in chunk]
-    total = clients * requests
-    return {
-        "clients": clients,
-        "requests": total,
-        "elapsed_s": elapsed,
-        "rps": total / elapsed if elapsed > 0 else 0.0,
-        **latency_stats(flat),
-    }
-
-
-def replay_session(
-    model,
-    queries: Sequence[str],
-    requests: int,
-    clients: int = 1,
-    backend: str = "auto",
-) -> dict:
-    """Replay ``queries`` closed-loop against fresh query sessions.
-
-    Each client slot gets its own :class:`~repro.api.session.QuerySession`
-    over ``model`` (sessions are not shared across threads), created
-    inside the replay so plan compilation and first-touch marginal costs
-    are part of the measured traffic — the cold/warm mix a freshly
-    deployed replica actually serves.
+    One client asks ``requests`` queries back-to-back, cycling
+    ``queries``, each the moment the previous answer lands.  The
+    :class:`~repro.api.session.QuerySession` is created inside the timed
+    replay, so plan compilation and first-touch marginal costs are part
+    of the measured traffic — the cold/warm mix a freshly deployed
+    replica actually serves.  Returns the client count, total requests,
+    wall-clock, sustained RPS, and p50/p99/max latency in ms.
     """
     from repro.api.session import QuerySession
 
-    def make_client() -> Callable[[str], float]:
-        return QuerySession(model, backend=backend).ask
-
-    return closed_loop_replay(make_client, queries, requests, clients)
+    if requests < 1:
+        raise DataError(f"requests must be >= 1, got {requests}")
+    if not queries:
+        raise DataError("the replay mix holds no queries")
+    latencies = []
+    started = time.perf_counter()
+    ask = QuerySession(model).ask
+    for index in range(requests):
+        start = time.perf_counter()
+        ask(queries[index % len(queries)])
+        latencies.append(time.perf_counter() - start)
+    elapsed = time.perf_counter() - started
+    return {
+        "clients": 1,
+        "requests": requests,
+        "elapsed_s": elapsed,
+        "rps": requests / elapsed if elapsed > 0 else 0.0,
+        **latency_stats(latencies),
+    }

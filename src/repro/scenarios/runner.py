@@ -14,14 +14,15 @@ then checked; CI's scenario-matrix job runs this in smoke mode and fails
 the build on any gate miss, and ``benchmarks/run_all.py --json`` appends
 the same per-scenario metrics to the benchmark trajectory.
 
-Beyond quality, the runner enforces each scenario's
-:class:`~repro.scenarios.registry.LatencySLO`: per-call p50/p99 budgets
-for the scan/fit/verify stages (from the discovery profile's per-call
+Beyond quality, the runner enforces the scenario tier's
+:class:`~repro.scenarios.registry.LatencySLO`: per-call p99 budgets for
+the scan/fit/verify stages (from the discovery profile's per-call
 samples) and p50/p99 budgets for a deterministic closed-loop query
 replay (:mod:`repro.scenarios.replay`) driven against the fitted model.
 SLO misses are reported separately from quality-gate misses but fail the
-scenario the same way.  Set ``REPRO_SLO_SCALE`` (a float multiplier) to
-relax or tighten every budget uniformly, e.g. on slow CI hardware.
+scenario the same way.  Set ``REPRO_SLO_SCALE`` (a positive float
+multiplier) to relax or tighten every budget uniformly, e.g. on slow CI
+hardware.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.baselines.chi2_selector import Chi2SelectorConfig, discover_chi2
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.trace import ConstraintRecovery, score_constraint_keys
+from repro.exceptions import DataError
 from repro.maxent.entropy import kl_divergence
 from repro.scenarios.registry import (
     DEFAULT_TIERS,
@@ -172,15 +174,21 @@ def check_slo(
 
 
 def _slo_scale() -> float:
-    """The global SLO multiplier from ``REPRO_SLO_SCALE`` (default 1.0)."""
+    """The global SLO multiplier from ``REPRO_SLO_SCALE`` (default 1.0).
+
+    A value that is not a positive finite number raises :class:`DataError`
+    rather than silently leaving the budgets unscaled.
+    """
     raw = os.environ.get("REPRO_SLO_SCALE", "").strip()
     if not raw:
         return 1.0
     try:
         scale = float(raw)
     except ValueError:
-        return 1.0
-    return scale if scale > 0 else 1.0
+        scale = float("nan")
+    if not 0 < scale < float("inf"):
+        raise DataError(f"REPRO_SLO_SCALE must be a positive number, got {raw!r}")
+    return scale
 
 
 def run_scenario(
@@ -349,8 +357,6 @@ def record_outcomes(registry, outcomes: Sequence[ScenarioOutcome]) -> list:
     so the same scenario run on different machines stays comparable).
     Returns the :class:`~repro.store.records.RunRecord` rows.
     """
-    import os
-
     # Imported lazily: the scenario registry must stay importable
     # without the persistence layer on the path of every caller.
     from repro.store.runs import config_hash, current_git_sha
@@ -359,7 +365,6 @@ def record_outcomes(registry, outcomes: Sequence[ScenarioOutcome]) -> list:
     cpus = os.cpu_count() or 1
     records = []
     for outcome in outcomes:
-        scenario = get_scenario(outcome.scenario)
         records.append(
             registry.record(
                 kind="scenario",
@@ -367,7 +372,7 @@ def record_outcomes(registry, outcomes: Sequence[ScenarioOutcome]) -> list:
                 smoke=outcome.smoke,
                 cpus=cpus,
                 config_hash=config_hash(
-                    DiscoveryConfig(max_order=scenario.max_order)
+                    DiscoveryConfig(max_order=outcome.max_order)
                 ),
                 git_sha=git_sha,
             )

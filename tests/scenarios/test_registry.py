@@ -10,9 +10,7 @@ from repro.scenarios import (
     Scenario,
     all_scenarios,
     get_scenario,
-    register,
     scenario_names,
-    unregister,
 )
 from repro.scenarios.registry import ScenarioInstance
 
@@ -93,36 +91,6 @@ class TestRegistration:
             truth=frozenset(),
             population=population,
         )
-
-    def test_register_unregister_cycle(self):
-        scenario = Scenario(
-            name="tmp-test-scenario",
-            description="temporary",
-            seed=7,
-            builder=self._dummy,
-        )
-        register(scenario)
-        try:
-            assert "tmp-test-scenario" in scenario_names()
-            assert get_scenario("tmp-test-scenario") is scenario
-        finally:
-            unregister("tmp-test-scenario")
-        assert "tmp-test-scenario" not in scenario_names()
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(DataError, match="already registered"):
-            register(
-                Scenario(
-                    name="independence",
-                    description="impostor",
-                    seed=1,
-                    builder=self._dummy,
-                )
-            )
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(DataError, match="no scenario named"):
-            unregister("never-was")
 
     def test_invalid_scenario_rejected(self):
         with pytest.raises(DataError, match="whitespace"):

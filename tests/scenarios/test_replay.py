@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import DataError
 from repro.scenarios import get_scenario
 from repro.scenarios.replay import (
-    closed_loop_replay,
     latency_stats,
     percentile,
     replay_session,
@@ -74,26 +73,6 @@ class TestScenarioQueryMix:
             assert 0.0 <= value <= 1.0
 
 
-class TestClosedLoopReplay:
-    def test_counts_and_percentiles(self):
-        result = closed_loop_replay(
-            lambda: (lambda text: 0.5), ["a", "b"], requests=10, clients=2
-        )
-        assert result["requests"] == 20
-        assert result["clients"] == 2
-        assert result["rps"] > 0
-        assert result["p50_ms"] <= result["p99_ms"] <= result["max_ms"]
-
-    def test_validation(self):
-        client = lambda: (lambda text: 0.5)  # noqa: E731
-        with pytest.raises(DataError, match="requests"):
-            closed_loop_replay(client, ["a"], requests=0)
-        with pytest.raises(DataError, match="clients"):
-            closed_loop_replay(client, ["a"], requests=1, clients=0)
-        with pytest.raises(DataError, match="queries"):
-            closed_loop_replay(client, [], requests=1)
-
-
 class TestReplaySession:
     def test_replays_against_fresh_sessions(self):
         instance = get_scenario("single-pairwise").build(smoke=True)
@@ -104,6 +83,14 @@ class TestReplaySession:
             instance.table, DiscoveryConfig(max_order=2)
         ).model
         queries = scenario_query_mix(instance.table.schema, 5)
-        result = replay_session(model, queries, requests=8, clients=2)
-        assert result["requests"] == 16
-        assert result["p99_ms"] > 0.0
+        result = replay_session(model, queries, requests=8)
+        assert result["requests"] == 8
+        assert result["clients"] == 1
+        assert result["rps"] > 0
+        assert 0.0 < result["p50_ms"] <= result["p99_ms"] <= result["max_ms"]
+
+    def test_validation(self):
+        with pytest.raises(DataError, match="requests"):
+            replay_session(None, ["A=a"], requests=0)
+        with pytest.raises(DataError, match="queries"):
+            replay_session(None, [], requests=1)

@@ -7,7 +7,10 @@ import pytest
 from repro.discovery.trace import score_constraint_keys
 from repro.scenarios import (
     ConformanceGates,
+    Scenario,
+    ScenarioInstance,
     outcome_to_dict,
+    record_outcomes,
     run_matrix,
     run_scenario,
     scenario_names,
@@ -126,6 +129,31 @@ class TestRunScenario:
             assert key in payload
         assert payload["passed"] is True
         assert payload["scenario"] == "near-deterministic"
+
+
+    def test_ad_hoc_scenario_runs_and_records(self, tmp_path):
+        from repro.discovery.config import DiscoveryConfig
+        from repro.store import RunRegistry
+        from repro.store.runs import config_hash
+        from repro.synth.generators import independent_population
+
+        def build(rng, n):
+            population = independent_population(rng, 3)
+            return ScenarioInstance(
+                table=population.sample_table(n, rng),
+                truth=frozenset(),
+                population=population,
+            )
+
+        scenario = Scenario(
+            name="ad-hoc", description="outside the table", seed=7, builder=build
+        )
+        outcome = run_scenario(scenario, include_baselines=False, include_replay=False)
+        assert outcome.scenario == "ad-hoc"
+        with RunRegistry(str(tmp_path / "runs.db")) as registry:
+            (record,) = record_outcomes(registry, [outcome])
+        assert record.kind == "scenario"
+        assert record.config_hash == config_hash(DiscoveryConfig(max_order=2))
 
 
 class TestRunMatrix:

@@ -134,6 +134,14 @@ class TestCheckSlo:
 
         assert _slo_scale() == 10.0
 
+    @pytest.mark.parametrize("raw", ["abc", "-2", "0", "nan", "inf"])
+    def test_malformed_env_scale_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SLO_SCALE", raw)
+        from repro.scenarios.runner import _slo_scale
+
+        with pytest.raises(DataError, match=f"REPRO_SLO_SCALE.*{raw}"):
+            _slo_scale()
+
 
 class TestCatalog:
     def test_catalog_is_deterministic(self):
