@@ -120,14 +120,14 @@ class LatencySLO:
     query_p99_ms: float | None = None
 
     def __post_init__(self) -> None:
-        for name, value in self._set():
+        for name, value in self._set_budgets():
             if value <= 0:
                 raise DataError(f"{name} must be positive or None, got {value}")
         p50, p99 = self.query_p50_ms, self.query_p99_ms
         if p50 is not None and p99 is not None and p50 > p99:
             raise DataError(f"query p50 budget ({p50}) exceeds p99 budget ({p99})")
 
-    def _set(self) -> list[tuple[str, float]]:
+    def _set_budgets(self) -> list[tuple[str, float]]:
         """``(field name, budget)`` of every set budget, in field order."""
         return [
             (spec.name, getattr(self, spec.name))
@@ -139,20 +139,22 @@ class LatencySLO:
         """A copy with every set budget multiplied by ``factor``."""
         if factor <= 0:
             raise DataError(f"SLO scale factor must be positive, got {factor}")
-        return LatencySLO(**{name: value * factor for name, value in self._set()})
+        return LatencySLO(
+            **{name: value * factor for name, value in self._set_budgets()}
+        )
 
     def budgets(self) -> list[tuple[str, float, float]]:
         """Set budgets as ``(stage, quantile, budget_ms)`` triples."""
         return [
             (name.split("_")[0], 0.50 if "_p50_" in name else 0.99, float(value))
-            for name, value in self._set()
+            for name, value in self._set_budgets()
         ]
 
     def describe(self) -> str:
         """Compact one-line rendering, e.g. ``scan p99<=2000ms``."""
         parts = [
             f"{name.removesuffix('_ms').replace('_', ' ')}<={value:g}ms"
-            for name, value in self._set()
+            for name, value in self._set_budgets()
         ]
         return " ".join(parts) if parts else "ungated"
 
