@@ -73,6 +73,26 @@ class TestScenarioQueryMix:
             assert 0.0 <= value <= 1.0
 
 
+class TestClosedLoopReplay:
+    def test_counts_and_percentiles(self):
+        instance = get_scenario("single-pairwise").build(smoke=True)
+        from repro.discovery.config import DiscoveryConfig
+        from repro.discovery.engine import discover
+
+        model = discover(
+            instance.table, DiscoveryConfig(max_order=2)
+        ).model
+        queries = scenario_query_mix(instance.table.schema, 3, size=2)
+        # Ten back-to-back requests cycle the two-query mix five times.
+        result = replay_session(model, queries, requests=10)
+        assert result["requests"] == 10
+        assert result["clients"] == 1
+        assert result["elapsed_s"] > 0
+        assert result["rps"] == pytest.approx(10 / result["elapsed_s"])
+        assert result["p50_ms"] <= result["p99_ms"] <= result["max_ms"]
+        assert 1e3 * result["elapsed_s"] >= result["max_ms"]
+
+
 class TestReplaySession:
     def test_replays_against_fresh_sessions(self):
         instance = get_scenario("single-pairwise").build(smoke=True)
