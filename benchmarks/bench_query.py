@@ -1,15 +1,18 @@
-"""A3 — ablation: query-engine throughput, dense vs elimination.
+"""A3 — ablation: query throughput, session vs Appendix-B elimination.
 
-Benchmarks conditional queries on the discovered paper model through both
-evaluation paths.  Shape criteria: the two paths agree to 1e-9; dense wins
-on the 12-cell paper schema (as expected — elimination pays overhead that
-only amortizes on wide schemas, cf. E8's 16-attribute chain).
+Benchmarks conditional queries on the discovered paper model through the
+query path — a :class:`~repro.api.session.QuerySession` reading the
+model's ``FactoredJoint`` — and through the paper's Appendix-B variable
+elimination (:func:`repro.maxent.elimination.query`), which stays as the
+paper's evaluation and as an oracle.  Shape criterion: the two agree to
+1e-9.
 """
 
 import pytest
 
-from repro.core.query import QueryEngine
+from repro.api.session import QuerySession
 from repro.discovery.engine import discover
+from repro.maxent import elimination
 
 QUERIES = [
     ({"CANCER": "yes"}, {"SMOKING": "smoker"}),
@@ -26,25 +29,23 @@ def model(request):
     return discover(paper_table()).model
 
 
-def test_bench_query_dense(benchmark, model):
-    engine = QueryEngine(model, method="dense")
+def test_bench_query_session(benchmark, model):
+    session = QuerySession(model)
 
     def run_all():
-        return [engine.probability(t, g or None) for t, g in QUERIES]
+        return [session.probability(t, g) for t, g in QUERIES]
 
     results = benchmark(run_all)
     assert all(0.0 <= p <= 1.0 for p in results)
 
 
 def test_bench_query_elimination(benchmark, model):
-    dense = QueryEngine(model, method="dense")
-    engine = QueryEngine(model, method="elimination")
-
     def run_all():
-        return [engine.probability(t, g or None) for t, g in QUERIES]
+        return [elimination.query(model, t, g) for t, g in QUERIES]
 
     results = benchmark(run_all)
-    expected = [dense.probability(t, g or None) for t, g in QUERIES]
+    session = QuerySession(model)
+    expected = [session.probability(t, g) for t, g in QUERIES]
     assert results == pytest.approx(expected, rel=1e-9)
 
 

@@ -1,7 +1,7 @@
 """Shared benchmark fixtures.
 
 Every bench regenerates its paper artifact, asserts the shape criteria
-(who wins / sign / ranking — see DESIGN.md §3), and writes the rendered
+(who wins / sign / ranking, stated in each bench's docstring), and writes the rendered
 table to ``benchmarks/output/`` so the reproduced artifacts can be read
 side by side with the paper.
 """

@@ -16,11 +16,11 @@ Quickstart::
     kb.rules(min_probability=0.5).describe()
 
 Serving many queries?  Open a session: queries compile once into plans,
-marginals are memoized, and batches share the underlying joint/marginal
-computations across an explicitly chosen (or auto-selected) inference
-backend::
+marginals are memoized, and every answer comes from the model's one
+:class:`~repro.maxent.model.FactoredJoint` (a tensor per independent
+component; the ``2^n`` joint is never built)::
 
-    session = kb.session(backend="auto")      # dense | elimination | plugin
+    session = kb.session()
     session.batch(["CANCER=yes", "CANCER=yes | SMOKING=smoker"])
     session.most_probable({"SMOKING": "smoker"})
 
@@ -33,18 +33,11 @@ refreshed model through its fingerprint::
                                        policy=UpdatePolicy(every_n=5000))
 """
 
-from repro.api.backends import (
-    DenseBackend,
-    EliminationBackend,
-    InferenceBackend,
-    available_backends,
-    register_backend,
-)
 from repro.api.plan import QueryPlan, compile_query
 from repro.api.session import QuerySession
 from repro.core.inference import RuleEngine
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase, Revision
-from repro.core.query import Query, QueryEngine
+from repro.core.query import Query
 from repro.core.rules import Rule, RuleGenerator, RuleSet
 from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
@@ -106,14 +99,11 @@ __all__ = [
     "ConvergenceError",
     "DataError",
     "Dataset",
-    "DenseBackend",
     "DiscoveryConfig",
     "DiscoveryEngine",
     "DiscoveryEstimator",
     "DiscoveryProfile",
-    "EliminationBackend",
     "Estimator",
-    "InferenceBackend",
     "KBDiff",
     "KBStore",
     "LiveKnowledgeBase",
@@ -122,7 +112,6 @@ __all__ = [
     "OrderScanKernel",
     "ProbabilisticKnowledgeBase",
     "Query",
-    "QueryEngine",
     "QueryError",
     "QueryPlan",
     "QuerySession",
@@ -141,7 +130,6 @@ __all__ = [
     "TableBuilder",
     "UpdatePolicy",
     "UpdateReport",
-    "available_backends",
     "available_estimators",
     "compile_query",
     "create_estimator",
@@ -154,7 +142,6 @@ __all__ = [
     "paper_table",
     "rediscover",
     "reference_scan_order",
-    "register_backend",
     "register_estimator",
     "run_matrix",
     "run_scenario",

@@ -19,7 +19,7 @@ from repro.exceptions import QueryError
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A query compiled against a schema and bound to a backend choice.
+    """A query compiled against a schema.
 
     Attributes
     ----------
@@ -31,8 +31,6 @@ class QueryPlan:
         unconditional queries).
     joint_index, given_index:
         Precomputed index tuples into those marginals.
-    backend:
-        Resolved backend name the compiling session chose for this plan.
     description:
         Human-readable ``P(target | given)`` with value labels.
     """
@@ -43,7 +41,6 @@ class QueryPlan:
     given_subset: tuple[str, ...]
     joint_index: tuple[int, ...]
     given_index: tuple[int, ...]
-    backend: str
     description: str
 
     def describe(self) -> str:
@@ -51,12 +48,10 @@ class QueryPlan:
         return self.description
 
     def __repr__(self) -> str:
-        return f"QueryPlan({self.description}, backend={self.backend!r})"
+        return f"QueryPlan({self.description})"
 
 
-def compile_query(
-    schema: Schema, query: Query | str, backend: str = ""
-) -> QueryPlan:
+def compile_query(schema: Schema, query: Query | str) -> QueryPlan:
     """Resolve a query (string or :class:`Query`) into a :class:`QueryPlan`.
 
     Raises :class:`QueryError` on unknown attributes/values, or when target
@@ -89,6 +84,5 @@ def compile_query(
         given_subset=given_subset,
         joint_index=tuple(merged[n] for n in joint_subset),
         given_index=tuple(given_idx[n] for n in given_subset),
-        backend=backend,
         description=query.describe(),
     )

@@ -1,18 +1,21 @@
 """Query sessions: the serve-many half of fit-once/serve-many.
 
-A :class:`QuerySession` binds a fitted model to an inference backend and
-amortizes everything that repeated queries share:
+A :class:`QuerySession` answers every query kind from the model's shared
+:class:`~repro.maxent.model.FactoredJoint` (one per model fingerprint,
+see :meth:`~repro.maxent.model.MaxEntModel.cached_factored`).  The
+components of the constraint graph are independent, so a marginal is the
+outer product of the marginals of the components it touches, and the
+``2^n`` joint is never built.  On top, a session amortizes what repeated
+queries share:
 
 - query strings compile once into :class:`~repro.api.plan.QueryPlan` objects
   (an LRU-bounded plan cache keyed by the raw text);
-- marginals are memoized in an LRU cache keyed by attribute subset, so a
-  batch of queries touching the same subsets pays for each marginal once;
-- the backend itself caches its expensive artifact (the joint tensor for
-  dense, the factor decomposition for elimination).
+- subset marginals are memoized in an LRU cache keyed by attribute subset,
+  so a batch of queries touching the same subsets pays for each once.
 
-Swapping the model with :meth:`set_model` — or mutating it in place and
-calling :meth:`invalidate` — drops every cache, so a session never serves
-answers from a stale model.
+Swapping the model with :meth:`set_model` — or mutating it in place, which
+changes its fingerprint — drops the marginal cache, so a session never
+serves answers from a stale model.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.api.backends import create_backend
 from repro.api.plan import QueryPlan, compile_query
 from repro.core.query import Query
 from repro.exceptions import QueryError
-from repro.maxent.model import MaxEntModel
+from repro.maxent.model import FactoredJoint, MaxEntModel
 
 Assignment = Mapping[str, str | int]
 
@@ -41,9 +43,6 @@ class QuerySession:
     ----------
     model:
         The fitted maxent model to serve.
-    backend:
-        Backend name (``"dense"``, ``"elimination"``, any registered
-        plugin) or ``"auto"`` to select per-model.
     cache_size:
         Bound on both the marginal LRU cache and the compiled-plan cache.
 
@@ -54,42 +53,35 @@ class QuerySession:
     def __init__(
         self,
         model: MaxEntModel,
-        backend: str = "auto",
         cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         if cache_size < 1:
             raise QueryError(f"cache_size must be positive, got {cache_size}")
-        self._requested_backend = backend
         self._cache_size = int(cache_size)
         self.set_model(model)
 
-    # -- model / backend lifecycle -------------------------------------------------
+    # -- model lifecycle -----------------------------------------------------------
 
     @property
     def model(self) -> MaxEntModel:
         """The model the session currently serves."""
         return self._model
 
-    @property
-    def backend(self):
-        """The resolved :class:`~repro.api.backends.InferenceBackend`."""
-        return self._backend
-
     def set_model(self, model: MaxEntModel) -> None:
         """Point the session at a new model, dropping every cache."""
         self._model = model
-        self._backend = create_backend(self._requested_backend, model)
         self._marginals: OrderedDict[tuple[str, ...], np.ndarray] = (
             OrderedDict()
         )
         self._plans: OrderedDict[str, QueryPlan] = OrderedDict()
-        self._fingerprint = model.fingerprint()
+        # Filled from the model's shared joint by the first _sync().
+        self._fingerprint: int | None = None
+        self._joint: FactoredJoint | None = None
         self._hits = 0
         self._misses = 0
 
     def invalidate(self) -> None:
         """Drop caches without replacing the model (after in-place edits)."""
-        self._backend.invalidate()
         self._marginals.clear()
         self._plans.clear()
         self._hits = 0
@@ -108,14 +100,10 @@ class QuerySession:
         if isinstance(query, QueryPlan):
             return query
         if isinstance(query, Query):
-            return compile_query(
-                self._model.schema, query, backend=self._backend.name
-            )
+            return compile_query(self._model.schema, query)
         plan = self._plans.get(query)
         if plan is None:
-            plan = compile_query(
-                self._model.schema, query, backend=self._backend.name
-            )
+            plan = compile_query(self._model.schema, query)
             self._plans[query] = plan
             if len(self._plans) > self._cache_size:
                 self._plans.popitem(last=False)
@@ -126,15 +114,13 @@ class QuerySession:
     # -- marginal cache ------------------------------------------------------------
 
     def _sync(self) -> None:
-        """Drop the marginal cache if the model was mutated in place.
+        """Follow the model's current joint; drop stale marginals.
 
         Called once per logical operation (single evaluation or whole
         batch), not per marginal lookup, so cache hits — the hot path —
-        pay one fingerprint hash per operation.  Cache misses additionally
-        pay the backend's own freshness check, but those are bounded by
-        the number of distinct marginal subsets, not the query count.
+        pay one fingerprint hash per operation.
         """
-        fingerprint = self._model.fingerprint()
+        fingerprint, self._joint = self._model.cached_factored()
         if fingerprint != self._fingerprint:
             self._marginals.clear()
             self._fingerprint = fingerprint
@@ -158,17 +144,16 @@ class QuerySession:
             self._marginals.move_to_end(key)
             return cached
         self._misses += 1
-        table = np.asarray(self._backend.marginal(key))
+        table = self._joint.marginal(key)
         table.flags.writeable = False
         self._marginals[key] = table
         if len(self._marginals) > self._cache_size:
             self._marginals.popitem(last=False)
         return table
 
-    def cache_info(self) -> dict[str, int | str]:
-        """Cache statistics: backend name, sizes, hits, misses."""
+    def cache_info(self) -> dict[str, int]:
+        """Cache statistics: sizes, marginal-cache hits and misses."""
         return {
-            "backend": self._backend.name,
             "marginals_cached": len(self._marginals),
             "plans_cached": len(self._plans),
             "hits": self._hits,
@@ -213,12 +198,11 @@ class QuerySession:
     ) -> list[float]:
         """Evaluate many queries, sharing marginal computations.
 
-        Equivalent to (but much faster than) calling :meth:`ask` per query
-        against a fresh engine: every distinct marginal subset is computed
-        once, and for the dense backend the joint tensor is built once for
-        the whole batch.  The model-mutation check runs once per batch —
-        mutating the model concurrently with a running batch is a race in
-        any case (sessions are not thread-safe).
+        Equivalent to (but faster than) calling :meth:`ask` per query
+        against a fresh session: every distinct marginal subset is computed
+        once.  The model-mutation check runs once per batch — mutating the
+        model concurrently with a running batch is a race in any case
+        (sessions are not thread-safe).
         """
         plans = [self.compile(query) for query in queries]
         self._sync()
@@ -249,13 +233,36 @@ class QuerySession:
         """Most probable complete assignment consistent with the evidence.
 
         Returns ``(assignment labels, conditional probability)`` — the MPE
-        query of a probabilistic expert system.
+        query of a probabilistic expert system.  The components are
+        independent, so each one takes the argmax of its own tensor
+        restricted to its evidence, and the probability is the product of
+        each component's maximum over its evidence mass; nothing is
+        joined.  A tie goes to the assignment that comes first in schema
+        order (``np.argmax``'s rule within each component), the cell
+        ``np.argmax`` over the dense joint picks.  Cells equal only in
+        exact arithmetic may round apart, here and in the dense joint
+        alike, and the rounding then decides.
         """
-        fixed = self._model.schema.indices_of(given or {})
-        return self._backend.most_probable(fixed)
+        schema = self._model.schema
+        fixed = schema.indices_of(given or {})
+        self._sync()
+        chosen: dict[str, int] = {}
+        probability = 1.0
+        for names, tensor in zip(self._joint.components, self._joint.tensors):
+            restricted = tensor[tuple(fixed.get(n, slice(None)) for n in names)]
+            mass = float(restricted.sum())
+            if mass <= 0:
+                raise QueryError(
+                    f"evidence {schema.labels_of(fixed)} has zero probability"
+                )
+            best = int(np.argmax(restricted))
+            free = [name for name in names if name not in fixed]
+            cell = np.unravel_index(best, restricted.shape)
+            chosen.update(zip(free, map(int, cell)))
+            probability *= float(restricted.ravel()[best]) / mass
+        # Evidence first, then the free attributes in schema order.
+        ordered = {n: chosen[n] for n in schema.names if n in chosen}
+        return schema.labels_of({**fixed, **ordered}), probability
 
     def __repr__(self) -> str:
-        return (
-            f"QuerySession({self._model!r}, backend={self._backend.name!r}, "
-            f"cache_size={self._cache_size})"
-        )
+        return f"QuerySession({self._model!r}, cache_size={self._cache_size})"

@@ -4,9 +4,10 @@ Identical control flow to the paper's Figure-3 loop, but the selection
 criterion is a per-cell two-sided z test (normal approximation to the
 binomial) at a fixed significance level, optionally Bonferroni-corrected
 for the number of cells scanned.  Comparing this selector against the MML
-selector on planted-correlation data is ablation A1 in DESIGN.md: the MML
-criterion adapts its threshold to N and to the cell's feasible range, the
-z test does not.
+selector on planted-correlation data is ablation A1
+(:func:`repro.eval.harness.selector_recovery_experiment`,
+``benchmarks/bench_selector_recovery.py``): the MML criterion adapts its
+threshold to N and to the cell's feasible range, the z test does not.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Usage::
     repro rules              # IF-THEN rules from the paper data
     repro recovery           # A1 selector-recovery ablation
     repro query "CANCER=yes | SMOKING=smoker"   # probability queries
-    repro query --batch queries.txt --backend elimination
+    repro query --batch queries.txt             # one query per line
     repro query --mpe --given "SMOKING=smoker"  # most probable explanation
     repro scenarios list                        # registered workloads
     repro scenarios list --tier stress          # just the stress tier
@@ -263,11 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         "--kb", help="load a saved knowledge-base JSON instead of fitting"
     )
     query_parser.add_argument(
-        "--backend",
-        default="auto",
-        help="inference backend: auto, dense, elimination, or a plugin name",
-    )
-    query_parser.add_argument(
         "--batch", help="file with one query per line, evaluated as a batch"
     )
     query_parser.add_argument(
@@ -459,11 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         help="warm query sessions retained per knowledge base",
     )
     serve_parser.add_argument(
-        "--backend",
-        default="auto",
-        help="inference backend for pooled sessions",
-    )
-    serve_parser.add_argument(
         "--store",
         help=(
             "durable store (SQLite): host every stored knowledge base at "
@@ -621,11 +611,7 @@ def _run_serve_inner(args) -> int:
     if not kbs and (store is None or not store.names()):
         kbs["paper"] = ProbabilisticKnowledgeBase.from_data(paper_table())
 
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        pool_size=args.pool_size,
-        backend=args.backend,
-    )
+    config = ServeConfig(max_batch=args.max_batch, pool_size=args.pool_size)
     server = ReproServer(
         host=args.host, port=args.port, config=config, store=store
     )
@@ -916,18 +902,8 @@ def _run_query(args) -> int:
 def _run_query_inner(args) -> int:
     from pathlib import Path
 
-    from repro.api.backends import AUTO, available_backends
     from repro.core.query import parse_assignment
 
-    # Validate the backend name up front: a typo should not cost a full
-    # model fit (or KB load) before being reported.
-    if args.backend != AUTO and args.backend not in available_backends():
-        print(
-            f"error: unknown inference backend {args.backend!r}; available: "
-            f"{list(available_backends())} (or {AUTO!r})",
-            file=sys.stderr,
-        )
-        return 2
     if args.mpe and (args.expressions or args.batch):
         print(
             "error: --mpe finds the single most probable assignment; it "
@@ -946,13 +922,13 @@ def _run_query_inner(args) -> int:
         kb = ProbabilisticKnowledgeBase.load(args.kb)
     else:
         kb = ProbabilisticKnowledgeBase.from_data(_load_table(args.csv))
-    session = kb.session(backend=args.backend)
+    session = kb.session()
     if args.mpe:
         given = (
             parse_assignment(kb.schema, args.given) if args.given else None
         )
         labels, probability = session.most_probable(given)
-        print(f"most probable explanation (backend: {session.backend.name}):")
+        print("most probable explanation:")
         for name in kb.schema.names:
             print(f"  {name} = {labels[name]}")
         print(f"  P = {probability:.6f}")

@@ -3,7 +3,7 @@
 from repro.core.explain import Explanation, explain
 from repro.core.inference import Conclusion, RuleEngine
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
-from repro.core.query import Query, QueryEngine, parse_assignment
+from repro.core.query import Query, parse_assignment
 from repro.core.rules import Rule, RuleGenerator, RuleSet
 from repro.core.validation import (
     calibration_table,
@@ -18,7 +18,6 @@ __all__ = [
     "Explanation",
     "ProbabilisticKnowledgeBase",
     "Query",
-    "QueryEngine",
     "Rule",
     "RuleEngine",
     "RuleGenerator",

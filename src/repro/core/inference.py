@@ -10,7 +10,7 @@ the applicable rule with the *most specific* condition set (most
 conditions), breaking ties by higher support — the standard specificity
 heuristic for probabilistic production rules.  This is deliberately a
 *rule-level* approximation; exact posteriors come from the model itself via
-:class:`~repro.core.query.QueryEngine`, and the tests compare the two.
+:class:`~repro.api.session.QuerySession`, and the tests compare the two.
 """
 
 from __future__ import annotations

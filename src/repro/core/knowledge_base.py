@@ -13,8 +13,8 @@ Revision(number=1, mode='warm', ...)
 'IF ...'
 
 It bundles the discovery result (model + adopted constraints + audit
-trace), query sessions (compiled plans, memoized marginals, pluggable
-inference backends — see :mod:`repro.api`), rule generation, and the
+trace), query sessions (compiled plans, memoized marginals, answers from
+the model's factored joint — see :mod:`repro.api`), rule generation, and the
 incremental lifecycle: :meth:`update` absorbs a delta batch through the
 ``discovery`` estimator's warm-start path and swaps the refined factors
 into the *same* model object, so every open session self-invalidates via
@@ -208,25 +208,18 @@ class ProbabilisticKnowledgeBase:
     def schema(self):
         return self.model.schema
 
-    def session(
-        self,
-        backend: str = "auto",
-        cache_size: int | None = None,
-    ) -> QuerySession:
+    def session(self, cache_size: int | None = None) -> QuerySession:
         """Open a new query session against this knowledge base's model.
 
-        Sessions compile queries into plans, memoize marginals, and pick an
-        inference backend (``"auto"``, ``"dense"``, ``"elimination"``, or
-        any registered plugin).  The single-query convenience methods
-        below all delegate to a shared default session.
+        Sessions compile queries into plans and memoize marginals.  The
+        single-query convenience methods below all delegate to a shared
+        default session.
         """
         from repro.api.session import QuerySession
 
         if cache_size is None:
-            return QuerySession(self.model, backend=backend)
-        return QuerySession(
-            self.model, backend=backend, cache_size=cache_size
-        )
+            return QuerySession(self.model)
+        return QuerySession(self.model, cache_size=cache_size)
 
     @property
     def _session(self) -> QuerySession:
@@ -238,18 +231,9 @@ class ProbabilisticKnowledgeBase:
         """Evaluate ``"A=x | B=y"`` style query strings."""
         return self._session.ask(text)
 
-    def query_many(
-        self,
-        queries: Iterable[str | Query],
-        backend: str | None = None,
-    ) -> list[float]:
-        """Batch-evaluate many queries, sharing marginal computations.
-
-        With ``backend`` the batch runs in a fresh session on that backend;
-        otherwise it uses the default session (and its warm caches).
-        """
-        if backend is not None:
-            return self.session(backend=backend).batch(queries)
+    def query_many(self, queries: Iterable[str | Query]) -> list[float]:
+        """Batch-evaluate many queries in the default session, sharing
+        marginal computations (and its warm caches)."""
         return self._session.batch(queries)
 
     def probability(
@@ -313,8 +297,8 @@ class ProbabilisticKnowledgeBase:
         table and discovery reruns warm-started from the current
         constraints and ``a`` values, falling back to a cold refit when
         the new data contradict an old constraint.  The refined factors
-        are swapped into the *same* model object, so open sessions and
-        backend caches self-invalidate through
+        are swapped into the *same* model object, so open sessions
+        self-invalidate through
         :meth:`~repro.maxent.model.MaxEntModel.fingerprint` on their next
         operation.  Returns the appended :class:`Revision`.
         """

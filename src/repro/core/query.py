@@ -7,22 +7,16 @@ conditional probability is a ratio of joints::
     P(A | B, C) = P(A, B, C) / P(B, C)
 
 Queries accept labelled assignments (``{"CANCER": "yes"}``) or compact
-strings (``"CANCER=yes"``).  Two evaluation paths exist: the dense joint
-tensor (default, exact for small schemas) and Appendix-B variable
-elimination (for wide schemas); both agree to machine precision.
+strings (``"CANCER=yes"``).  This module parses them; a
+:class:`~repro.api.session.QuerySession` evaluates them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.data.schema import Schema
 from repro.exceptions import QueryError
-from repro.maxent import elimination
-from repro.maxent.model import MaxEntModel
-
-Assignment = Mapping[str, str | int]
 
 
 def parse_assignment(schema: Schema, text: str) -> dict[str, str]:
@@ -89,76 +83,3 @@ class Query:
             return f"P({target})"
         given = ", ".join(f"{k}={v}" for k, v in self.given.items())
         return f"P({target} | {given})"
-
-
-class QueryEngine:
-    """Evaluates queries against a model, dense or factored.
-
-    Parameters
-    ----------
-    model:
-        The fitted maxent model.
-    method:
-        ``"dense"`` materializes the joint tensor (default; exact and fast
-        for small schemas).  ``"elimination"`` uses the Appendix-B factored
-        computation and never builds the joint.
-    """
-
-    def __init__(self, model: MaxEntModel, method: str = "dense"):
-        if method not in ("dense", "elimination"):
-            raise QueryError(
-                f"unknown query method {method!r}; use 'dense' or 'elimination'"
-            )
-        self.model = model
-        self.method = method
-
-    def probability(self, target: Assignment, given: Assignment | None = None) -> float:
-        """``P(target | given)``; marginal probability when no evidence."""
-        given = dict(given or {})
-        if self.method == "dense":
-            if not given:
-                return self.model.probability(target)
-            return self.model.conditional(target, given)
-        return elimination.query(self.model, target, given)
-
-    def evaluate(self, query: Query) -> float:
-        """Evaluate a parsed :class:`Query`."""
-        return self.probability(query.target, query.given)
-
-    def ask(self, text: str) -> float:
-        """Parse-and-evaluate a query string like ``"B=yes | A=smoker"``."""
-        return self.evaluate(Query.parse(self.model.schema, text))
-
-    def most_probable(
-        self, given: Assignment | None = None
-    ) -> tuple[dict[str, str], float]:
-        """Most probable complete assignment consistent with the evidence.
-
-        Returns ``(assignment labels, conditional probability)`` — the MPE
-        query of a probabilistic expert system ("what is the most likely
-        full situation given what we know?").
-        """
-        from repro.core.mpe import most_probable_from_joint
-
-        schema = self.model.schema
-        fixed = schema.indices_of(dict(given or {}))
-        return most_probable_from_joint(schema, self.model.joint(), fixed)
-
-    def distribution(
-        self, name: str, given: Assignment | None = None
-    ) -> dict[str, float]:
-        """Full conditional distribution of one attribute.
-
-        Returns ``{value label: P(name=value | given)}``; probabilities sum
-        to 1 (up to floating point).
-        """
-        attribute = self.model.schema.attribute(name)
-        if given and name in given:
-            raise QueryError(
-                f"cannot ask for the distribution of {name!r}: it is fixed "
-                f"by the evidence"
-            )
-        return {
-            value: self.probability({name: value}, given)
-            for value in attribute.values
-        }

@@ -1,7 +1,6 @@
 """Model lifecycle: the ``fit`` / ``update`` / ``refresh`` protocol.
 
-Mirrors :mod:`repro.api` on the learning side: where backends make *serving*
-pluggable, estimators make *learning* pluggable — one protocol
+Estimators make *learning* pluggable — one protocol
 (:class:`Estimator`), a registry (:func:`register_estimator` /
 :func:`create_estimator`), and implementations for the paper's discovery
 engine (with warm-started rediscovery) and every baseline.

@@ -10,7 +10,7 @@ protocol; every learner in the package implements it —
 - ``loglinear``, ``naive_bayes``, ``empirical``, ``independence`` — the
   baselines (:mod:`repro.estimators.baselines`).
 
-A registry mirrors :mod:`repro.api.backends`: ``@register_estimator`` on a
+A registry makes learners pluggable: ``@register_estimator`` on a
 subclass adds it to :func:`available_estimators` and callers construct by
 name with :func:`create_estimator`.
 
@@ -47,7 +47,8 @@ def register_estimator(cls: type["Estimator"]) -> type["Estimator"]:
     """Class decorator adding an estimator to the registry under ``cls.name``.
 
     Duplicate names are rejected; call :func:`unregister_estimator` first
-    to replace one deliberately (mirrors the backend registry's policy).
+    to replace one deliberately: silently replacing one would swap the
+    learner behind every caller that constructs it by name.
     """
     name = getattr(cls, "name", "")
     if not name:

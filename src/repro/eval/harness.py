@@ -2,8 +2,10 @@
 
 Each ``reproduce_*`` function returns ``(rows, text)`` — structured rows
 for assertions plus a rendered report — and is shared by the benchmark
-suite and the CLI.  Experiment ids follow DESIGN.md's index (E1-E8 paper
-artifacts, A1-A3 ablations).
+suite and the CLI.  Experiment ids are E1-E8 for the paper's artifacts
+(Figures 1-4, Tables 1-2, Appendices A and B) and A1-A8 for the
+ablations; each ``benchmarks/bench_*.py`` docstring opens with the id it
+regenerates.
 """
 
 from __future__ import annotations

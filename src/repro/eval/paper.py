@@ -6,8 +6,9 @@ Everything here is transcribed from NASA TM-88224.  The contingency counts
 ``p^AB_11 = .38 × .13`` where full precision gives ``.376 × .126``), so our
 full-precision reproduction matches signs, rankings and orders of
 magnitude rather than the second decimal.  The AC row for (3,1) is
-internally inconsistent in the original (its printed mean does not equal
-``N·p``); see EXPERIMENTS.md.
+internally inconsistent in the original: its printed 0.22 standard
+deviations do not follow from its printed count and mean
+(``(598 - 521) / 22.1 ≈ 3.5``).  It is transcribed as printed.
 """
 
 from __future__ import annotations

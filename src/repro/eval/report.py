@@ -1,9 +1,8 @@
 """One-shot experiment report: every paper artifact regenerated live.
 
 :func:`generate_report` runs the full E1-E8 harness (and a reduced A1
-recovery ablation) and assembles a single markdown document — the live
-counterpart of the repository's EXPERIMENTS.md.  Exposed on the CLI as
-``repro report``.
+recovery ablation) and assembles a single markdown document.  Exposed on
+the CLI as ``repro report``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ def generate_report(recovery_trials: int = 2, recovery_n: int = 8000) -> str:
     parts = [
         "# Reproduction report",
         "",
-        "Generated live by `repro report`; see EXPERIMENTS.md for the "
-        "curated paper-vs-measured discussion.",
+        "Generated live by `repro report`: each section reruns one "
+        "experiment of `repro.eval.harness` on the paper's data.",
         "",
     ]
     for title, body in sections:

@@ -252,17 +252,13 @@ class LiveKnowledgeBase:
 
     # -- serving ------------------------------------------------------------------
 
-    def session(
-        self,
-        backend: str = "auto",
-        cache_size: int | None = None,
-    ):
+    def session(self, cache_size: int | None = None):
         """Open a query session; it stays valid across refits.
 
         The session tracks refits through the model fingerprint, so a
         policy-triggered refit is picked up on the next query.
         """
-        return self.kb.session(backend=backend, cache_size=cache_size)
+        return self.kb.session(cache_size=cache_size)
 
     def query(self, text: str) -> float:
         """Answer a textual probability query against the current model."""

@@ -13,6 +13,12 @@ For tree-like factor structures — which cell constraints over small
 subsets usually induce — this answers partition sums and marginal queries
 in time exponential only in the induced width, not in the number of
 attributes, so wide schemas stay tractable without the dense joint.
+
+No query runs through this module: a
+:class:`~repro.api.session.QuerySession` answers from the model's
+:class:`~repro.maxent.model.FactoredJoint`.  It is kept as the paper's
+Appendix B (harness E8, ``benchmarks/bench_appendix_b.py``) and as an
+oracle the query tests check the session against.
 """
 
 from __future__ import annotations
@@ -207,20 +213,11 @@ def query(
     return numerator / denominator
 
 
-def marginal(
-    model: MaxEntModel,
-    names: Sequence[str],
-    factors: Sequence[Factor] | None = None,
-) -> np.ndarray:
-    """Normalized marginal over ``names`` via elimination (schema order).
-
-    ``factors`` optionally reuses a prebuilt :func:`model_factors` list
-    (the factors are only read, never mutated).
-    """
+def marginal(model: MaxEntModel, names: Sequence[str]) -> np.ndarray:
+    """Normalized marginal over ``names`` via elimination (schema order)."""
     schema = model.schema
     ordered = schema.canonical_subset(names)
-    if factors is None:
-        factors = model_factors(model)
+    factors = model_factors(model)
     free = [n for n in schema.names if n not in set(ordered)]
     result = eliminate_all(factors, free)
     # Reorder the surviving axes into schema order.

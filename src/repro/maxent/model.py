@@ -16,11 +16,13 @@ connected components are independent factors, so the joint is the outer
 product of one small tensor per component: :meth:`MaxEntModel.factored`
 builds those tensors as a :class:`FactoredJoint`, and every model-side
 marginal — :meth:`MaxEntModel.marginal`, :meth:`MaxEntModel.probability`,
-the discovery scans, the per-component fit — is answered from them without
-building the ``2^n`` joint.  :meth:`MaxEntModel.joint` still materializes
-the dense tensor for the consumers that want all of it (query backends,
-validation, entropy); :mod:`repro.maxent.elimination` provides the
-factored Appendix-B evaluation for wide schemas.
+every query session, the discovery scans, the per-component fit — is
+answered from them without building the ``2^n`` joint.  The model keeps
+one :class:`FactoredJoint` per :meth:`~MaxEntModel.fingerprint`, which
+its queries and every :class:`~repro.api.session.QuerySession` share.
+:meth:`MaxEntModel.joint` still materializes the dense tensor for
+validation, entropy and as a test oracle; :mod:`repro.maxent.elimination`
+is the paper's Appendix-B evaluation, kept as a second oracle.
 """
 
 from __future__ import annotations
@@ -111,6 +113,9 @@ class MaxEntModel:
                     )
                 self.table_factors[tuple(names)] = array.copy()
         self.a0 = float(a0)
+        # (fingerprint, joint): one tuple, so a reader on another thread
+        # never pairs a joint with the wrong fingerprint.
+        self._cached: tuple[int, FactoredJoint] | None = None
 
     # -- constructors -------------------------------------------------------------
 
@@ -271,10 +276,24 @@ class MaxEntModel:
             tables[home[names[0]]][names] = array
         return list(zip(components, cells, tables))
 
+    def cached_factored(self) -> tuple[int, "FactoredJoint"]:
+        """``(fingerprint, joint)``: the :meth:`factored` joint of the
+        current factors, built once per :meth:`fingerprint`.
+
+        Every query reads this one shared joint, so callers must not
+        mutate it; :meth:`factored` returns a private one.
+        """
+        fingerprint = self.fingerprint()
+        cached = self._cached
+        if cached is None or cached[0] != fingerprint:
+            cached = (fingerprint, self.factored())
+            self._cached = cached
+        return cached
+
     def marginal(self, names: Sequence[str]) -> np.ndarray:
         """Marginal probability array over ``names`` (schema order)."""
         ordered = self.schema.canonical_subset(names)
-        return self.factored().marginal(ordered)
+        return self.cached_factored()[1].marginal(ordered)
 
     def probability(self, assignment: Mapping[str, str | int]) -> float:
         """Probability of a (possibly partial) labelled assignment."""
@@ -322,8 +341,8 @@ class MaxEntModel:
     def fingerprint(self) -> int:
         """Cheap content hash over every factor, for cache invalidation.
 
-        Inference backends cache expensive artifacts (the dense joint, the
-        factor decomposition) keyed by this value, so a model mutated in
+        The shared :meth:`cached_factored` joint and every session's
+        marginal cache are keyed by this value, so a model mutated in
         place — as the iterative solvers do mid-fit — never serves stale
         cached answers.
         """
@@ -351,10 +370,10 @@ class MaxEntModel:
 
         This is how a live knowledge base swaps in a refitted model without
         replacing the object: every open :class:`~repro.api.session.QuerySession`
-        and backend cache holds a reference to *this* model, and their
-        freshness checks key on :meth:`fingerprint` — which changes the
-        moment the factors do — so they self-invalidate on their next
-        operation instead of having to be rebuilt.
+        holds a reference to *this* model, and its freshness check keys on
+        :meth:`fingerprint` — which changes the moment the factors do — so
+        it self-invalidates on its next operation instead of having to be
+        rebuilt.
         """
         if other.schema != self.schema:
             raise ConstraintError(

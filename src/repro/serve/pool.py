@@ -3,8 +3,9 @@
 Handlers run blocking evaluation (``session.batch``, ``most_probable``)
 on executor threads, and :class:`~repro.api.session.QuerySession` is not
 thread-safe — so each concurrent evaluation checks a session out, uses it
-exclusively, and checks it back in warm (plan cache, marginal LRU,
-backend artifact intact) for the next request.
+exclusively, and checks it back in warm (plan cache and marginal LRU
+intact) for the next request.  Sessions of one pool share the model's
+one factored joint.
 
 A pool is bound to one model revision.  On hot-swap the registry builds a
 fresh pool for the new model and *retires* the old one: idle sessions are
@@ -30,7 +31,7 @@ class SessionPool:
     ----------
     model:
         The model revision every pooled session serves.
-    backend / cache_size:
+    cache_size:
         Passed through to :class:`QuerySession`.
     size:
         Retained-session cap.  Checkout never blocks: when the idle list
@@ -41,14 +42,12 @@ class SessionPool:
     def __init__(
         self,
         model: MaxEntModel,
-        backend: str = "auto",
         cache_size: int | None = None,
         size: int = 4,
     ):
         if size < 1:
             raise DataError(f"pool size must be >= 1, got {size}")
         self._model = model
-        self._backend = backend
         self._cache_size = cache_size
         self.size = int(size)
         self._idle: list[QuerySession] = []
@@ -72,10 +71,8 @@ class SessionPool:
 
     def _build(self) -> QuerySession:
         if self._cache_size is None:
-            return QuerySession(self._model, backend=self._backend)
-        return QuerySession(
-            self._model, backend=self._backend, cache_size=self._cache_size
-        )
+            return QuerySession(self._model)
+        return QuerySession(self._model, cache_size=self._cache_size)
 
     def checkout(self) -> QuerySession:
         """Borrow a session (exclusive use until :meth:`checkin`)."""

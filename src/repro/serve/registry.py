@@ -76,8 +76,6 @@ class ServeConfig:
     pool_size:
         Retained sessions per knowledge base (and the default executor
         thread count, so a checkout never has to block on the pool).
-    backend:
-        Inference backend for pooled sessions.
     cache_size:
         Session cache bound; None for the session default.
     executor_threads:
@@ -87,7 +85,6 @@ class ServeConfig:
 
     max_batch: int = DEFAULT_MAX_BATCH
     pool_size: int = 4
-    backend: str = "auto"
     cache_size: int | None = None
     executor_threads: int | None = None
 
@@ -130,7 +127,6 @@ class HostedKB:
     def _build_pool(self, kb: ProbabilisticKnowledgeBase) -> SessionPool:
         return SessionPool(
             kb.model,
-            backend=self.config.backend,
             cache_size=self.config.cache_size,
             size=self.config.pool_size,
         )

@@ -1,24 +1,21 @@
-"""Tests for the inference-backend protocol, registry, and auto selection."""
+"""The session's one query path against the two evaluators it replaced.
+
+Every query is answered from the model's shared ``FactoredJoint``.  The
+dense joint (``model.joint()`` and its axis sums) and the paper's
+Appendix-B elimination (``repro.maxent.elimination``) stay as oracles:
+the session must agree with both.  The session keeps its dense
+subset-marginal arrays in an LRU cache; its behaviour is pinned here too.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.backends import (
-    DENSE_CELL_LIMIT,
-    DenseBackend,
-    EliminationBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-    select_backend,
-    unregister_backend,
-)
 from repro.api.session import QuerySession
 from repro.data.schema import Attribute, Schema
 from repro.discovery.engine import discover
-from repro.exceptions import QueryError
+from repro.maxent import elimination
 from repro.maxent.model import MaxEntModel
 
 
@@ -27,101 +24,30 @@ def model(table):
     return discover(table).model
 
 
-def wide_schema(width: int) -> Schema:
-    return Schema(
-        [Attribute(f"X{i}", ("a", "b")) for i in range(width)]
-    )
+def dense_marginal(model, names):
+    """Oracle: axis sums of the dense joint (``names`` in schema order)."""
+    return model.joint().sum(axis=model.schema.drop_axes(names))
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "dense" in names and "elimination" in names
-
-    def test_unknown_backend_rejected(self, model):
-        with pytest.raises(QueryError, match="unknown inference backend"):
-            create_backend("quantum", model)
-
-    def test_create_by_name(self, model):
-        assert isinstance(create_backend("dense", model), DenseBackend)
-        assert isinstance(
-            create_backend("elimination", model), EliminationBackend
-        )
-
-    def test_custom_backend_plugs_in(self, model):
-        @register_backend
-        class ScaledDense(DenseBackend):
-            name = "scaled-dense"
-
-        try:
-            assert "scaled-dense" in available_backends()
-            backend = create_backend("scaled-dense", model)
-            expected = model.marginal(("CANCER",))
-            assert backend.marginal(("CANCER",)) == pytest.approx(expected)
-            # The whole session stack works through the plugin.
-            session = QuerySession(model, backend="scaled-dense")
-            assert session.ask("CANCER=yes") == pytest.approx(
-                model.probability({"CANCER": "yes"})
-            )
-        finally:
-            unregister_backend("scaled-dense")
-        with pytest.raises(QueryError, match="unknown"):
-            create_backend("scaled-dense", model)
-
-    def test_auto_name_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-
-            @register_backend
-            class Bad(DenseBackend):
-                name = "auto"
-
-    def test_duplicate_name_rejected(self):
-        """A plugin cannot silently replace a built-in backend."""
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_backend
-            class Impostor(EliminationBackend):
-                name = "dense"
-
-        assert isinstance(
-            create_backend("dense", MaxEntModel.uniform(wide_schema(2))),
-            DenseBackend,
-        )
-
-
-class TestAutoSelection:
-    def test_small_schema_picks_dense(self, model):
-        assert select_backend(model) == "dense"
-        assert isinstance(create_backend("auto", model), DenseBackend)
-
-    def test_wide_schema_picks_elimination(self):
-        width = DENSE_CELL_LIMIT.bit_length()  # 2**width > limit
-        model = MaxEntModel.uniform(wide_schema(width))
-        assert select_backend(model) == "elimination"
-        assert isinstance(create_backend("auto", model), EliminationBackend)
-
-    def test_wide_schema_mpe_with_evidence_stays_restricted(self):
-        """Elimination MPE only materializes the free-attribute table."""
-        width = DENSE_CELL_LIMIT.bit_length()
-        schema = wide_schema(width)
-        margins = {a.name: [0.25, 0.75] for a in schema}
-        model = MaxEntModel.independent(schema, margins)
-        backend = EliminationBackend(model)
-        given = {f"X{i}": 0 for i in range(width - 2)}  # pin all but 2
-        labels, probability = backend.most_probable(given)
-        assert all(labels[name] == "a" for name in given)
-        # Free attributes take their individually most likely value.
-        assert labels[f"X{width - 1}"] == "b"
-        assert probability == pytest.approx(0.75 * 0.75)
-
-    def test_none_means_auto(self, model):
-        assert isinstance(create_backend(None, model), DenseBackend)
+def dense_most_probable(model, given):
+    """Oracle: ``np.argmax`` over the dense joint restricted to ``given``
+    (value indices); returns ``(index per attribute, probability)``."""
+    schema = model.schema
+    joint = model.joint()
+    restricted = joint[
+        tuple(given.get(attribute.name, slice(None)) for attribute in schema)
+    ]
+    best = int(np.argmax(restricted))
+    free = [name for name in schema.names if name not in given]
+    assignment = dict(given)
+    for name, value in zip(free, np.unravel_index(best, restricted.shape)):
+        assignment[name] = int(value)
+    return assignment, float(restricted.ravel()[best] / restricted.sum())
 
 
 class TestAgreement:
     def test_marginals_agree_on_paper_model(self, model):
-        dense = DenseBackend(model)
-        factored = EliminationBackend(model)
+        session = QuerySession(model)
         subsets = [
             ("CANCER",),
             ("SMOKING", "CANCER"),
@@ -129,120 +55,128 @@ class TestAgreement:
         ]
         for names in subsets:
             np.testing.assert_allclose(
-                dense.marginal(names), factored.marginal(names), atol=1e-12
+                session.marginal(names),
+                dense_marginal(model, names),
+                rtol=0,
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                session.marginal(names),
+                elimination.marginal(model, names),
+                rtol=0,
+                atol=1e-12,
             )
 
     def test_most_probable_agrees(self, model):
-        dense = DenseBackend(model)
-        factored = EliminationBackend(model)
-        labels_free_d, p_free_d = dense.most_probable()
-        labels_free_e, p_free_e = factored.most_probable()
-        assert labels_free_d == labels_free_e
-        assert p_free_d == pytest.approx(p_free_e, rel=1e-12)
-        given = {"SMOKING": 0}
-        labels_d, p_d = dense.most_probable(given)
-        labels_e, p_e = factored.most_probable(given)
-        assert labels_d == labels_e
-        assert p_d == pytest.approx(p_e, rel=1e-12)
+        session = QuerySession(model)
+        schema = model.schema
+        for evidence in ({}, {"SMOKING": 0}, {"CANCER": 1}):
+            labels, probability = session.most_probable(schema.labels_of(evidence))
+            expected, expected_probability = dense_most_probable(model, evidence)
+            assert labels == schema.labels_of(expected)
+            assert probability == pytest.approx(expected_probability, rel=1e-12)
 
 
 class TestCacheInvalidation:
     def test_dense_cache_tracks_inplace_mutation(self, model):
-        backend = DenseBackend(model)
-        before = backend.marginal(("CANCER",)).copy()
+        session = QuerySession(model)
+        before = session.marginal(("CANCER",)).copy()
         model.margin_factors["CANCER"] = model.margin_factors["CANCER"] * [
             2.0,
             1.0,
         ]
         model.normalize()
-        after = backend.marginal(("CANCER",))
+        after = session.marginal(("CANCER",))
         assert not np.allclose(before, after)
-        np.testing.assert_allclose(after, model.marginal(("CANCER",)))
+        np.testing.assert_allclose(after, dense_marginal(model, ("CANCER",)))
 
-    def test_elimination_cache_tracks_inplace_mutation(self, model):
-        backend = EliminationBackend(model)
-        before = backend.marginal(("SMOKING",)).copy()
+    def test_factored_cache_tracks_inplace_mutation(self, model):
+        fingerprint, joint = model.cached_factored()
+        assert model.cached_factored()[1] is joint
         model.margin_factors["SMOKING"] = model.margin_factors["SMOKING"] * [
             3.0,
             1.0,
             1.0,
         ]
         model.normalize()
-        after = backend.marginal(("SMOKING",))
-        assert not np.allclose(before, after)
+        refreshed, rebuilt = model.cached_factored()
+        assert refreshed != fingerprint and rebuilt is not joint
         np.testing.assert_allclose(
-            after, model.marginal(("SMOKING",)), atol=1e-12
+            model.marginal(("SMOKING",)),
+            elimination.marginal(model, ("SMOKING",)),
+            rtol=0,
+            atol=1e-12,
         )
 
     def test_explicit_invalidate(self, model):
-        backend = DenseBackend(model)
-        backend.joint()
-        backend.marginal(("CANCER",))
-        backend.invalidate()
-        assert backend._joint is None
-        assert not backend._marginals
+        session = QuerySession(model)
+        session.ask("CANCER=yes | SMOKING=smoker")
+        session.invalidate()
+        info = session.cache_info()
+        assert info["marginals_cached"] == 0
+        assert info["plans_cached"] == 0
+        assert info["hits"] == info["misses"] == 0
 
 
 class TestDenseMarginalLRU:
     def test_repeated_query_returns_cached_array(self, model):
-        backend = DenseBackend(model)
-        first = backend.marginal(("CANCER", "SMOKING"))
-        second = backend.marginal(("SMOKING", "CANCER"))
+        session = QuerySession(model)
+        first = session.marginal(("CANCER", "SMOKING"))
+        second = session.marginal(("SMOKING", "CANCER"))
         assert second is first  # same frozen array, canonical key
 
     def test_cached_arrays_are_read_only(self, model):
-        backend = DenseBackend(model)
-        marginal = backend.marginal(("CANCER",))
+        marginal = QuerySession(model).marginal(("CANCER",))
         with pytest.raises(ValueError):
             marginal[0] = 0.5
 
     def test_mutation_drops_marginal_cache(self, model):
-        backend = DenseBackend(model)
-        stale = backend.marginal(("CANCER",))
+        session = QuerySession(model)
+        stale = session.marginal(("CANCER",))
         model.margin_factors["CANCER"] = model.margin_factors["CANCER"] * [
             2.0,
             1.0,
         ]
         model.normalize()
-        fresh = backend.marginal(("CANCER",))
+        fresh = session.marginal(("CANCER",))
         assert fresh is not stale
-        np.testing.assert_allclose(fresh, model.marginal(("CANCER",)))
+        np.testing.assert_allclose(fresh, dense_marginal(model, ("CANCER",)))
 
     def test_lru_evicts_oldest(self, model):
-        backend = DenseBackend(model)
-        backend.MARGINAL_CACHE_SIZE = 2
-        backend.marginal(("SMOKING",))
-        backend.marginal(("CANCER",))
-        backend.marginal(("FAMILY_HISTORY",))
-        assert len(backend._marginals) == 2
-        assert ("SMOKING",) not in backend._marginals
+        session = QuerySession(model, cache_size=2)
+        first = session.marginal(("SMOKING",))
+        session.marginal(("CANCER",))
+        session.marginal(("FAMILY_HISTORY",))
+        assert session.cache_info()["marginals_cached"] == 2
+        assert session.marginal(("SMOKING",)) is not first
 
     def test_lru_recency_order(self, model):
-        backend = DenseBackend(model)
-        backend.MARGINAL_CACHE_SIZE = 2
-        backend.marginal(("SMOKING",))
-        backend.marginal(("CANCER",))
-        backend.marginal(("SMOKING",))  # refresh recency
-        backend.marginal(("FAMILY_HISTORY",))
-        assert ("SMOKING",) in backend._marginals
-        assert ("CANCER",) not in backend._marginals
+        session = QuerySession(model, cache_size=2)
+        smoking = session.marginal(("SMOKING",))
+        cancer = session.marginal(("CANCER",))
+        session.marginal(("SMOKING",))  # refresh recency
+        session.marginal(("FAMILY_HISTORY",))
+        assert session.marginal(("SMOKING",)) is smoking
+        assert session.marginal(("CANCER",)) is not cancer
 
-    def test_full_subset_returns_joint_uncached(self, model):
-        backend = DenseBackend(model)
+    def test_full_subset_matches_dense_joint(self, model):
+        session = QuerySession(model)
         names = model.schema.names
-        assert backend.marginal(names) is backend.joint()
-        assert names not in backend._marginals
+        np.testing.assert_allclose(
+            session.marginal(names), model.joint(), rtol=0, atol=1e-15
+        )
 
     def test_cached_values_match_model(self, model):
-        backend = DenseBackend(model)
+        session = QuerySession(model)
         for _ in range(2):
             np.testing.assert_allclose(
-                backend.marginal(("SMOKING", "FAMILY_HISTORY")),
-                model.marginal(("SMOKING", "FAMILY_HISTORY")),
+                session.marginal(("SMOKING", "FAMILY_HISTORY")),
+                dense_marginal(model, ("SMOKING", "FAMILY_HISTORY")),
             )
+        assert session.cache_info()["hits"] == 1
 
 
-# -- randomized dense/elimination equivalence (hypothesis) --------------------------
+# -- randomized session vs dense and elimination oracles (hypothesis) ---------------
 
 
 @st.composite
@@ -291,20 +225,70 @@ def random_models(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_dense_vs_elimination_randomized(data):
-    """Plan evaluation through both backends agrees to 1e-10."""
+    """The session, the dense joint and elimination agree to 1e-10."""
     model = data.draw(random_models())
     schema = model.schema
     target_attr = schema.attributes[0]
-    target = f"{target_attr.name}={target_attr.values[0]}"
+    target = {target_attr.name: target_attr.values[0]}
     evidence_attrs = list(schema.attributes[1:])
     n_given = data.draw(
         st.integers(min_value=0, max_value=len(evidence_attrs))
     )
-    given_terms = [
-        f"{a.name}={a.values[data.draw(st.integers(0, a.cardinality - 1))]}"
+    evidence = {
+        a.name: a.values[data.draw(st.integers(0, a.cardinality - 1))]
         for a in evidence_attrs[:n_given]
+    }
+    terms = ", ".join(f"{name}={value}" for name, value in evidence.items())
+    text = f"{target_attr.name}={target_attr.values[0]}"
+    if terms:
+        text += f" | {terms}"
+    answer = QuerySession(model).ask(text)
+    joint_names = schema.canonical_subset([*target, *evidence])
+    indices = schema.indices_of({**evidence, **target})
+    numerator = dense_marginal(model, joint_names)[
+        tuple(indices[name] for name in joint_names)
     ]
-    text = target if not given_terms else f"{target} | {', '.join(given_terms)}"
-    dense = QuerySession(model, backend="dense")
-    factored = QuerySession(model, backend="elimination")
-    assert dense.ask(text) == pytest.approx(factored.ask(text), abs=1e-10)
+    given_names = schema.canonical_subset(list(evidence))
+    denominator = dense_marginal(model, given_names)[
+        tuple(indices[name] for name in given_names)
+    ]
+    dense = float(numerator / denominator)
+    factored = elimination.query(model, target, evidence)
+    assert dense == pytest.approx(factored, abs=1e-10)
+    assert answer == pytest.approx(dense, abs=1e-10)
+    assert answer == pytest.approx(factored, abs=1e-10)
+
+
+@given(data=st.data())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_most_probable_vs_dense_argmax_randomized(data):
+    """Per-component MPE is a maximizer of the dense joint, and it is
+    ``np.argmax``'s cell whenever the maximum is unique beyond rounding.
+
+    Two cells equal in exact arithmetic can round apart differently in
+    the dense joint and in a component's tensor, so a mathematical tie
+    may be broken either way; an exact float tie goes to the first cell
+    in schema order on both paths.
+    """
+    model = data.draw(random_models())
+    schema = model.schema
+    evidence = {
+        attribute.name: data.draw(st.integers(0, attribute.cardinality - 1))
+        for attribute in schema
+        if data.draw(st.booleans())
+    }
+    labels, probability = QuerySession(model).most_probable(schema.labels_of(evidence))
+    expected, expected_probability = dense_most_probable(model, evidence)
+    assert probability == pytest.approx(expected_probability, rel=1e-12)
+    joint = model.joint()
+    chosen = schema.indices_of(labels)
+    cell = joint[tuple(chosen[name] for name in schema.names)]
+    restricted = joint[tuple(evidence.get(name, slice(None)) for name in schema.names)]
+    assert cell == pytest.approx(restricted.max(), rel=1e-12)
+    top = np.sort(restricted.ravel())[::-1]
+    if top.size == 1 or top[1] < top[0] * (1 - 1e-9):
+        assert labels == schema.labels_of(expected)

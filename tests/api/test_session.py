@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import repro
+import repro.api
 from repro.api.plan import QueryPlan, compile_query
 from repro.api.session import QuerySession
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
-from repro.core.query import Query, QueryEngine
+from repro.core.query import Query
 from repro.discovery.engine import discover
 from repro.exceptions import QueryError
+from repro.maxent import elimination
 from repro.maxent.model import MaxEntModel
 
 MIXED_QUERIES = [
@@ -36,6 +39,13 @@ def kb(table):
     return ProbabilisticKnowledgeBase.from_data(table)
 
 
+def _dense_probability(model, joint, target, given):
+    """Oracle: ``P(target, given)`` summed out of the dense joint."""
+    indices = model.schema.indices_of({**given, **target})
+    cell = tuple(indices.get(name, slice(None)) for name in model.schema.names)
+    return float(joint[cell].sum())
+
+
 class TestPlanCompilation:
     def test_plan_resolves_indices(self, session):
         plan = session.compile("CANCER=yes | SMOKING=smoker")
@@ -45,7 +55,6 @@ class TestPlanCompilation:
         assert plan.given_subset == ("SMOKING",)
         assert plan.joint_index == (0, 0)
         assert plan.given_index == (0,)
-        assert plan.backend == "dense"
         assert plan.description == "P(CANCER=yes | SMOKING=smoker)"
 
     def test_string_plans_are_cached(self, session):
@@ -85,13 +94,18 @@ class TestPlanCompilation:
             compile_query(model.schema, Query({}, {"CANCER": "yes"}))
 
 
+def model_answer(model, text):
+    """``text`` answered by the model's own ratio of two probabilities."""
+    query = Query.parse(model.schema, text)
+    if not query.given:
+        return model.probability(query.target)
+    return model.conditional(query.target, query.given)
+
+
 class TestEvaluation:
-    def test_matches_query_engine(self, model, session):
-        engine = QueryEngine(model)
+    def test_matches_model_conditional(self, model, session):
         for text in MIXED_QUERIES:
-            assert session.ask(text) == pytest.approx(
-                engine.ask(text), rel=1e-12
-            )
+            assert session.ask(text) == model_answer(model, text)
 
     def test_empty_dict_target_is_one(self, session):
         assert session.probability({}) == 1.0
@@ -120,9 +134,8 @@ class TestBatch:
     def test_batch_equals_sequential(self, model, session):
         queries = MIXED_QUERIES * 5
         batched = session.batch(queries)
-        engine = QueryEngine(model)
-        sequential = [engine.ask(text) for text in queries]
-        assert batched == pytest.approx(sequential, rel=1e-12)
+        sequential = [QuerySession(model).ask(text) for text in queries]
+        assert batched == sequential
 
     def test_batch_shares_marginals(self, session):
         session.batch(MIXED_QUERIES * 10)
@@ -140,11 +153,17 @@ class TestBatch:
             session.ask("CANCER=yes | SMOKING=smoker")
         )
 
-    def test_batch_both_backends_agree(self, model):
+    def test_batch_agrees_with_both_oracles(self, model):
         queries = MIXED_QUERIES * 3
-        dense = QuerySession(model, backend="dense").batch(queries)
-        factored = QuerySession(model, backend="elimination").batch(queries)
-        assert dense == pytest.approx(factored, abs=1e-12)
+        batched = QuerySession(model).batch(queries)
+        joint = model.joint()
+        for text, value in zip(queries, batched):
+            query = Query.parse(model.schema, text)
+            factored = elimination.query(model, query.target, query.given)
+            assert value == pytest.approx(factored, abs=1e-12)
+            numerator = _dense_probability(model, joint, query.target, query.given)
+            denominator = _dense_probability(model, joint, query.given, {})
+            assert value == pytest.approx(numerator / denominator, abs=1e-12)
 
 
 class TestCacheLifecycle:
@@ -193,9 +212,6 @@ class TestCacheLifecycle:
         table = session.marginal(("CANCER",))
         with pytest.raises(ValueError, match="read-only"):
             table *= 0.0
-        joint = session.backend.joint()
-        with pytest.raises(ValueError, match="read-only"):
-            joint[...] = 0.0
         # The failed writes corrupted nothing.
         assert session.ask("CANCER=yes") == pytest.approx(
             session.model.probability({"CANCER": "yes"})
@@ -203,9 +219,8 @@ class TestCacheLifecycle:
 
     def test_lru_eviction_keeps_answers_correct(self, model):
         session = QuerySession(model, cache_size=1)
-        engine = QueryEngine(model)
         for text in MIXED_QUERIES * 3:
-            assert session.ask(text) == pytest.approx(engine.ask(text))
+            assert session.ask(text) == model_answer(model, text)
         assert session.cache_info()["marginals_cached"] <= 1
 
     def test_bad_cache_size_rejected(self, model):
@@ -215,10 +230,9 @@ class TestCacheLifecycle:
 
 class TestFacade:
     def test_kb_session_roundtrip(self, kb):
-        session = kb.session(backend="elimination")
-        assert session.backend.name == "elimination"
-        assert session.ask("CANCER=yes | SMOKING=smoker") == pytest.approx(
-            kb.query("CANCER=yes | SMOKING=smoker"), rel=1e-12
+        session = kb.session(cache_size=4)
+        assert session.ask("CANCER=yes | SMOKING=smoker") == kb.query(
+            "CANCER=yes | SMOKING=smoker"
         )
 
     def test_query_many_matches_single(self, kb):
@@ -227,20 +241,35 @@ class TestFacade:
             [kb.query(text) for text in MIXED_QUERIES]
         )
 
-    def test_query_many_with_backend(self, kb):
-        values = kb.query_many(MIXED_QUERIES, backend="elimination")
-        assert values == pytest.approx(
-            [kb.query(text) for text in MIXED_QUERIES], abs=1e-12
-        )
-
     def test_most_probable_on_paper_schema(self, kb):
         labels, probability = kb.most_probable()
-        engine = QueryEngine(kb.model)
-        assert (labels, probability) == engine.most_probable()
+        joint = kb.model.joint()
+        best = np.unravel_index(np.argmax(joint), joint.shape)
+        assert labels == {
+            attribute.name: attribute.value_at(int(index))
+            for attribute, index in zip(kb.schema, best)
+        }
+        assert probability == pytest.approx(float(joint[best]), rel=1e-12)
         labels, probability = kb.most_probable({"SMOKING": "smoker"})
         assert labels["SMOKING"] == "smoker"
         assert labels["CANCER"] == "no"
         assert 0.0 < probability <= 1.0
+
+    def test_no_backend_to_choose(self, kb):
+        """One query path: no backend is exported, named or accepted."""
+        exported = [*repro.__all__, *repro.api.__all__]
+        assert not [name for name in exported if "backend" in name.lower()]
+        assert {name for name in exported if name.startswith("Query")} == {
+            "Query",
+            "QueryError",
+            "QueryPlan",
+            "QuerySession",
+        }
+        with pytest.raises(TypeError):
+            kb.session(backend="dense")
+        with pytest.raises(TypeError):
+            kb.query_many(MIXED_QUERIES, backend="dense")
+        assert "backend" not in kb.session().cache_info()
 
     def test_default_session_is_shared(self, kb):
         kb.query("CANCER=yes")

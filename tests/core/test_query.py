@@ -1,11 +1,13 @@
-"""Tests for query parsing and the query engine."""
+"""Tests for query parsing and evaluation through a query session."""
 
 import pytest
 
+from repro.api.session import QuerySession
 from repro.baselines.independence import independence_model
-from repro.core.query import Query, QueryEngine, parse_assignment
+from repro.core.query import Query, parse_assignment
 from repro.discovery.engine import discover
 from repro.exceptions import QueryError
+from repro.maxent import elimination
 
 
 @pytest.fixture
@@ -78,32 +80,27 @@ class TestParsing:
 
 class TestEngine:
     def test_marginal_query(self, model):
-        engine = QueryEngine(model)
+        engine = QuerySession(model)
         assert engine.ask("CANCER=yes") == pytest.approx(433 / 3428, abs=1e-6)
 
     def test_conditional_query(self, model):
-        engine = QueryEngine(model)
+        engine = QuerySession(model)
         probability = engine.ask("CANCER=yes | SMOKING=smoker")
         assert probability == pytest.approx(240 / 1290, abs=0.01)
 
     def test_elimination_path_agrees(self, model):
-        dense = QueryEngine(model, method="dense")
-        factored = QueryEngine(model, method="elimination")
+        engine = QuerySession(model)
         for text in [
             "CANCER=yes",
             "CANCER=yes | SMOKING=smoker",
             "CANCER=yes | SMOKING=smoker, FAMILY_HISTORY=yes",
         ]:
-            assert factored.ask(text) == pytest.approx(
-                dense.ask(text), rel=1e-9
-            )
-
-    def test_unknown_method(self, model):
-        with pytest.raises(QueryError, match="unknown query method"):
-            QueryEngine(model, method="guess")
+            query = Query.parse(model.schema, text)
+            expected = elimination.query(model, query.target, query.given)
+            assert engine.ask(text) == pytest.approx(expected, rel=1e-9)
 
     def test_distribution_sums_to_one(self, model):
-        engine = QueryEngine(model)
+        engine = QuerySession(model)
         distribution = engine.distribution(
             "CANCER", {"SMOKING": "smoker"}
         )
@@ -111,13 +108,13 @@ class TestEngine:
         assert sum(distribution.values()) == pytest.approx(1.0)
 
     def test_distribution_of_fixed_attribute(self, model):
-        engine = QueryEngine(model)
+        engine = QuerySession(model)
         with pytest.raises(QueryError, match="fixed"):
             engine.distribution("CANCER", {"CANCER": "yes"})
 
     def test_bayes_consistency(self, model):
         """P(A|B) P(B) == P(B|A) P(A) across the engine."""
-        engine = QueryEngine(model)
+        engine = QuerySession(model)
         p_a_given_b = engine.probability(
             {"CANCER": "yes"}, {"SMOKING": "smoker"}
         )
@@ -129,7 +126,7 @@ class TestEngine:
         assert p_a_given_b * p_b == pytest.approx(p_b_given_a * p_a)
 
     def test_independence_model_queries(self, table):
-        engine = QueryEngine(independence_model(table))
+        engine = QuerySession(independence_model(table))
         # Under independence, conditioning changes nothing.
         assert engine.ask("CANCER=yes | SMOKING=smoker") == pytest.approx(
             engine.ask("CANCER=yes")

@@ -1,8 +1,12 @@
 """Tests for the factored maxent model (Eq 12)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api.session import QuerySession
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import ConstraintError, QueryError
 from repro.maxent.model import FactoredJoint, MaxEntModel
@@ -266,3 +270,91 @@ class TestFactoredJoint:
         assert factors.cells_reduced == 4 + 6
         factors.marginal(("A", "E"))  # A is cached; E's tensor is read
         assert factors.cells_reduced == 4 + 6 + 3
+
+
+class TestCachedJoint:
+    """One shared ``FactoredJoint`` per fingerprint; ``factored()`` stays fresh."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        factored = MaxEntModel.factored
+
+        def counted(self):
+            calls.append(self)
+            return factored(self)
+
+        monkeypatch.setattr(MaxEntModel, "factored", counted)
+        return calls
+
+    def test_built_once_per_fingerprint(self, builds):
+        model = _wide_model()
+        fingerprint, joint = model.cached_factored()
+        assert fingerprint == model.fingerprint()
+        assert model.cached_factored()[1] is joint
+        assert len(builds) == 1
+
+    def test_factored_returns_a_fresh_joint(self):
+        model = _wide_model()
+        shared = model.cached_factored()[1]
+        assert model.factored() is not shared
+        assert model.factored() is not model.factored()
+
+    def test_queries_read_the_shared_joint(self, builds):
+        model = _wide_model()
+        joint = model.joint()
+        for _ in range(3):
+            assert model.marginal(("C", "A")) == pytest.approx(
+                joint.sum(axis=(1, 3, 4))
+            )
+            model.probability({"A": "1", "E": "2"})
+            model.conditional({"B": "0"}, {"D": "1"})
+            model.expected_count(100, ("A",), (0,))
+        assert len(builds) == 1
+
+    def test_absorb_rebuilds_the_shared_joint(self):
+        model = _wide_model()
+        before = model.cached_factored()[1]
+        other = model.copy()
+        other.cell_factors[(("A", "C"), (1, 0))] = 0.5
+        model.absorb(other)
+        after = model.cached_factored()[1]
+        assert after is not before
+        np.testing.assert_allclose(
+            after.marginal(("A", "C")),
+            other.joint().sum(axis=(1, 3, 4)),
+            rtol=0,
+            atol=1e-15,
+        )
+
+    def test_copy_builds_its_own_joint(self):
+        model = _wide_model()
+        shared = model.cached_factored()[1]
+        copied = model.copy()
+        assert copied.cached_factored()[1] is not shared
+        assert copied.fingerprint() == model.fingerprint()
+
+    def test_concurrent_readers_share_one_answer(self):
+        """Sessions on more threads than cores build and read the model's
+        one joint at once, and every answer is bit-equal to a serial one."""
+        model = _wide_model()
+        queries = ["A=1 | C=0", "B=2 | D=1", "E=0", "A=0, B=1 | E=2"]
+        expected = QuerySession(model.copy()).batch(queries)
+        results = []
+
+        def read():
+            for _ in range(50):
+                results.append(QuerySession(model).batch(queries))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 400

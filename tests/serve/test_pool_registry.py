@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.exceptions import DataError
+from repro.maxent.model import MaxEntModel
 from repro.serve import (
     ApiError,
     KnowledgeBaseRegistry,
@@ -38,6 +39,23 @@ class TestSessionPool:
         session.ask("CANCER=yes")
         pool.checkin(session)
         assert pool.checkout() is session  # same warm object, not a rebuild
+
+    def test_pooled_sessions_share_the_models_joint(self, kb, monkeypatch):
+        builds = []
+        factored = MaxEntModel.factored
+
+        def counted(model):
+            builds.append(model)
+            return factored(model)
+
+        monkeypatch.setattr(MaxEntModel, "factored", counted)
+        pool = SessionPool(kb.model.copy(), size=2)
+        first, second = pool.checkout(), pool.checkout()
+        assert first.ask("CANCER=yes | SMOKING=smoker") == second.ask(
+            "CANCER=yes | SMOKING=smoker"
+        )
+        assert first.most_probable() == second.most_probable()
+        assert len(builds) == 1
 
     def test_checkout_never_blocks_beyond_size(self, kb):
         pool = SessionPool(kb.model, size=1)

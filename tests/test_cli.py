@@ -100,14 +100,6 @@ class TestQueryCommand:
         assert len(output) == 2
         assert output[0].startswith("P(CANCER=yes) = ")
 
-    def test_backends_agree(self, capsys):
-        text = "CANCER=yes | SMOKING=smoker, FAMILY_HISTORY=yes"
-        assert main(["query", text, "--backend", "dense"]) == 0
-        dense = capsys.readouterr().out
-        assert main(["query", text, "--backend", "elimination"]) == 0
-        elimination = capsys.readouterr().out
-        assert dense == elimination
-
     def test_batch_file(self, capsys, tmp_path):
         batch = tmp_path / "queries.txt"
         batch.write_text("CANCER=yes\n\nCANCER=yes | SMOKING=smoker\n")
@@ -139,8 +131,18 @@ class TestQueryCommand:
         assert "no queries" in capsys.readouterr().out
 
     def test_bad_backend_rejected_before_fitting(self, capsys):
-        assert main(["query", "CANCER=yes", "--backend", "quantum"]) == 2
-        assert "unknown inference backend" in capsys.readouterr().err
+        """There is one query path, so ``--backend`` is no option at all."""
+        for name in ("dense", "quantum"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["query", "CANCER=yes", "--backend", name])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_has_no_backend_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--backend", "auto"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_overlap_reports_cleanly(self, capsys):
         assert main(["query", "CANCER=yes | CANCER=no"]) == 1

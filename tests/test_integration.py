@@ -10,9 +10,10 @@ import pytest
 
 from repro.core.inference import RuleEngine
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
-from repro.core.query import QueryEngine
+from repro.core.query import Query
 from repro.data.dataset import Dataset
 from repro.discovery.config import DiscoveryConfig
+from repro.maxent import elimination
 from repro.synth.surveys import (
     medical_survey_population,
     smoking_cancer_population,
@@ -47,17 +48,15 @@ class TestPaperWorkflow:
         path = tmp_path / "kb.json"
         kb.save(path)
         loaded = ProbabilisticKnowledgeBase.load(path)
-        dense = QueryEngine(loaded.model, method="dense")
-        factored = QueryEngine(loaded.model, method="elimination")
         for text in [
             "CANCER=yes | SMOKING=smoker, FAMILY_HISTORY=yes",
             "SMOKING=smoker | CANCER=yes",
             "FAMILY_HISTORY=yes | CANCER=yes",
         ]:
-            assert dense.ask(text) == pytest.approx(kb.query(text), rel=1e-9)
-            assert factored.ask(text) == pytest.approx(
-                kb.query(text), rel=1e-9
-            )
+            assert loaded.query(text) == kb.query(text)
+            query = Query.parse(loaded.schema, text)
+            expected = elimination.query(loaded.model, query.target, query.given)
+            assert kb.query(text) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSurveyWorlds:
