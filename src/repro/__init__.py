@@ -44,16 +44,8 @@ from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, Schema
 from repro.data.streaming import TableBuilder
 from repro.discovery.config import DiscoveryConfig
-from repro.discovery.engine import DiscoveryEngine, discover, rediscover
+from repro.discovery.engine import DiscoveryEngine, discover
 from repro.discovery.profile import DiscoveryProfile
-from repro.estimators import (
-    DiscoveryEstimator,
-    Estimator,
-    UpdateReport,
-    available_estimators,
-    create_estimator,
-    register_estimator,
-)
 from repro.eval.paper import paper_schema, paper_table
 from repro.exceptions import (
     ConstraintError,
@@ -101,9 +93,7 @@ __all__ = [
     "Dataset",
     "DiscoveryConfig",
     "DiscoveryEngine",
-    "DiscoveryEstimator",
     "DiscoveryProfile",
-    "Estimator",
     "KBDiff",
     "KBStore",
     "LiveKnowledgeBase",
@@ -129,10 +119,7 @@ __all__ = [
     "StaleConstraintError",
     "TableBuilder",
     "UpdatePolicy",
-    "UpdateReport",
-    "available_estimators",
     "compile_query",
-    "create_estimator",
     "discover",
     "evaluate_cell",
     "fit_dual",
@@ -140,9 +127,7 @@ __all__ = [
     "fit_ipf",
     "paper_schema",
     "paper_table",
-    "rediscover",
     "reference_scan_order",
-    "register_estimator",
     "run_matrix",
     "run_scenario",
     "scan_order",

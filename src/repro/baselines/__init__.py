@@ -1,4 +1,4 @@
-"""Baselines: independence, saturated, chi-square / BIC selectors, NB."""
+"""Baselines: independence, saturated, chi-square / BIC / log-linear selectors."""
 
 from repro.baselines.bic_selector import BICResult, BICSelectorConfig, discover_bic
 from repro.baselines.chi2_selector import Chi2SelectorConfig, discover_chi2
@@ -9,7 +9,6 @@ from repro.baselines.loglinear import (
     LogLinearResult,
     discover_loglinear,
 )
-from repro.baselines.naive_bayes import NaiveBayesClassifier
 
 __all__ = [
     "BICResult",
@@ -17,7 +16,6 @@ __all__ = [
     "Chi2SelectorConfig",
     "LogLinearConfig",
     "LogLinearResult",
-    "NaiveBayesClassifier",
     "discover_bic",
     "discover_chi2",
     "discover_loglinear",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.data.contingency import ContingencyTable
-from repro.exceptions import DataError, StaleConstraintError
+from repro.exceptions import DataError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
@@ -79,7 +79,6 @@ class LogLinearResult:
 def discover_loglinear(
     table: ContingencyTable,
     config: LogLinearConfig | None = None,
-    warm_start: LogLinearResult | None = None,
 ) -> LogLinearResult:
     """Greedy forward selection of whole-marginal interaction terms.
 
@@ -87,20 +86,6 @@ def discover_loglinear(
     G²-tested against the fitted model; the most significant one (smallest
     p below ``alpha``) is adopted as a full marginal constraint and the
     model refitted.  Orders are processed 2..max like the paper's loop.
-
-    With ``warm_start`` (a previous run's result, for incrementally
-    updated tables) each order re-imposes that order's previously adopted
-    subsets before its candidate sweep — mirroring the cold loop's
-    order-by-order progression, so a pair that became significant inside
-    an adopted higher-order term is still seen at order 2.  Every
-    re-imposed term is first re-verified with the G² test against the
-    current model (the same test a cold selection would apply at that
-    point), retargeted at the new table's marginals, and refitted from
-    the previous factor tables; the candidate sweep then only has to look
-    for *new* terms, the expensive part of the selection.  A re-imposed
-    term that is no longer significant raises
-    :class:`StaleConstraintError`; callers should fall back to a cold
-    run, which is free to drop it.
     """
     config = config or LogLinearConfig()
     if table.total == 0:
@@ -112,56 +97,8 @@ def discover_loglinear(
     )
     result = LogLinearResult(model=model, constraints=constraints)
 
-    warm_steps: dict[int, list[LogLinearStep]] = {}
-    if warm_start is not None:
-        if warm_start.model.schema != schema:
-            raise DataError(
-                "warm-start result schema does not match the table schema"
-            )
-        for step in warm_start.steps:
-            warm_steps.setdefault(len(step.attributes), []).append(step)
-
     highest = min(config.max_order or len(schema), len(schema))
     for order in range(2, highest + 1):
-        for step in warm_steps.get(order, []):
-            if (
-                config.max_terms is not None
-                and len(constraints.subset_margins) >= config.max_terms
-            ):
-                # Same cap the cold sweep enforces; re-imposition follows
-                # the original adoption order, so the first max_terms
-                # survive, as in a capped cold run over stable data.
-                break
-            subset = step.attributes
-            if constraints.has_subset_margin(subset):
-                continue
-            g2, dof, p_value = marginal_g2(table, model, subset)
-            if p_value >= config.alpha:
-                raise StaleConstraintError(
-                    f"previously adopted margin over {subset} is no longer "
-                    f"significant on the updated table (p={p_value:.3g}, "
-                    f"alpha={config.alpha})"
-                )
-            constraints.set_subset_margin(
-                subset, constraints.subset_margin_from_table(table, subset)
-            )
-            initial = model.copy()
-            if subset in warm_start.model.table_factors:
-                initial.table_factors[subset] = (
-                    warm_start.model.table_factors[subset].copy()
-                )
-            fit = fit_ipf(
-                constraints,
-                initial=initial,
-                tol=config.tol,
-                max_sweeps=config.max_sweeps,
-            )
-            model = fit.model
-            result.steps.append(
-                LogLinearStep(
-                    attributes=subset, g2=g2, dof=dof, p_value=p_value
-                )
-            )
         while True:
             if (
                 config.max_terms is not None

@@ -15,13 +15,14 @@ Revision(number=1, mode='warm', ...)
 It bundles the discovery result (model + adopted constraints + audit
 trace), query sessions (compiled plans, memoized marginals, answers from
 the model's factored joint — see :mod:`repro.api`), rule generation, and the
-incremental lifecycle: :meth:`update` absorbs a delta batch through the
-``discovery`` estimator's warm-start path and swaps the refined factors
-into the *same* model object, so every open session self-invalidates via
-:meth:`~repro.maxent.model.MaxEntModel.fingerprint` instead of being
-rebuilt.  Versioned JSON round-trips the model — and, since format 3, the
-discovery audit trail and revision history, which is what keeps a loaded
-knowledge base updatable.
+incremental lifecycle: :meth:`update` merges a delta batch into the
+training table, reruns discovery warm-started from the current trace
+(:meth:`~repro.discovery.engine.DiscoveryEngine.rerun`) and swaps the
+refined factors into the *same* model object, so every open session
+self-invalidates via :meth:`~repro.maxent.model.MaxEntModel.fingerprint`
+instead of being rebuilt.  Versioned JSON round-trips the model — and,
+since format 3, the discovery audit trail and revision history, which is
+what keeps a loaded knowledge base updatable.
 """
 
 from __future__ import annotations
@@ -42,15 +43,16 @@ from repro.core.rules import RuleGenerator, RuleSet
 from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
 from repro.data.io import schema_from_dict, schema_to_dict
-from repro.data.streaming import TableBuilder
+from repro.data.schema import Schema
+from repro.data.streaming import TableBuilder, describe_schema_mismatch
 from repro.discovery.config import DiscoveryConfig
+from repro.discovery.engine import DiscoveryEngine, discover
 from repro.discovery.trace import (
     DiscoveryResult,
     result_from_dict,
     result_to_dict,
 )
-from repro.estimators.discovery import DiscoveryEstimator
-from repro.exceptions import DataError
+from repro.exceptions import ConstraintError, ConvergenceError, DataError
 from repro.maxent.constraints import (
     CellConstraint,
     CellKey,
@@ -153,7 +155,6 @@ class ProbabilisticKnowledgeBase:
         self.discovery = discovery
         self.revisions: list[Revision] = list(revisions or [])
         self._default_session: QuerySession | None = None
-        self._estimator: DiscoveryEstimator | None = None
 
     # -- construction -------------------------------------------------------------
 
@@ -173,10 +174,8 @@ class ProbabilisticKnowledgeBase:
                 f"from_data expects a Dataset or ContingencyTable, got "
                 f"{type(data).__name__}"
             )
-        estimator = DiscoveryEstimator(config)
-        estimator.fit(table)
-        result = estimator.result
-        kb = cls(
+        result = discover(table, config)
+        return cls(
             result.model,
             table.total,
             discovery=result,
@@ -192,8 +191,6 @@ class ProbabilisticKnowledgeBase:
                 )
             ],
         )
-        kb._estimator = estimator
-        return kb
 
     @classmethod
     def from_model(
@@ -269,24 +266,11 @@ class ProbabilisticKnowledgeBase:
     def can_update(self) -> bool:
         """True when this knowledge base can absorb new data.
 
-        Requires the training table — held by the estimator behind
-        :meth:`from_data`, or carried in a format-3 file's discovery trace.
+        Requires a discovery trace with its training table: one from
+        :meth:`from_data`, or one a format-3 file saved with its audit
+        trail.
         """
-        return self._estimator is not None or (
-            self.discovery is not None and self.discovery.table is not None
-        )
-
-    def _require_estimator(self) -> DiscoveryEstimator:
-        if self._estimator is None:
-            if self.discovery is None:
-                raise DataError(
-                    "this knowledge base cannot be updated: it has no "
-                    "discovery trace (built with from_model, or loaded from "
-                    "a pre-format-3 file); refit with from_data or load a "
-                    "format-3 file saved with its audit trail"
-                )
-            self._estimator = DiscoveryEstimator.from_result(self.discovery)
-        return self._estimator
+        return self.discovery is not None and self.discovery.table is not None
 
     def update(self, data) -> Revision:
         """Absorb a batch of new observations into the fitted model.
@@ -300,7 +284,8 @@ class ProbabilisticKnowledgeBase:
         are swapped into the *same* model object, so open sessions
         self-invalidate through
         :meth:`~repro.maxent.model.MaxEntModel.fingerprint` on their next
-        operation.  Returns the appended :class:`Revision`.
+        operation.  Returns the appended :class:`Revision`; an empty
+        delta changes nothing and is recorded as ``mode="noop"``.
         """
         if isinstance(data, TableBuilder):
             # A builder passed here would be re-absorbed in full on every
@@ -310,25 +295,53 @@ class ProbabilisticKnowledgeBase:
                 "and resets it; or pass builder.snapshot() for a one-off "
                 "copy"
             )
-        estimator = self._require_estimator()
+        if not self.can_update:
+            raise DataError(
+                "this knowledge base cannot be updated: it has no "
+                "discovery trace (built with from_model, or loaded from "
+                "a pre-format-3 file); refit with from_data or load a "
+                "format-3 file saved with its audit trail"
+            )
+        previous = self.discovery
+        delta = _as_table(data, previous.table.schema)
+        mismatch = describe_schema_mismatch(previous.table.schema, delta.schema)
+        if mismatch:
+            raise DataError(
+                f"update batch schema is incompatible with the fitted "
+                f"schema: {mismatch}"
+            )
         before_n = self.sample_size
-        report = estimator.update(data)
-        if report.mode != "noop":
-            result = estimator.result
+        mode, added, dropped = "noop", (), ()
+        if delta.total:
+            merged = previous.table + delta
+            before = previous.constraints.cell_keys()
+            with DiscoveryEngine(previous.config) as engine:
+                try:
+                    result = engine.rerun(merged, previous)
+                    mode = "warm"
+                except (ConstraintError, ConvergenceError):
+                    # The new data contradict a previously adopted
+                    # constraint (or the warm fit cannot converge from the
+                    # old a values): restart cold, IC3-style.
+                    result = engine.run(merged)
+                    mode = "cold"
+            after = result.constraints.cell_keys()
+            added = tuple(sorted(after - before))
+            dropped = tuple(sorted(before - after))
             self.model.absorb(result.model)
-            # Keep one model object end to end: the result (and therefore
-            # the estimator's next warm start) now points at the live,
+            # Keep one model object end to end: the trace (and therefore
+            # the next update's warm start) points at the live,
             # just-refreshed model the sessions hold.
             result.model = self.model
             self.discovery = result
-            self.sample_size = estimator.table.total
+            self.sample_size = merged.total
         revision = Revision(
             number=len(self.revisions),
-            mode=report.mode,
+            mode=mode,
             sample_size=self.sample_size,
             added_samples=self.sample_size - before_n,
-            constraints_added=report.added,
-            constraints_dropped=report.dropped,
+            constraints_added=added,
+            constraints_dropped=dropped,
         )
         self.revisions.append(revision)
         return revision
@@ -357,9 +370,7 @@ class ProbabilisticKnowledgeBase:
         adopted constraints, the scan records and the config.  An update
         of the copy merges into a *new* table and builds a new discovery
         result, so the original's answers, fingerprint and serialized
-        form stay exactly as they were.  The copy shares no estimator and
-        no session; its first update rehydrates an estimator from the
-        trace, as a loaded knowledge base does.
+        form stay exactly as they were.  The copy shares no session.
         """
         model = self.model.copy()
         discovery = None
@@ -568,6 +579,28 @@ class ProbabilisticKnowledgeBase:
     def load(cls, path: str | Path) -> "ProbabilisticKnowledgeBase":
         """Read a knowledge base from a JSON file."""
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _as_table(data, schema: Schema) -> ContingencyTable:
+    """Coerce an update batch into a contingency table.
+
+    Accepts a :class:`ContingencyTable`, a :class:`Dataset`, or an
+    iterable of samples (sequences in ``schema`` order) or records (dicts).
+    """
+    if isinstance(data, ContingencyTable):
+        return data
+    if isinstance(data, Dataset):
+        return data.to_contingency()
+    if isinstance(data, Iterable):
+        rows = list(data)
+        if rows and isinstance(rows[0], Mapping):
+            return ContingencyTable.from_records(schema, rows)
+        return ContingencyTable.from_samples(schema, rows)
+    raise DataError(
+        f"cannot interpret {type(data).__name__} as a batch of observations; "
+        f"pass a ContingencyTable, Dataset, or an iterable of samples or "
+        f"records"
+    )
 
 
 def _migrate_v1_to_v2(data: dict) -> dict:

@@ -10,12 +10,13 @@ model already meets — typically a determined cell, fixed by its containing
 marginal and constrained siblings — joins with factor 1 and no refit: the
 maxent solution has not moved.
 
-When data arrives incrementally, :meth:`DiscoveryEngine.rerun` (facade:
-:func:`rediscover`) extends Figure 4's warm start across *revisions*: the
-previous run's adopted constraints are re-imposed — retargeted at the new
-table's observed probabilities — and the fit restarts from the previous
-``a`` values, so only one verification scan per order is needed instead of
-one scan per adoption.  Because the constraint system has a unique positive
+When data arrives incrementally, :meth:`DiscoveryEngine.rerun` (run by
+:meth:`~repro.core.knowledge_base.ProbabilisticKnowledgeBase.update`)
+extends Figure 4's warm start across *revisions*: the previous run's
+adopted constraints are re-imposed — retargeted at the new table's observed
+probabilities — and the fit restarts from the previous ``a`` values, so
+only one verification scan per order is needed instead of one scan per
+adoption.  Because the constraint system has a unique positive
 solution, the warm start changes convergence speed, never the fitted model:
 when the constraint set is stable, the rerun lands on exactly the model a
 cold refit of the merged table would.
@@ -53,7 +54,6 @@ __all__ = [
     "DiscoveryEngine",
     "StaleConstraintError",
     "discover",
-    "rediscover",
 ]
 
 #: Scan implementations an engine can run: the vectorized kernel layer
@@ -531,15 +531,3 @@ def discover(
     with DiscoveryEngine(config) as engine:
         return engine.run(table)
 
-
-def rediscover(
-    table: ContingencyTable,
-    previous: DiscoveryResult,
-    config: DiscoveryConfig | None = None,
-) -> DiscoveryResult:
-    """Warm-started rediscovery of an updated table (see
-    :meth:`DiscoveryEngine.rerun`).  Defaults to the previous run's config.
-    """
-    config = config or previous.config or DiscoveryConfig()
-    with DiscoveryEngine(config) as engine:
-        return engine.rerun(table, previous)

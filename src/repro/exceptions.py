@@ -25,11 +25,10 @@ class ConstraintError(ReproError):
 class StaleConstraintError(ConstraintError):
     """A previously adopted constraint is no longer supported by the data.
 
-    Raised by the warm-started rediscovery paths (the discovery engine's
-    ``rerun``, the log-linear warm selection) when updated data stop
-    justifying a constraint the previous revision adopted — the signal
-    that incremental strengthening is invalid and the caller should fall
-    back to a cold refit (which is free to drop the constraint)."""
+    Raised by the discovery engine's warm-started ``rerun`` when updated
+    data stop justifying a constraint the previous revision adopted — the
+    signal that incremental strengthening is invalid and the caller should
+    fall back to a cold refit (which is free to drop the constraint)."""
 
 
 class ConvergenceError(ReproError):

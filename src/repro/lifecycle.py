@@ -41,8 +41,9 @@ from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
 from repro.data.streaming import TableBuilder
 from repro.discovery.config import DiscoveryConfig
-from repro.estimators.discovery import scan_for_new_significance
+from repro.discovery.trace import DiscoveryResult
 from repro.exceptions import DataError
+from repro.significance.mml import scan_order
 
 
 @dataclass(frozen=True)
@@ -242,9 +243,7 @@ class LiveKnowledgeBase:
         ):
             self._since_probe = pending
             merged = self.kb.discovery.table + self._pending.snapshot()
-            if scan_for_new_significance(
-                merged, self.kb.discovery, self.kb.discovery.config
-            ):
+            if scan_for_new_significance(merged, self.kb.discovery):
                 return self.flush()
         if policy.every_n is not None and pending >= policy.every_n:
             return self.flush()
@@ -273,3 +272,31 @@ class LiveKnowledgeBase:
             f"LiveKnowledgeBase(N={self.kb.sample_size}, "
             f"pending={self.pending}, revisions={len(self.kb.revisions)})"
         )
+
+
+def scan_for_new_significance(
+    table: ContingencyTable, result: DiscoveryResult
+) -> bool:
+    """Probe: would pending data change the discovered structure?
+
+    Scans every order of ``table`` against the *current* model and
+    constraint set of ``result`` (with its config's priors and order cap)
+    and reports whether any unconstrained cell tests significant.  This is
+    a heuristic trigger (the model's targets come from the pre-delta
+    table), meant for update policies that refit on evidence of drift
+    rather than on a sample count.
+    """
+    config = result.config or DiscoveryConfig()
+    schema = table.schema
+    highest = min(config.max_order or len(schema), len(schema))
+    for order in range(2, highest + 1):
+        try:
+            tests = scan_order(
+                table, result.model, order, result.constraints, config.priors
+            )
+        except DataError:
+            # No candidate cells left at this order.
+            continue
+        if any(test.significant for test in tests):
+            return True
+    return False

@@ -32,6 +32,11 @@ returns its :class:`~repro.maxent.ipf.FitResult`:
   positive targets.  The last positive value of each margin and entry of
   each subset margin is implied by normalization, so it is only checked,
   never solved for.
+- Before the first step, a linear pass over the cells raises
+  :class:`ConstraintError` when a cell's target exceeds a margin that
+  contains it, or when cells on one attribute set that share a value sum
+  above that value's margin, by more than a fit within ``tol`` could hide.
+  Such a set would otherwise spend the whole budget before failing.
 - The step solves the Newton system with a tiny ridge (covering features
   that coincide on the support), then backtracks until the dual meets the
   Armijo condition or the max violation halves.  The second rule keeps
@@ -133,6 +138,7 @@ def fit_dual(
         model = settled.model
         cells_swept = settled.cells_swept
         parts, tensors = _split(model)
+    _check_feasible(constraints, tol)
 
     violation = 0.0
     shares = [1.0] * len(parts)  # each component's share of a0
@@ -209,6 +215,38 @@ def _has_zero_target(constraints: ConstraintSet) -> bool:
         or any(not target.all() for target in constraints.subset_margins.values())
         or any(cell.probability == 0.0 for cell in constraints.cells)
     )
+
+
+def _check_feasible(constraints: ConstraintSet, tol: float) -> None:
+    """Raise :class:`ConstraintError` when the cells' targets cannot fit
+    under the margins, before any Newton step is spent on them.
+
+    A cell is contained in the margin value of each of its attributes, and
+    cells on one attribute set that share a value of one attribute are
+    disjoint events inside that value.  A fit meeting every target to
+    within ``tol`` keeps such a group's target sum below the margin plus
+    ``tol`` for each cell and for the margin, so an excess beyond that
+    float tolerance means no fit can converge.  One pass over the cells.
+    """
+    groups: dict[tuple, list] = {}  # (attributes, name, value) -> [margin, sum, keys]
+    for cell in constraints.cells:
+        for name, value in zip(cell.attributes, cell.values):
+            margin = float(constraints.margin(name)[value])
+            if cell.probability - margin > 2 * tol:
+                raise ConstraintError(
+                    f"cell constraint {cell.key} has target "
+                    f"{cell.probability:.6g}, above the margin "
+                    f"P({name}={value}) = {margin:.6g} that contains it"
+                )
+            group = groups.setdefault((cell.attributes, name, value), [margin, 0.0, []])
+            group[1] += cell.probability
+            group[2].append(cell.key)
+    for (_, name, value), (margin, total, keys) in groups.items():
+        if total - margin > (len(keys) + 1) * tol:
+            raise ConstraintError(
+                f"cell constraints {keys} share {name}={value} but their "
+                f"targets sum to {total:.6g}, above its margin {margin:.6g}"
+            )
 
 
 def _is_single(part) -> bool:

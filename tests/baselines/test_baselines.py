@@ -1,13 +1,12 @@
-"""Tests for the independence / empirical / naive Bayes baselines."""
+"""Tests for the independence / empirical baselines."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.empirical import empirical_joint, empirical_model
 from repro.baselines.independence import independence_model
-from repro.baselines.naive_bayes import NaiveBayesClassifier
 from repro.data.contingency import ContingencyTable
-from repro.exceptions import DataError, QueryError
+from repro.exceptions import DataError
 from repro.maxent.entropy import entropy
 
 
@@ -65,40 +64,3 @@ class TestEmpirical:
         assert h_independent >= h_discovered - 1e-9
         assert h_discovered >= h_empirical - 1e-9
 
-
-class TestNaiveBayes:
-    def test_posterior_sums_to_one(self, table):
-        classifier = NaiveBayesClassifier(table, "CANCER")
-        posterior = classifier.class_distribution({"SMOKING": "smoker"})
-        assert sum(posterior.values()) == pytest.approx(1.0)
-
-    def test_single_feature_matches_direct_conditional(self, table):
-        """With one feature, NB posterior equals the empirical conditional
-        (up to smoothing)."""
-        classifier = NaiveBayesClassifier(table, "CANCER", smoothing=0.0)
-        posterior = classifier.class_distribution({"SMOKING": "smoker"})
-        assert posterior["yes"] == pytest.approx(240 / 1290, abs=1e-9)
-
-    def test_predict_majority(self, table):
-        classifier = NaiveBayesClassifier(table, "CANCER")
-        assert classifier.predict({"SMOKING": "smoker"}) == "no"
-
-    def test_evidence_shifts_posterior(self, table):
-        classifier = NaiveBayesClassifier(table, "CANCER")
-        base = classifier.class_distribution({})["yes"]
-        smoker = classifier.class_distribution({"SMOKING": "smoker"})["yes"]
-        assert smoker > base
-
-    def test_class_in_evidence_rejected(self, table):
-        classifier = NaiveBayesClassifier(table, "CANCER")
-        with pytest.raises(QueryError, match="class attribute"):
-            classifier.class_distribution({"CANCER": "yes"})
-
-    def test_unknown_feature_rejected(self, table):
-        classifier = NaiveBayesClassifier(table, "CANCER")
-        with pytest.raises(Exception):
-            classifier.class_distribution({"WEIGHT": "high"})
-
-    def test_negative_smoothing_rejected(self, table):
-        with pytest.raises(DataError):
-            NaiveBayesClassifier(table, "CANCER", smoothing=-0.5)

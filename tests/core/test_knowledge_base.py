@@ -1,5 +1,7 @@
 """Tests for the public knowledge-base facade."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,22 @@ from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.core.serialization import canonical_bytes
 from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
+from repro.data.schema import Attribute, Schema
 from repro.discovery.config import DiscoveryConfig
+from repro.discovery.engine import discover
 from repro.exceptions import DataError
 
 
 @pytest.fixture
 def kb(table):
     return ProbabilisticKnowledgeBase.from_data(table)
+
+
+@pytest.fixture
+def delta(schema, table, rng):
+    return Dataset.from_joint(
+        schema, table.probabilities(), 500, rng
+    ).to_contingency()
 
 
 class TestConstruction:
@@ -138,6 +149,62 @@ class TestIncrementalUpdate:
         revision = kb.update([("smoker", "yes", "no")] * 5)
         assert kb.sample_size == table.total + 5
         assert revision.added_samples == 5
+
+    def test_update_accepts_raw_records(self, kb, table):
+        record = {"SMOKING": "smoker", "CANCER": "yes", "FAMILY_HISTORY": "no"}
+        revision = kb.update([record] * 5)
+        assert kb.sample_size == table.total + 5
+        assert revision.added_samples == 5
+
+    def test_schema_mismatch_reported(self, kb):
+        other = Schema([Attribute("X", ("a", "b"))])
+        with pytest.raises(DataError, match="missing attributes"):
+            kb.update(ContingencyTable.zeros(other))
+        assert kb.revisions[-1].number == 0
+
+    def test_revision_tracks_added_and_dropped_keys(self, schema, table):
+        """Streaming in strongly correlated data grows the constraint set."""
+        kb = ProbabilisticKnowledgeBase.from_data(
+            table, DiscoveryConfig(max_order=2)
+        )
+        before = kb.discovery.constraints.cell_keys()
+        skewed = Dataset.from_samples(
+            schema, [("smoker", "yes", "yes")] * 2000
+        ).to_contingency()
+        revision = kb.update(skewed)
+        after = kb.discovery.constraints.cell_keys()
+        assert after - before == set(revision.constraints_added)
+        assert before - after == set(revision.constraints_dropped)
+
+    def test_readoption_recorded_in_audit_trail(self, table, delta):
+        kb = ProbabilisticKnowledgeBase.from_data(
+            table, DiscoveryConfig(max_order=2)
+        )
+        adopted = kb.discovery.constraints.cell_keys()
+        assert kb.update(delta).mode == "warm"
+        readopt_scans = [scan for scan in kb.discovery.scans if scan.readopted]
+        assert readopt_scans
+        assert set(readopt_scans[0].readopted) <= adopted
+
+    def test_warm_update_respects_lowered_cap(self, table, delta):
+        """A max_constraints cap lowered between revisions binds the
+        re-adoption chain too, exactly like a capped cold run."""
+        kb = ProbabilisticKnowledgeBase.from_data(
+            table, DiscoveryConfig(max_order=2, max_constraints=5)
+        )
+        kb.discovery.config = replace(kb.discovery.config, max_constraints=2)
+        kb.update(delta)
+        assert len(kb.discovery.constraints.cells) <= 2
+
+    def test_gevarter_solver_update(self, table, delta):
+        config = DiscoveryConfig(max_order=2, solver="gevarter", tol=1e-9)
+        kb = ProbabilisticKnowledgeBase.from_data(table, config)
+        revision = kb.update(delta)
+        assert revision.mode in ("warm", "cold")
+        cold = discover(table + delta, config)
+        assert kb.discovery.constraints.cell_keys() == (
+            cold.constraints.cell_keys()
+        )
 
     def test_empty_update_is_noop(self, kb, schema, table):
         fingerprint = kb.model.fingerprint()

@@ -7,6 +7,7 @@ to exactly 0, the same structural-conflict errors, and a warm start that
 changes the speed, never the fixed point.
 """
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.data.schema import Attribute, Schema
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.exceptions import ConstraintError, ConvergenceError, ReproError
+from repro.maxent import dual as dual_module
 from repro.maxent.constraints import CellConstraint, ConstraintSet
 from repro.maxent.dual import fit_dual
 from repro.maxent.ipf import fit_ipf, warm_start_model
@@ -279,6 +281,31 @@ class TestConflicts:
         assert ours.constraint == "X1"
         _assert_same_error(ours, _outcome(fit_ipf, constraints))
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # Disjoint cells under X0=0 sum to 0.9 against its margin 0.5.
+            ([((0, 0), 0.45), ((0, 1), 0.45)], "sum to 0.9"),
+            ([((0, 0), 0.7)], "above the margin P(X0=0) = 0.5"),
+        ],
+    )
+    def test_infeasible_cells_fail_before_newton(
+        self, monkeypatch, cells, message
+    ):
+        def step(component):
+            raise AssertionError("a Newton step ran on an infeasible set")
+
+        monkeypatch.setattr(dual_module._Component, "step", step)
+        schema = _schema([2, 2])
+        constraints = ConstraintSet(schema)
+        # Cells before margins, so add_cell's bound check cannot reject one.
+        for values, target in cells:
+            constraints.add_cell(CellConstraint(("X0", "X1"), values, target))
+        for name in schema.names:
+            constraints.set_margin(name, [0.5, 0.5])
+        with pytest.raises(ConstraintError, match=re.escape(message)):
+            fit_dual(constraints)
+
     def test_zero_initial_mass_is_rejected(self, paper_constraints):
         initial = MaxEntModel(paper_constraints.schema, a0=0.0)
         ours = _outcome(fit_dual, paper_constraints, initial)
@@ -353,8 +380,6 @@ class TestEdgeCases:
 def test_blocked_indicators_give_the_same_fit(monkeypatch):
     # Components larger than a block rebuild the indicator matrix block by
     # block; a block of 5 cells splits every coupled component here.
-    import repro.maxent.dual as dual_module
-
     constraints = _final_constraints("stress-wide-order3")
     whole = fit_dual(constraints)
     monkeypatch.setattr(dual_module, "_BLOCK", 5)

@@ -6,8 +6,13 @@ import pytest
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.data.dataset import Dataset
 from repro.discovery.config import DiscoveryConfig
+from repro.discovery.engine import discover
 from repro.exceptions import DataError
-from repro.lifecycle import LiveKnowledgeBase, UpdatePolicy
+from repro.lifecycle import (
+    LiveKnowledgeBase,
+    UpdatePolicy,
+    scan_for_new_significance,
+)
 
 
 @pytest.fixture
@@ -114,6 +119,20 @@ class TestSignificancePolicy:
         assert revision is not None
         assert live.pending == 0
         assert len(revision.constraints_added) > 0
+
+    def test_scan_probe_quiet_on_same_distribution(self, schema, table, rng):
+        result = discover(table, DiscoveryConfig(max_order=2))
+        delta = Dataset.from_joint(schema, table.probabilities(), 500, rng)
+        assert not scan_for_new_significance(
+            table + delta.to_contingency(), result
+        )
+
+    def test_scan_probe_fires_on_drift(self, schema, table):
+        result = discover(table, DiscoveryConfig(max_order=2))
+        skewed = Dataset.from_samples(
+            schema, [("smoker", "yes", "yes")] * 3000
+        ).to_contingency()
+        assert scan_for_new_significance(table + skewed, result)
 
 
 class TestLiveServing:
