@@ -1,23 +1,18 @@
-"""Tests for the Estimator lifecycle protocol and its registry."""
+"""Tests for the fit/update lifecycle of a knowledge base.
+
+``ProbabilisticKnowledgeBase.from_data`` fits, ``update`` absorbs a delta
+(warm rerun of discovery, cold fallback), and an empty delta is a noop.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines.loglinear import discover_loglinear
-from repro.baselines.naive_bayes import NaiveBayesClassifier
+from repro.core.knowledge_base import ProbabilisticKnowledgeBase
+from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
 from repro.data.streaming import TableBuilder
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import discover
-from repro.estimators import (
-    DiscoveryEstimator,
-    Estimator,
-    available_estimators,
-    create_estimator,
-    register_estimator,
-    unregister_estimator,
-)
-from repro.estimators.discovery import scan_for_new_significance
 from repro.exceptions import DataError
 
 
@@ -28,321 +23,63 @@ def delta(schema, table, rng):
     ).to_contingency()
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = available_estimators()
-        for name in (
-            "discovery",
-            "empirical",
-            "independence",
-            "loglinear",
-            "naive_bayes",
-        ):
-            assert name in names
-
-    def test_create_by_name(self, table):
-        estimator = create_estimator("independence").fit(table)
-        assert estimator.model.probability({"SMOKING": "smoker"}) == (
-            pytest.approx(1290 / 3428, abs=1e-9)
-        )
-
-    def test_create_unknown(self):
-        with pytest.raises(DataError, match="unknown estimator"):
-            create_estimator("nope")
-
-    def test_create_with_options(self, table):
-        estimator = create_estimator(
-            "naive_bayes", class_attribute="CANCER"
-        ).fit(table)
-        assert isinstance(estimator.model, NaiveBayesClassifier)
-
-    def test_duplicate_name_rejected(self):
-        class Fake(Estimator):
-            name = "discovery"
-
-            @property
-            def model(self):
-                return None
-
-            def _fit(self, table):
-                pass
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_estimator(Fake)
-
-    def test_register_unregister_cycle(self, table):
-        class Plugin(Estimator):
-            name = "plugin-test"
-
-            def __init__(self):
-                super().__init__()
-                self._model = None
-
-            @property
-            def model(self):
-                return self._model
-
-            def _fit(self, table):
-                self._model = table.total
-
-        try:
-            register_estimator(Plugin)
-            estimator = create_estimator("plugin-test").fit(table)
-            assert estimator.model == table.total
-        finally:
-            unregister_estimator("plugin-test")
-        assert "plugin-test" not in available_estimators()
-
-
 class TestLifecycleBasics:
     def test_update_before_fit(self, table):
-        with pytest.raises(DataError, match="not fitted"):
-            create_estimator("discovery").update(table)
+        """A knowledge base loaded without its discovery trace was never
+        fitted here, so it has nothing to rerun from."""
+        fitted = ProbabilisticKnowledgeBase.from_data(table)
+        bare = ProbabilisticKnowledgeBase.from_dict(
+            fitted.to_dict(include_audit=False)
+        )
+        with pytest.raises(DataError, match="cannot be updated"):
+            bare.update(table)
+        assert bare.sample_size == fitted.sample_size
 
     def test_fit_empty_table(self, schema):
-        from repro.data.contingency import ContingencyTable
-
         with pytest.raises(DataError, match="empty"):
-            create_estimator("independence").fit(
-                ContingencyTable.zeros(schema)
-            )
+            ProbabilisticKnowledgeBase.from_data(ContingencyTable.zeros(schema))
 
-    def test_empty_delta_is_noop(self, schema, table):
-        from repro.data.contingency import ContingencyTable
+    def test_empty_delta_is_noop(self, table):
+        kb = ProbabilisticKnowledgeBase.from_data(table)
+        keys = kb.discovery.constraints.cell_keys()
+        revision = kb.update([])
+        assert revision.mode == "noop"
+        assert revision.added_samples == 0
+        assert kb.discovery.table.total == table.total
+        assert kb.discovery.constraints.cell_keys() == keys
 
-        estimator = create_estimator("independence").fit(table)
-        report = estimator.update(ContingencyTable.zeros(schema))
-        assert report.mode == "noop"
-        assert estimator.table.total == table.total
-
-    def test_schema_mismatch_reported(self, schema, table):
-        from repro.data.contingency import ContingencyTable
-        from repro.data.schema import Attribute, Schema
-
-        other = Schema([Attribute("X", ("a", "b"))])
-        estimator = create_estimator("independence").fit(table)
-        with pytest.raises(DataError, match="missing attributes"):
-            estimator.update(ContingencyTable.zeros(other))
-
-    def test_update_accepts_raw_samples(self, table):
-        estimator = create_estimator("independence").fit(table)
-        report = estimator.update([("smoker", "yes", "no")] * 10)
-        assert report.mode == "cold"
-        assert estimator.table.total == table.total + 10
+    def test_update_accepts_raw_samples(self, schema, table):
+        kb = ProbabilisticKnowledgeBase.from_data(table)
+        revision = kb.update([("smoker", "yes", "no")] * 10)
+        assert revision.mode in ("warm", "cold")
+        expected = table + Dataset.from_samples(
+            schema, [("smoker", "yes", "no")] * 10
+        ).to_contingency()
+        np.testing.assert_array_equal(
+            kb.discovery.table.counts, expected.counts
+        )
 
     def test_update_rejects_builder(self, schema, table):
         """A builder is not consumed by update, so accepting one would
         re-absorb its history every window; snapshot() is the safe form."""
         builder = TableBuilder(schema)
         builder.add_sample(("smoker", "yes", "no"))
-        estimator = create_estimator("independence").fit(table)
+        kb = ProbabilisticKnowledgeBase.from_data(table)
         with pytest.raises(DataError, match="snapshot"):
-            estimator.update(builder)
-        estimator.update(builder.snapshot())
-        assert estimator.table.total == table.total + 1
-
-    def test_refresh_refits_accumulated(self, table, delta):
-        estimator = create_estimator("empirical").fit(table)
-        estimator.update(delta)
-        report = estimator.refresh()
-        assert report.mode == "cold"
-        merged = table + delta
-        assert np.allclose(
-            estimator.model.joint(), merged.probabilities(), atol=1e-12
-        )
-
-
-class TestBaselineEstimators:
-    def test_independence_update_exact(self, table, delta):
-        estimator = create_estimator("independence").fit(table)
-        estimator.update(delta)
-        merged = table + delta
-        for name in table.schema.names:
-            assert np.allclose(
-                estimator.model.marginal([name]),
-                merged.first_order_probabilities(name),
-                atol=1e-12,
-            )
-
-    def test_empirical_update_exact(self, table, delta):
-        estimator = create_estimator("empirical").fit(table)
-        estimator.update(delta)
-        merged = table + delta
-        assert np.allclose(
-            estimator.model.joint(), merged.probabilities(), atol=1e-12
-        )
-
-    def test_naive_bayes_update_matches_batch(self, table, delta):
-        estimator = create_estimator(
-            "naive_bayes", class_attribute="CANCER"
-        ).fit(table)
-        estimator.update(delta)
-        batch = NaiveBayesClassifier(table + delta, "CANCER")
-        evidence = {"SMOKING": "smoker", "FAMILY_HISTORY": "yes"}
-        assert estimator.model.class_distribution(evidence) == pytest.approx(
-            batch.class_distribution(evidence)
-        )
-
-    def test_naive_bayes_unknown_class(self, table):
-        with pytest.raises(DataError, match="class attribute"):
-            create_estimator("naive_bayes", class_attribute="NOPE").fit(table)
-
-    def test_loglinear_warm_matches_cold(self, table, delta):
-        estimator = create_estimator("loglinear").fit(table)
-        report = estimator.update(delta)
-        assert report.mode in ("warm", "cold")
-        cold = discover_loglinear(table + delta, estimator.config)
-        assert set(estimator.result.constraints.subset_margins) == set(
-            cold.constraints.subset_margins
-        )
-        assert np.allclose(
-            estimator.model.joint(), cold.model.joint(), atol=1e-6
-        )
-
-    def test_loglinear_warm_sees_new_pair_under_adopted_triple(self):
-        """Re-adoption is interleaved per order: a pairwise effect that
-        appears inside a previously adopted 3-way term is still adopted
-        at order 2, exactly as a cold selection of the merged table would
-        (the triple fixes its pairwise marginals, so imposing it first
-        would mask the pair forever)."""
-        from repro.data.contingency import ContingencyTable
-        from repro.data.schema import Attribute, Schema
-
-        schema = Schema([Attribute(n, ("0", "1")) for n in ("X", "Y", "Z")])
-        # XOR-style window: pairwise marginals independent, triple real.
-        xor = np.array(
-            [[[220, 30], [30, 220]], [[30, 220], [220, 30]]]
-        )
-        window = ContingencyTable(schema, xor)
-        estimator = create_estimator("loglinear").fit(window)
-        assert estimator.result.found_subsets == [("X", "Y", "Z")]
-
-        # Delta: strong X-Y association, Z uniform.
-        pair = np.array(
-            [[[400, 400], [50, 50]], [[50, 50], [400, 400]]]
-        )
-        report = estimator.update(ContingencyTable(schema, pair))
-        assert report.mode == "warm"
-        cold = discover_loglinear(
-            window + ContingencyTable(schema, pair), estimator.config
-        )
-        assert set(estimator.result.constraints.subset_margins) == set(
-            cold.constraints.subset_margins
-        )
-        assert ("X", "Y") in estimator.result.constraints.subset_margins
-
-    def test_loglinear_warm_respects_lowered_cap(self, table, delta):
-        from repro.baselines.loglinear import LogLinearConfig
-
-        estimator = create_estimator("loglinear").fit(table)
-        adopted = len(estimator.result.constraints.subset_margins)
-        assert adopted >= 1
-        capped = create_estimator(
-            "loglinear", config=LogLinearConfig(max_terms=0)
-        )
-        capped._result = estimator.result
-        capped._table = estimator.table
-        capped.update(delta)
-        assert len(capped.result.constraints.subset_margins) == 0
-
-    def test_loglinear_stale_term_falls_back_and_drops(self, rng):
-        """A term adopted from a small noisy window is re-verified on
-        update; a large independent delta kills it via the cold fallback
-        instead of letting it ride the warm path forever."""
-        from repro.data.contingency import ContingencyTable
-        from repro.data.schema import Attribute, Schema
-
-        schema = Schema(
-            [Attribute("X", ("a", "b")), Attribute("Y", ("c", "d"))]
-        )
-        # Small window with a strong (spurious) association.
-        window = ContingencyTable(schema, np.array([[40, 5], [5, 40]]))
-        estimator = create_estimator("loglinear").fit(window)
-        assert ("X", "Y") in estimator.result.constraints.subset_margins
-
-        # A much larger, perfectly independent delta.
-        independent = ContingencyTable(
-            schema, np.array([[2500, 2500], [2500, 2500]])
-        )
-        report = estimator.update(independent)
-        assert report.mode == "cold"
-        assert ("X", "Y") in report.dropped
-        assert ("X", "Y") not in estimator.result.constraints.subset_margins
+            kb.update(builder)
+        kb.update(builder.snapshot())
+        assert kb.sample_size == table.total + 1
+        assert builder.total == 1
 
 
 class TestDiscoveryEstimator:
     def test_warm_update_matches_cold_refit(self, table, delta):
         config = DiscoveryConfig(max_order=2)
-        estimator = DiscoveryEstimator(config).fit(table)
-        report = estimator.update(delta)
-        assert report.mode == "warm"
+        kb = ProbabilisticKnowledgeBase.from_data(table, config)
+        revision = kb.update(delta)
+        assert revision.mode == "warm"
         cold = discover(table + delta, config)
-        assert estimator.result.constraints.cell_keys() == (
+        assert kb.discovery.constraints.cell_keys() == (
             cold.constraints.cell_keys()
         )
-        assert np.allclose(
-            estimator.model.joint(), cold.model.joint(), atol=1e-8
-        )
-
-    def test_readoption_recorded_in_audit_trail(self, table, delta):
-        estimator = DiscoveryEstimator(DiscoveryConfig(max_order=2)).fit(table)
-        adopted = estimator.result.constraints.cell_keys()
-        estimator.update(delta)
-        readopt_scans = [
-            scan for scan in estimator.result.scans if scan.readopted
-        ]
-        assert readopt_scans
-        assert set(readopt_scans[0].readopted) <= adopted
-
-    def test_update_report_tracks_new_constraints(self, schema, table, rng):
-        """Streaming in strongly correlated data grows the constraint set."""
-        estimator = DiscoveryEstimator(DiscoveryConfig(max_order=2)).fit(table)
-        before = estimator.result.constraints.cell_keys()
-        skewed = Dataset.from_samples(
-            schema, [("smoker", "yes", "yes")] * 2000
-        ).to_contingency()
-        report = estimator.update(skewed)
-        after = estimator.result.constraints.cell_keys()
-        assert after - before == set(report.added)
-        assert before - after == set(report.dropped)
-
-    def test_warm_update_respects_lowered_cap(self, table, delta):
-        """A max_constraints cap lowered between revisions binds the
-        re-adoption chain too, exactly like a capped cold run."""
-        estimator = DiscoveryEstimator(
-            DiscoveryConfig(max_order=2, max_constraints=5)
-        ).fit(table)
-        capped = DiscoveryEstimator(
-            DiscoveryConfig(max_order=2, max_constraints=2)
-        )
-        capped._result = estimator.result
-        capped._table = estimator.table
-        capped.update(delta)
-        found = capped.result.constraints.cells
-        assert len(found) <= 2
-
-    def test_gevarter_solver_update(self, table, delta):
-        config = DiscoveryConfig(max_order=2, solver="gevarter", tol=1e-9)
-        estimator = DiscoveryEstimator(config).fit(table)
-        report = estimator.update(delta)
-        assert report.mode in ("warm", "cold")
-        cold = discover(table + delta, config)
-        assert estimator.result.constraints.cell_keys() == (
-            cold.constraints.cell_keys()
-        )
-
-    def test_scan_probe_quiet_on_same_distribution(self, table, delta):
-        estimator = DiscoveryEstimator(DiscoveryConfig(max_order=2)).fit(table)
-        merged = table + delta
-        assert not scan_for_new_significance(
-            merged, estimator.result, estimator.config
-        )
-
-    def test_scan_probe_fires_on_drift(self, schema, table):
-        estimator = DiscoveryEstimator(DiscoveryConfig(max_order=2)).fit(table)
-        skewed = Dataset.from_samples(
-            schema, [("smoker", "yes", "yes")] * 3000
-        ).to_contingency()
-        assert scan_for_new_significance(
-            table + skewed, estimator.result, estimator.config
-        )
+        assert np.allclose(kb.model.joint(), cold.model.joint(), atol=1e-8)
