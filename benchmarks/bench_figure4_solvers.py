@@ -1,9 +1,8 @@
-"""E6 — Figure 4 ablation: the a-value fitting loop, IPF vs Gevarter.
+"""E6 — Figure 4 ablation: the a-value fitting loop, Newton vs Gevarter.
 
 Benchmarks both solvers on the same constraint system (margins + the
-Table-2 cell).  Shape criteria: both converge to the same joint (max
-absolute difference < 1e-8); the vectorized IPF sweep is not slower than
-the scalar Gauss–Seidel re-evaluation.
+Table-2 cell).  Shape criterion: both converge to the same joint (max
+absolute difference < 1e-8).
 """
 
 import numpy as np
@@ -11,8 +10,8 @@ import pytest
 
 from repro.eval.harness import reproduce_solver_comparison
 from repro.maxent.constraints import ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.gevarter import fit_gevarter
-from repro.maxent.ipf import fit_ipf
 
 
 @pytest.fixture
@@ -28,8 +27,8 @@ def constraints(table):
     return constraints
 
 
-def test_bench_figure4_ipf(benchmark, constraints, write_report):
-    fit = benchmark(fit_ipf, constraints)
+def test_bench_figure4_dual(benchmark, constraints, write_report):
+    fit = benchmark(fit_dual, constraints)
     assert fit.converged
     _fits, text = reproduce_solver_comparison()
     write_report("figure4_solvers.txt", text)
@@ -40,22 +39,12 @@ def test_bench_figure4_gevarter(benchmark, constraints):
     assert fit.converged
 
 
-def test_bench_figure4_dual(benchmark, constraints):
-    from repro.maxent.dual import fit_dual
-
-    fit = benchmark(fit_dual, constraints, tol=1e-8)
-    assert fit.converged
-    reference = fit_ipf(constraints)
-    difference = np.abs(fit.model.joint() - reference.model.joint()).max()
-    assert difference < 1e-6
-
-
 def test_bench_figure4_agreement(benchmark, constraints):
     def both():
-        ipf = fit_ipf(constraints)
+        newton = fit_dual(constraints)
         gevarter = fit_gevarter(constraints, record_trace=False)
-        return ipf, gevarter
+        return newton, gevarter
 
-    ipf, gevarter = benchmark(both)
-    difference = np.abs(ipf.model.joint() - gevarter.model.joint()).max()
+    newton, gevarter = benchmark(both)
+    difference = np.abs(newton.model.joint() - gevarter.model.joint()).max()
     assert difference < 1e-8

@@ -58,9 +58,8 @@ from repro.exceptions import (
 )
 from repro.lifecycle import LiveKnowledgeBase, UpdatePolicy
 from repro.maxent.constraints import CellConstraint, ConstraintSet
-from repro.maxent.dual import fit_dual
+from repro.maxent.dual import fit_dual, warm_start_model
 from repro.maxent.gevarter import fit_gevarter
-from repro.maxent.ipf import fit_ipf, warm_start_model
 from repro.maxent.model import MaxEntModel
 from repro.scenarios import (
     ConformanceGates,
@@ -124,7 +123,6 @@ __all__ = [
     "evaluate_cell",
     "fit_dual",
     "fit_gevarter",
-    "fit_ipf",
     "paper_schema",
     "paper_table",
     "reference_scan_order",

@@ -23,7 +23,7 @@ import numpy as np
 from repro.data.contingency import ContingencyTable
 from repro.exceptions import ConstraintError, DataError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 from repro.maxent.model import MaxEntModel
 
 
@@ -113,7 +113,7 @@ def discover_bic(
                     candidate.add_cell(
                         candidate.cell_from_table(table, subset, values)
                     )
-                    fit = fit_ipf(
+                    fit = fit_dual(
                         candidate,
                         initial=model,
                         tol=config.tol,

@@ -18,7 +18,7 @@ from repro.data.contingency import ContingencyTable
 from repro.discovery.trace import DiscoveryResult, ScanRecord
 from repro.exceptions import ConstraintError, DataError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 from repro.maxent.model import MaxEntModel
 from repro.significance.chi2 import cell_z_test
 from repro.significance.mml import MMLPriors, evaluate_cell
@@ -101,7 +101,7 @@ def discover_chi2(
             except ConstraintError:
                 result.scans.append(ScanRecord(order=order, tests=tests, chosen=None))
                 break
-            fit = fit_ipf(
+            fit = fit_dual(
                 constraints,
                 initial=model,
                 tol=config.tol,

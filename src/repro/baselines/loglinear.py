@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.data.contingency import ContingencyTable
 from repro.exceptions import DataError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 from repro.maxent.model import MaxEntModel
 from repro.significance.chi2 import marginal_g2
 
@@ -119,7 +119,7 @@ def discover_loglinear(
             constraints.set_subset_margin(
                 subset, constraints.subset_margin_from_table(table, subset)
             )
-            fit = fit_ipf(
+            fit = fit_dual(
                 constraints,
                 initial=model,
                 tol=config.tol,

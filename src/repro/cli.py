@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     subparsers.add_parser("figure2", help="Figure 2 marginal tables")
     subparsers.add_parser("table1", help="Table 1 significance scan")
     subparsers.add_parser("table2", help="Table 2 a-value iteration trace")
-    subparsers.add_parser("solvers", help="IPF vs Gevarter comparison")
+    subparsers.add_parser("solvers", help="Newton vs Gevarter comparison")
     subparsers.add_parser("appendixb", help="factored vs dense evaluation")
 
     discover_parser = subparsers.add_parser(

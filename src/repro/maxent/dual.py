@@ -1,4 +1,4 @@
-"""Damped Newton on the maximum-entropy dual: the discovery engine's fit.
+"""Damped Newton on the maximum-entropy dual: the library's fit.
 
 The maxent problem the paper solves by fixed-point iteration has a convex
 dual.  With one multiplier ``θ_j`` per constraint (Eq 8's ``w``'s, up to
@@ -10,61 +10,57 @@ indicator, and the optimal multipliers minimize
 
 whose gradient ``Fᵀp − b`` is exactly the constraint violations and whose
 Hessian ``Fᵀdiag(p)F − (Fᵀp)(Fᵀp)ᵀ`` is the model covariance of the
-indicators (``F`` is the cells × constraints indicator matrix).  IPF, like
-the paper's Gauss–Seidel iteration, converges linearly; Newton with a line
-search converges quadratically, so a refit takes a handful of steps where
-IPF took dozens of sweeps.
+indicators (``F`` is the cells × constraints indicator matrix).  The
+paper's Gauss–Seidel iteration (:mod:`repro.maxent.gevarter`) converges
+linearly, as IPF does; Newton with a line search converges quadratically,
+so a refit takes a handful of steps where they take dozens of sweeps.
 
-:func:`fit_dual` takes :func:`~repro.maxent.ipf.fit_ipf`'s arguments and
-returns its :class:`~repro.maxent.ipf.FitResult`:
+:func:`fit_dual` returns a :class:`FitResult`:
 
 - It fits per connected component of the constraint graph
   (:meth:`~repro.maxent.model.MaxEntModel.components`), each started from
   the ``initial`` factors: Figure 4's warm start.  A component that holds
   only a margin is set in closed form.
-- When a target is zero (a margin value, a subset-margin entry, a cell)
-  or the starting model has a zero cell, the fit starts from IPF's first
-  two sweeps (``fit_ipf(..., max_sweeps=2, require_convergence=False)``).
-  They set every zero target's factor to exactly zero and meet any
-  structural conflict, so the error, its ``.constraint`` and the
-  precedence among components are ``fit_ipf``'s own.  The zeroed cells
-  leave the problem; the features are the indicators of the remaining
-  positive targets.  The last positive value of each margin and entry of
-  each subset margin is implied by normalization, so it is only checked,
-  never solved for.
-- Before the first step, a linear pass over the cells raises
-  :class:`ConstraintError` when a cell's target exceeds a margin that
-  contains it, or when cells on one attribute set that share a value sum
-  above that value's margin, by more than a fit within ``tol`` could hide.
-  Such a set would otherwise spend the whole budget before failing.
+- Zero targets and structural conflicts are settled before any step (see
+  :func:`fit_dual`).  The zeroed cells leave the problem; the features are
+  the indicators of the remaining positive targets.  The last positive
+  value of each margin and entry of each subset margin is implied by
+  normalization, so it is only checked, never solved for.
+- Before the first step, :func:`_check_feasible` rejects cell targets
+  that no fit can meet under the margins; such a set would otherwise
+  spend the whole budget before failing.
 - The step solves the Newton system with a tiny ridge (covering features
   that coincide on the support), then backtracks until the dual meets the
   Armijo condition or the max violation halves.  The second rule keeps
   the last steps going where the dual's decrease is below float rounding.
 - Once the max violation drops below ``tol`` the component takes one more
   step (unless it is already below ``tol / 1000``), which lands the fitted
-  marginals within ~1e-13 of IPF run to ``tol = 1e-13``.
+  marginals within ~1e-13 of the exact solution.
 - Each ``a`` factor is multiplied by ``exp(θ)`` and ``a0`` normalizes.
-  The factors are in another gauge than IPF's; the joint is the same.
+  The factors' gauge is not Gevarter's; the joint is the same.
 - Running out of budget raises :class:`ConvergenceError`.
 
 ``max_sweeps`` budgets Newton iterations; ``FitResult.sweeps`` counts them
 (components step in lockstep, so it is the most any component took).  The
 indicator matrix is never held whole beyond :data:`_BLOCK` cells: larger
 components rebuild it block by block, so the fit's memory beyond the
-component tensor is ``O(block · k + k²)`` for ``k`` constraints.
+component tensor is ``O(block · k + k²)`` for ``k`` constraints.  Loops
+run in insertion order, never over a set, so fits repeat across processes.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import ConstraintError, ConvergenceError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import _CELL_TARGET_CEILING, FitResult, fit_ipf
 from repro.maxent.model import MaxEntModel
+
+#: Cell targets at or above this are degenerate: they belong in margins.
+_CELL_TARGET_CEILING = 1.0 - 1e-12
 
 #: Most component cells one indicator block covers.
 _BLOCK = 1 << 14
@@ -79,6 +75,82 @@ _HALVINGS = 40
 #: Below ``tol`` times this, a component needs no polishing step.
 _POLISH_FLOOR = 1e-3
 
+#: Largest multiplier a step may reach.  Only an infeasible set's get near
+#: it (a solution on the support's boundary meets ``tol = 1e-13`` near 30);
+#: past it their ``exp`` factors would soon overflow.
+_THETA_LIMIT = 100.0
+
+
+@dataclass
+class FitResult:
+    """Outcome of an iterative fit.
+
+    Attributes
+    ----------
+    model:
+        The fitted model (normalized).
+    converged:
+        True if the max constraint violation dropped below tolerance.
+    sweeps:
+        Newton iterations for :func:`fit_dual`; full sweeps for
+        :func:`~repro.maxent.gevarter.fit_gevarter`.
+    max_violation:
+        Final maximum absolute constraint violation.
+    history:
+        Max violation after each iteration.
+    trace:
+        Optional per-sweep snapshots of all named ``a`` values (Table-2
+        style); empty unless tracing was requested.
+    sweep_cells:
+        Tensor cells one iteration works on: the summed size of the
+        per-component tensors (the whole joint when the constraint graph
+        is connected).  0 from solvers that do not report it.
+    cells_swept:
+        Tensor cells the fit worked on: each Newton iteration adds its
+        stepping components' sizes and each closed-form component adds its
+        size once.  0 from solvers that do not report it.
+    """
+
+    model: MaxEntModel
+    converged: bool
+    sweeps: int
+    max_violation: float
+    history: list[float] = field(default_factory=list)
+    trace: list[dict[str, float]] = field(default_factory=list)
+    sweep_cells: int = 0
+    cells_swept: int = 0
+
+
+def warm_start_model(
+    constraints: ConstraintSet, previous: MaxEntModel
+) -> MaxEntModel:
+    """Initial model for re-fitting ``constraints`` from an earlier fit.
+
+    Keeps the previous margin factors and every cell/table factor that is
+    backed by a constraint in the new set, and *drops* the rest.  The drop
+    matters: the fits only update factors their constraints name, so a
+    leftover factor from a constraint that is no longer imposed would
+    survive the fit untouched and pull the fixed point away from the
+    constraint set's maximum-entropy solution (the fit is the I-projection
+    of its *starting* distribution).  Restricted this way, the warm start
+    changes only the convergence speed, never the answer — which is what
+    makes the incremental ``update()`` path equivalent to a cold refit.
+    """
+    model = previous.copy()
+    keys = constraints.cell_keys()
+    model.cell_factors = {
+        key: factor
+        for key, factor in model.cell_factors.items()
+        if key in keys
+    }
+    subsets = set(constraints.subset_margins)
+    model.table_factors = {
+        names: array
+        for names, array in model.table_factors.items()
+        if names in subsets
+    }
+    return model
+
 
 def fit_dual(
     constraints: ConstraintSet,
@@ -89,21 +161,35 @@ def fit_dual(
 ) -> FitResult:
     """Fit the maxent model satisfying ``constraints`` by Newton's method.
 
+    Zero targets come first.  The factor behind each zero target (a margin
+    value, a subset-margin entry, a cell) is set to exactly 0, and so is
+    every cell it covers; the fit keeps them there.  The targets are then
+    visited twice in dense IPF's order, margins in schema order, then
+    subset margins, then cells: the first visit zeroes as it goes, the
+    second sees every zero.  The first positive target met with no mass
+    left under it, or a cell met holding all the mass that is left,
+    raises :class:`ConstraintError` naming it.  Those are the conflicts,
+    in that precedence, that IPF's first two sweeps meet.
+
     Parameters
     ----------
     constraints:
         Complete constraint set (every attribute must have a margin).
     initial:
-        Warm-start model; defaults to the all-ones factor model.  Build it
-        with :func:`~repro.maxent.ipf.warm_start_model` when the constraint
-        set changed, as for :func:`~repro.maxent.ipf.fit_ipf`.
+        Warm-start model; defaults to the all-ones factor model.  Warm
+        starts make the discovery loop's repeated refits cheap, mirroring
+        the paper's "starting with the last previously calculated a
+        values".  Build it with :func:`warm_start_model` when the
+        constraint set changed, so stale factors cannot shift the fixed
+        point.
     tol:
         Convergence threshold on the max absolute constraint violation.
     max_sweeps:
         Newton-iteration budget.
     require_convergence:
         If True (default) raise :class:`ConvergenceError` when the budget is
-        exhausted or the line search stalls; otherwise return the
+        exhausted or the steps stall (the line search finds no descent,
+        or a multiplier passes :data:`_THETA_LIMIT`); otherwise return the
         best-effort result.
     """
     constraints.validate_complete()
@@ -125,22 +211,12 @@ def fit_dual(
     parts, tensors = _split(model)
     if model.a0 * math.prod(float(t.sum()) for t in tensors) <= 0:
         raise ConstraintError("initial model has zero total mass")
-    cells_swept = 0
-    if _has_zero_target(constraints) or not all(
-        (tensor > 0).all() for tensor in tensors
-    ):
-        # IPF's first two sweeps zero every zero target's factor exactly and
-        # meet any structural conflict the zeros make, so the error, its
-        # ``.constraint`` and the precedence among components are fit_ipf's.
-        settled = fit_ipf(
-            constraints, model, tol=tol, max_sweeps=2, require_convergence=False
-        )
-        model = settled.model
-        cells_swept = settled.cells_swept
+    if _settle_zeros(model, parts, tensors, constraints):
         parts, tensors = _split(model)
     _check_feasible(constraints, tol)
 
     violation = 0.0
+    cells_swept = 0
     shares = [1.0] * len(parts)  # each component's share of a0
     components = []
     homes = []  # the position of each coupled component in parts
@@ -173,7 +249,7 @@ def fit_dual(
         stalled = any(component.stalled for component in components)
         raise ConvergenceError(
             f"Newton fit did not converge "
-            f"{'(line search stalled) ' if stalled else ''}"
+            f"{'(stalled) ' if stalled else ''}"
             f"in {sweeps} iterations (max violation {violation:.3g}, "
             f"tol {tol:.3g})"
         )
@@ -208,13 +284,82 @@ def _split(model: MaxEntModel):
     return parts, tensors
 
 
-def _has_zero_target(constraints: ConstraintSet) -> bool:
-    """Whether a margin value, subset-margin entry or cell has target 0."""
-    return (
-        any(not constraints.margin(name).all() for name in constraints.schema.names)
-        or any(not target.all() for target in constraints.subset_margins.values())
-        or any(cell.probability == 0.0 for cell in constraints.cells)
-    )
+def _settle_zeros(model, parts, tensors, constraints) -> bool:
+    """Zero the factor behind every zero target and raise the structural
+    conflicts, in :func:`fit_dual`'s precedence; True if a component
+    tensor now holds a zero cell.
+
+    Works on each component's support (its cells of positive mass).  Only
+    a component holding a zero cell can hold a conflict, so without zeros
+    this costs one comparison per target.
+    """
+    supports = [tensor > 0 for tensor in tensors]
+    full = [bool(support.all()) for support in supports]
+    home = {}  # attribute -> (component, axis)
+    for index, (names, _, _) in enumerate(parts):
+        home.update((name, (index, axis)) for axis, name in enumerate(names))
+    schema = constraints.schema
+    # Margins, then subset margins: each a table over its names.
+    tables = [((name,), constraints.margin(name)) for name in schema.names]
+    tables.extend(constraints.subset_margins.items())
+    for _ in range(2):
+        for position, (names, target) in enumerate(tables):
+            index = home[names[0]][0]
+            if full[index] and target.all():
+                continue
+            zero = target == 0
+            support = supports[index]
+            axes = [home[name][1] for name in names]
+            others = tuple(a for a in range(support.ndim) if a not in axes)
+            if not full[index]:
+                empty = ~support.any(axis=others) & ~zero
+                if empty.any() and position < len(schema):
+                    raise ConstraintError(
+                        f"margin target P({names[0]}={np.flatnonzero(empty)[0]}) > 0 "
+                        f"but the model assigns it zero mass (structural conflict)"
+                    )
+                if empty.any():
+                    raise ConstraintError(
+                        f"subset margin for {names} puts mass on a cell the "
+                        f"model assigns zero (structural conflict)"
+                    )
+            if zero.any():
+                if position < len(schema):
+                    model.margin_factors[names[0]][zero] = 0.0
+                else:
+                    model.table_factors[names] = np.where(
+                        zero, 0.0, model.table_factors[names]
+                    )
+                support &= ~np.expand_dims(zero, others)
+                full[index] = False
+        for cell in constraints.cells:
+            index = home[cell.attributes[0]][0]
+            target = cell.probability
+            if full[index] and target > 0.0:
+                continue
+            support = supports[index]
+            at = {home[n][1]: v for n, v in zip(cell.attributes, cell.values)}
+            slicer = tuple(at.get(a, slice(None)) for a in range(support.ndim))
+            if not full[index]:
+                count = np.count_nonzero(support[slicer])
+                if count == np.count_nonzero(support):
+                    # Nothing is left outside the cell to carry 1 - target.
+                    raise ConstraintError(
+                        f"cell target {cell.key} = {target} < 1 but the model "
+                        f"puts all its mass in that cell (structural conflict)"
+                    )
+                if target > 0.0 and not count:
+                    raise ConstraintError(
+                        f"cell target {cell.key} = {target} > 0 but the model "
+                        f"assigns it zero mass (structural conflict)"
+                    )
+            if target == 0.0:
+                model.cell_factors[cell.key] = 0.0
+                support[slicer] = False
+                full[index] = False
+        if all(full):
+            return False
+    return True
 
 
 def _check_feasible(constraints: ConstraintSet, tol: float) -> None:
@@ -222,25 +367,36 @@ def _check_feasible(constraints: ConstraintSet, tol: float) -> None:
     under the margins, before any Newton step is spent on them.
 
     A cell is contained in the margin value of each of its attributes, and
-    cells on one attribute set that share a value of one attribute are
-    disjoint events inside that value.  A fit meeting every target to
-    within ``tol`` keeps such a group's target sum below the margin plus
-    ``tol`` for each cell and for the margin, so an excess beyond that
-    float tolerance means no fit can converge.  One pass over the cells.
+    it contains all but the complements of those values: for ``k``
+    attributes its probability is at least ``Σᵢ P(Aᵢ=vᵢ) − (k−1)``, the
+    Fréchet bound.  Cells on one attribute set that share a value of one
+    attribute are disjoint events inside that value.  A fit meeting every
+    target to within ``tol`` misses each bound by at most ``tol`` for each
+    target in it, so an excess beyond that float tolerance means no fit
+    can converge.  One pass over the cells.
     """
     groups: dict[tuple, list] = {}  # (attributes, name, value) -> [margin, sum, keys]
     for cell in constraints.cells:
+        target = cell.probability
+        lowest = 1.0 - len(cell.attributes)
         for name, value in zip(cell.attributes, cell.values):
             margin = float(constraints.margin(name)[value])
-            if cell.probability - margin > 2 * tol:
+            if target - margin > 2 * tol:
                 raise ConstraintError(
                     f"cell constraint {cell.key} has target "
-                    f"{cell.probability:.6g}, above the margin "
+                    f"{target:.6g}, above the margin "
                     f"P({name}={value}) = {margin:.6g} that contains it"
                 )
+            lowest += margin
             group = groups.setdefault((cell.attributes, name, value), [margin, 0.0, []])
-            group[1] += cell.probability
+            group[1] += target
             group[2].append(cell.key)
+        if lowest - target > (len(cell.attributes) + 1) * tol:
+            raise ConstraintError(
+                f"cell constraint {cell.key} has target {target:.6g}, "
+                f"below {lowest:.6g}, the least its margins leave it "
+                f"(Fréchet bound)"
+            )
     for (_, name, value), (margin, total, keys) in groups.items():
         if total - margin > (len(keys) + 1) * tol:
             raise ConstraintError(
@@ -419,12 +575,15 @@ class _Component:
                 trial.dual <= point.dual + _ARMIJO * alpha * slope
                 or trial.violation <= 0.5 * point.violation
             ):
-                self.point = trial
                 break
             alpha *= 0.5
         else:
+            trial = None
+        if trial is None or np.abs(trial.theta).max() > _THETA_LIMIT:
+            # No descent, or diverging: a set with no fit; factors stay finite.
             self.stalled = self.done = True
             return
+        self.point = trial
         violation = self.point.violation
         self.done = violation < _POLISH_FLOOR * self.tol or (
             below and violation < self.tol
@@ -437,7 +596,7 @@ class _Component:
         if not self.point.theta.any():
             # Nothing moved: the starting mass stands.
             return 1.0 / self.mass
-        scales = np.exp(self.point.theta)  # inf, not OverflowError, if unbounded
+        scales = np.exp(self.point.theta)
         for ((kind, key, index), _, _), scale in zip(
             self.features[: self.free], scales
         ):

@@ -15,10 +15,10 @@ This module reproduces that scheme generically:
 
 Each scalar update sets its ``a`` so its own constraint equation holds
 exactly given the other factors.  The fixed point is the same maxent
-distribution :func:`repro.maxent.ipf.fit_ipf` converges to (the constraint
+distribution :func:`repro.maxent.dual.fit_dual` converges to (the constraint
 system has a unique positive solution); the tests assert agreement.
 
-Unlike the IPF path this recomputes dense sums on every scalar update, which
+Unlike the Newton fit this recomputes dense sums on every scalar update, which
 is what makes the per-iteration trace match the paper's table row for row in
 spirit — fidelity over speed.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.exceptions import ConstraintError, ConvergenceError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import FitResult
+from repro.maxent.dual import FitResult
 from repro.maxent.model import MaxEntModel
 
 
@@ -43,7 +43,7 @@ def fit_gevarter(
 ) -> FitResult:
     """Fit the maxent model with the paper's sequential scalar updates.
 
-    Parameters mirror :func:`repro.maxent.ipf.fit_ipf`.  ``record_trace``
+    Parameters mirror :func:`repro.maxent.dual.fit_dual`.  ``record_trace``
     defaults to True here because the trace *is* the point of this solver
     (Table 2); each trace row is the full named ``a``-value snapshot after
     one sweep.
@@ -53,7 +53,7 @@ def fit_gevarter(
     "Initially, the a values are calculated from the first-order
     probabilities").  When warm-starting across a *changed* constraint set
     (Figure 4's "last previously calculated a values"), build the initial
-    model with :func:`repro.maxent.ipf.warm_start_model` — factors with no
+    model with :func:`repro.maxent.dual.warm_start_model` — factors with no
     matching constraint are never re-solved here, so leftovers would
     distort the fixed point.
     """
@@ -62,7 +62,7 @@ def fit_gevarter(
         raise ConstraintError(
             "the Gevarter solver implements the paper's single-cell "
             "constraint equations; whole-subset marginal constraints are "
-            "the log-linear extension — fit them with fit_ipf"
+            "the log-linear extension — fit them with fit_dual"
         )
     schema = constraints.schema
 

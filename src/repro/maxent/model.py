@@ -222,31 +222,13 @@ class MaxEntModel:
             groups.setdefault(find(name), []).append(name)
         return [tuple(group) for group in groups.values()]
 
-    def component_models(self) -> list["MaxEntModel"]:
-        """One sub-model per :meth:`components` entry, in that order.
-
-        Each holds its component's share of the factors (cell and table
-        factors keep their insertion order) over the component's
-        sub-schema, with ``a0 = 1``.  The factors are copies.
-        """
-        return [
-            MaxEntModel(
-                self.schema.subschema(names),
-                {name: self.margin_factors[name] for name in names},
-                cells,
-                1.0,
-                tables,
-            )
-            for names, cells, tables in self._split()
-        ]
-
     def factored(self) -> "FactoredJoint":
         """The normalized joint as one tensor per constraint-graph component.
 
         Normalization follows :meth:`joint`'s rule: the stored ``a0`` is
         kept when ``a0 * prod(component masses)`` is close to 1, otherwise
-        the product is renormalized.  Each tensor is its sub-model's
-        (:meth:`component_models`) ``unnormalized()``, divided by its mass.
+        the product is renormalized.  Each tensor is the product of its
+        component's factors (:meth:`components`), divided by its mass.
         """
         parts = self._split()
         tensors = [self._product(*part) for part in parts]

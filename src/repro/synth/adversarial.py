@@ -255,7 +255,7 @@ def near_singular_population(
     Every attribute's last value carries only ``epsilon`` mass, so the
     joint has whole slices whose expected counts round to zero at
     realistic sample sizes — the table is numerically near-singular and
-    the IPF solver must scale through near-empty margins without
+    the fit must scale through near-empty margins without
     dividing by them.  One ordinary (head-value) pair is planted so the
     recovery gates still have a signal to ask for.
     """

@@ -1,9 +1,16 @@
 """Shared fixtures: the paper's data, schemas, and seeded RNGs."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.eval.paper import paper_schema, paper_table
+
+# The frozen fit oracle (tests/maxent/dense_ipf.py) serves suites outside
+# tests/maxent too.
+sys.path.insert(0, str(Path(__file__).parent / "maxent"))
 
 
 @pytest.fixture

@@ -90,9 +90,9 @@ class TestDiscoveryAndSolvers:
         assert "Sample queries" in text
 
     def test_solver_comparison_agreement(self):
-        (ipf, gevarter), text = harness.reproduce_solver_comparison()
-        assert ipf.converged and gevarter.converged
-        assert "ipf" in text and "gevarter" in text
+        (newton, gevarter), text = harness.reproduce_solver_comparison()
+        assert newton.converged and gevarter.converged
+        assert "newton" in text and "gevarter" in text
 
     def test_appendix_b_rows_agree(self):
         rows, _text = harness.reproduce_appendix_b()

@@ -1,11 +1,11 @@
-"""Frozen dense IPF: the oracle the factored fit is tested against.
+"""Frozen dense IPF: the oracle the library's fit is tested against.
 
-This is the fit as it ran before :func:`repro.maxent.ipf.fit_ipf` learned
-to sweep per connected component of the constraint graph: every sweep
-works on the dense ``2^n`` joint.  It is kept verbatim, test-only, in the
-role :func:`repro.significance.mml.reference_scan_order` plays for scans:
-the factored fit must adopt the same constraints, run the same sweeps and
-land within 1e-12 of this one.  Do not optimize it.
+Iterative proportional fitting on the dense ``2^n`` joint, kept verbatim,
+test-only, in the role :func:`repro.significance.mml.reference_scan_order`
+plays for scans.  :func:`repro.maxent.dual.fit_dual` must land within
+1e-12 of it at ``tol = 1e-13``, drive discovery to the same adopted
+constraints, and raise its structural-conflict errors with the same
+message.  Do not optimize it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.exceptions import ConstraintError, ConvergenceError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import FitResult
+from repro.maxent.dual import FitResult
 from repro.maxent.model import MaxEntModel
 
 _CELL_TARGET_CEILING = 1.0 - 1e-12

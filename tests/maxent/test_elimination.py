@@ -7,7 +7,7 @@ from repro.data.schema import Attribute, Schema
 from repro.exceptions import QueryError
 from repro.maxent import elimination
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 from repro.maxent.model import MaxEntModel
 
 
@@ -21,7 +21,7 @@ def fitted_model(table):
         constraints.add_cell(
             constraints.cell_from_table(table, list(subset), list(values))
         )
-    return fit_ipf(constraints).model
+    return fit_dual(constraints).model
 
 
 class TestFactorAlgebra:

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from dense_ipf import dense_fit_ipf
 
 from repro.exceptions import ConvergenceError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.gevarter import fit_gevarter
-from repro.maxent.ipf import fit_ipf
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ class TestFixedPoint:
     def test_agrees_with_ipf(self, paper_constraints):
         """Both solvers reach the same (unique) maxent distribution."""
         gevarter = fit_gevarter(paper_constraints)
-        ipf = fit_ipf(paper_constraints)
+        ipf = dense_fit_ipf(paper_constraints)
         assert np.allclose(
             gevarter.model.joint(), ipf.model.joint(), atol=1e-8
         )
@@ -52,7 +52,7 @@ class TestFixedPoint:
                 constraints.cell_from_table(table, list(subset), list(values))
             )
         gevarter = fit_gevarter(constraints)
-        ipf = fit_ipf(constraints)
+        ipf = dense_fit_ipf(constraints)
         assert np.allclose(
             gevarter.model.joint(), ipf.model.joint(), atol=1e-8
         )

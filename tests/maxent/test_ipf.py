@@ -1,11 +1,15 @@
-"""Tests for the IPF solver."""
+"""Max-ent fit properties on the paper's constraint system.
+
+The fit is :func:`repro.maxent.dual.fit_dual`, the library's one general
+fitter; these are the properties any max-ent fit must have.
+"""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConstraintError, ConvergenceError
 from repro.maxent.constraints import CellConstraint, ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 
 
 @pytest.fixture
@@ -23,7 +27,7 @@ def paper_constraints(table):
 class TestFirstOrderOnly:
     def test_recovers_independence(self, table):
         constraints = ConstraintSet.first_order(table)
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         assert fit.converged
         expected = np.einsum(
             "i,j,k->ijk",
@@ -35,13 +39,13 @@ class TestFirstOrderOnly:
 
     def test_converges_in_one_sweep(self, table):
         constraints = ConstraintSet.first_order(table)
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         assert fit.sweeps <= 2
 
 
 class TestCellConstraints:
     def test_satisfies_all_constraints(self, paper_constraints):
-        fit = fit_ipf(paper_constraints)
+        fit = fit_dual(paper_constraints)
         model = fit.model
         for name in paper_constraints.schema.names:
             assert np.allclose(
@@ -53,13 +57,13 @@ class TestCellConstraints:
         assert pair[0, 1] == pytest.approx(750 / 3428, abs=1e-8)
 
     def test_joint_normalized(self, paper_constraints):
-        fit = fit_ipf(paper_constraints)
+        fit = fit_dual(paper_constraints)
         assert fit.model.joint().sum() == pytest.approx(1.0)
 
     def test_untouched_attribute_stays_independent(self, paper_constraints):
         """The paper notes B drops out of the AC-constraint equations:
         CANCER stays independent of the (SMOKING, FH) pair."""
-        fit = fit_ipf(paper_constraints)
+        fit = fit_dual(paper_constraints)
         joint = fit.model.joint()
         cancer = fit.model.marginal(["CANCER"])
         pair = fit.model.marginal(["SMOKING", "FAMILY_HISTORY"])
@@ -67,12 +71,12 @@ class TestCellConstraints:
         assert np.allclose(joint, expected, atol=1e-8)
 
     def test_history_monotone_progress(self, paper_constraints):
-        fit = fit_ipf(paper_constraints)
+        fit = fit_dual(paper_constraints)
         assert fit.history[-1] < fit.history[0]
 
     def test_warm_start_faster(self, paper_constraints):
-        cold = fit_ipf(paper_constraints)
-        warm = fit_ipf(paper_constraints, initial=cold.model)
+        cold = fit_dual(paper_constraints)
+        warm = fit_dual(paper_constraints, initial=cold.model)
         assert warm.sweeps <= cold.sweeps
         assert np.allclose(warm.model.joint(), cold.model.joint(), atol=1e-8)
 
@@ -86,7 +90,7 @@ class TestCellConstraints:
             constraints.add_cell(
                 constraints.cell_from_table(table, list(subset), list(values))
             )
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         model = fit.model
         for cell in constraints.cells:
             marginal = model.marginal(list(cell.attributes))
@@ -99,7 +103,7 @@ class TestCellConstraints:
         constraints.add_cell(
             CellConstraint(("SMOKING", "CANCER"), (0, 0), 0.0)
         )
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         pair = fit.model.marginal(["SMOKING", "CANCER"])
         assert pair[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -113,19 +117,14 @@ class TestCellConstraints:
             ("SMOKING", "CANCER"), (0, 0), 1.0
         )
         with pytest.raises(ConstraintError, match="target ~1"):
-            fit_ipf(constraints)
-
-    def test_trace_recording(self, paper_constraints):
-        fit = fit_ipf(paper_constraints, record_trace=True)
-        assert len(fit.trace) == fit.sweeps
-        assert "a0" in fit.trace[0]
+            fit_dual(constraints)
 
     def test_convergence_error(self, paper_constraints):
         with pytest.raises(ConvergenceError, match="did not converge"):
-            fit_ipf(paper_constraints, tol=1e-15, max_sweeps=1)
+            fit_dual(paper_constraints, tol=1e-15, max_sweeps=1)
 
     def test_best_effort_mode(self, paper_constraints):
-        fit = fit_ipf(
+        fit = fit_dual(
             paper_constraints,
             tol=1e-15,
             max_sweeps=1,
@@ -143,7 +142,7 @@ class TestMaxEntProperty:
         is a lower bound."""
         from repro.maxent.entropy import entropy
 
-        fit = fit_ipf(paper_constraints)
+        fit = fit_dual(paper_constraints)
         assert entropy(fit.model.joint()) >= entropy(
             table.probabilities()
         ) - 1e-9
@@ -151,7 +150,7 @@ class TestMaxEntProperty:
     def test_factored_form_preserved(self, paper_constraints):
         """The solution stays in Eq-12 product form: one scalar per cell
         constraint, vectors per margin, nothing else."""
-        fit = fit_ipf(paper_constraints)
+        fit = fit_dual(paper_constraints)
         assert set(fit.model.cell_factors) == {
             (("SMOKING", "FAMILY_HISTORY"), (0, 1))
         }
@@ -162,4 +161,4 @@ class TestMaxEntProperty:
             "SMOKING", table.first_order_probabilities("SMOKING")
         )
         with pytest.raises(ConstraintError, match="missing"):
-            fit_ipf(constraints)
+            fit_dual(constraints)

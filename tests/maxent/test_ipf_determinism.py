@@ -19,7 +19,7 @@ import json
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 from repro.discovery.config import DiscoveryConfig
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 from repro.scenarios.registry import get_scenario
 
 scenario = get_scenario("stress-wide-16")
@@ -28,7 +28,7 @@ table = instance.table
 constraints = ConstraintSet.first_order(table)
 for names, values in sorted(instance.truth):
     constraints.add_cell(constraints.cell_from_table(table, names, values))
-model = fit_ipf(constraints).model
+model = fit_dual(constraints).model
 kb = ProbabilisticKnowledgeBase.from_data(
     table, DiscoveryConfig(max_order=scenario.max_order)
 )

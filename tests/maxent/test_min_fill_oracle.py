@@ -7,8 +7,8 @@ from nx_min_fill import nx_min_fill_order
 
 from repro.maxent import elimination
 from repro.maxent.constraints import ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.elimination import Factor
-from repro.maxent.ipf import fit_ipf
 
 NAMES = [f"X{i}" for i in range(9)]
 
@@ -49,7 +49,7 @@ def test_order_matches_networkx_oracle_on_model_factors(table):
     constraints.add_cell(
         constraints.cell_from_table(table, ["SMOKING", "CANCER"], [0, 0])
     )
-    factors = elimination.model_factors(fit_ipf(constraints).model)
+    factors = elimination.model_factors(fit_dual(constraints).model)
     for eliminate in (list(table.schema.names), ["FAMILY_HISTORY", "SMOKING"]):
         order = elimination.min_fill_order(factors, eliminate)
         assert order == nx_min_fill_order(factors, eliminate)

@@ -212,19 +212,6 @@ class TestFactoredJoint:
             (name,) for name in model.schema.names
         ]
 
-    def test_component_models_split_the_factors(self):
-        model = _wide_model()
-        parts = model.component_models()
-        assert [part.schema.names for part in parts] == model.components()
-        assert list(parts[0].cell_factors) == [(("A", "C"), (1, 0))]
-        assert list(parts[1].table_factors) == [("B", "D")]
-        assert all(part.a0 == 1.0 for part in parts)
-        # Copies: a fit scaling a part leaves the model alone.
-        parts[0].margin_factors["A"] *= 3.0
-        assert not np.array_equal(
-            parts[0].margin_factors["A"], model.margin_factors["A"]
-        )
-
     def test_marginals_match_the_dense_joint(self):
         model = _wide_model()
         joint = model.joint()

@@ -6,8 +6,8 @@ import pytest
 from repro.exceptions import ConstraintError
 from repro.maxent import elimination
 from repro.maxent.constraints import ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.gevarter import fit_gevarter
-from repro.maxent.ipf import fit_ipf
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestValidation:
 
 class TestFitting:
     def test_ipf_satisfies_subset_margin(self, table, constraints):
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         assert fit.converged
         pair = fit.model.marginal(["SMOKING", "CANCER"])
         expected = table.marginal(["SMOKING", "CANCER"]) / table.total
@@ -89,7 +89,7 @@ class TestFitting:
 
     def test_other_attribute_independent(self, table, constraints):
         """With only an AB margin constrained, C stays independent."""
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         joint = fit.model.joint()
         pair = fit.model.marginal(["SMOKING", "CANCER"])
         history = fit.model.marginal(["FAMILY_HISTORY"])
@@ -108,7 +108,7 @@ class TestFitting:
                 table, ["SMOKING", "FAMILY_HISTORY"], [0, 1]
             )
         )
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         pair = fit.model.marginal(["SMOKING", "FAMILY_HISTORY"])
         assert pair[0, 1] == pytest.approx(750 / 3428, abs=1e-8)
         ab = fit.model.marginal(["SMOKING", "CANCER"])
@@ -117,15 +117,15 @@ class TestFitting:
         )
 
     def test_table_factor_created(self, table, constraints):
-        fit = fit_ipf(constraints)
+        fit = fit_dual(constraints)
         assert ("SMOKING", "CANCER") in fit.model.table_factors
 
     def test_gevarter_rejects_subset_margins(self, constraints):
-        with pytest.raises(ConstraintError, match="fit_ipf"):
+        with pytest.raises(ConstraintError, match="fit_dual"):
             fit_gevarter(constraints)
 
     def test_elimination_includes_table_factors(self, table, constraints):
-        model = fit_ipf(constraints).model
+        model = fit_dual(constraints).model
         dense = float(model.unnormalized().sum())
         assert elimination.partition_sum(model) == pytest.approx(
             dense, rel=1e-10
@@ -137,7 +137,7 @@ class TestFitting:
         )
 
     def test_model_copy_preserves_table_factors(self, table, constraints):
-        model = fit_ipf(constraints).model
+        model = fit_dual(constraints).model
         clone = model.copy()
         assert np.allclose(
             clone.table_factors[("SMOKING", "CANCER")],
@@ -147,6 +147,6 @@ class TestFitting:
         assert model.table_factors[("SMOKING", "CANCER")][0, 0] != 99.0
 
     def test_a_values_include_table_factors(self, table, constraints):
-        model = fit_ipf(constraints).model
+        model = fit_dual(constraints).model
         values = model.a_values()
         assert "a^SMOKING,CANCER_1,1" in values

@@ -24,7 +24,7 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.exceptions import ConstraintError, DataError, ParallelError
 from repro.maxent.constraints import ConstraintSet
-from repro.maxent.ipf import fit_ipf
+from repro.maxent.dual import fit_dual
 from repro.maxent.model import MaxEntModel
 from repro.parallel import scan as scan_module
 from repro.parallel import shm as shm_module
@@ -109,7 +109,7 @@ def scan_worlds(draw, max_attributes=4, max_values=3):
     )
     if draw(st.booleans()):
         try:
-            model = fit_ipf(
+            model = fit_dual(
                 constraints,
                 initial=model,
                 max_sweeps=40,

@@ -22,7 +22,6 @@ from repro.discovery.engine import DiscoveryEngine
 from repro.exceptions import ConstraintError, DataError
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.dual import fit_dual
-from repro.maxent.ipf import fit_ipf
 from repro.maxent.model import MaxEntModel
 from repro.scenarios.registry import get_scenario
 from repro.discovery.profile import DiscoveryProfile
@@ -90,7 +89,7 @@ def scan_worlds(draw, max_attributes=4, max_values=3):
     )
     if draw(st.booleans()):
         try:
-            model = fit_ipf(
+            model = fit_dual(
                 constraints,
                 initial=model,
                 max_sweeps=40,
@@ -173,7 +172,7 @@ class TestKernelMatchesReference:
             constraints.add_cell(
                 constraints.cell_from_table(table, names, values)
             )
-        model = fit_ipf(
+        model = fit_dual(
             constraints, max_sweeps=40, require_convergence=False
         ).model
         determined = False

@@ -28,8 +28,8 @@ from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, Schema
 from repro.maxent import elimination
 from repro.maxent.constraints import ConstraintSet
+from repro.maxent.dual import fit_dual
 from repro.maxent.entropy import entropy
-from repro.maxent.ipf import fit_ipf
 
 SETTINGS = settings(
     max_examples=25,
@@ -114,7 +114,7 @@ class TestFitInvariants:
         constraints.add_cell(
             constraints.cell_from_table(table, list(subset), list(values))
         )
-        fit = fit_ipf(constraints, max_sweeps=3000, tol=1e-9)
+        fit = fit_dual(constraints, tol=1e-9)
         model = fit.model
         joint = model.joint()
         assert joint.sum() == pytest.approx(1.0)
@@ -138,7 +138,7 @@ class TestFitInvariants:
         constraints.add_cell(
             constraints.cell_from_table(table, list(subset), list(values))
         )
-        fit = fit_ipf(constraints, max_sweeps=3000, tol=1e-9)
+        fit = fit_dual(constraints, tol=1e-9)
         assert entropy(fit.model.joint()) >= entropy(
             table.probabilities()
         ) - 1e-6
@@ -151,7 +151,7 @@ class TestFitInvariants:
         constraints.add_cell(
             constraints.cell_from_table(table, list(subset), list(values))
         )
-        model = fit_ipf(constraints, max_sweeps=3000, tol=1e-9).model
+        model = fit_dual(constraints, tol=1e-9).model
         first, second = subset
         target = {first: values[0]}
         given = {second: values[1]}
@@ -169,7 +169,7 @@ class TestFitInvariants:
         constraints.add_cell(
             constraints.cell_from_table(table, list(subset), list(values))
         )
-        model = fit_ipf(constraints, max_sweeps=3000, tol=1e-9).model
+        model = fit_dual(constraints, tol=1e-9).model
         dense = float(model.unnormalized().sum())
         factored = elimination.partition_sum(model)
         assert factored == pytest.approx(dense, rel=1e-9)

@@ -1,12 +1,14 @@
 """Property-based tests for the extension modules.
 
 Covers the invariants of the additions beyond the paper's core: the dual
-solver's agreement with IPF, subset-margin fits, EM's monotone likelihood
-and mass conservation, and largest-remainder rounding.
+solver's agreement with the dense IPF oracle, subset-margin fits, EM's
+monotone likelihood and mass conservation, and largest-remainder
+rounding.
 """
 
 import numpy as np
 import pytest
+from dense_ipf import dense_fit_ipf
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,6 @@ from repro.data.missing import (
 from repro.data.schema import Attribute, Schema
 from repro.maxent.constraints import ConstraintSet
 from repro.maxent.dual import fit_dual
-from repro.maxent.ipf import fit_ipf
 
 SETTINGS = settings(
     max_examples=20,
@@ -57,7 +58,7 @@ class TestDualSolverProperties:
     def test_dual_matches_ipf_on_margins(self, table):
         constraints = ConstraintSet.first_order(table)
         dual = fit_dual(constraints, tol=1e-7)
-        ipf = fit_ipf(constraints)
+        ipf = dense_fit_ipf(constraints)
         assert np.allclose(dual.model.joint(), ipf.model.joint(), atol=1e-5)
 
     @SETTINGS
@@ -69,7 +70,7 @@ class TestDualSolverProperties:
             constraints.cell_from_table(table, [names[0], names[1]], [0, 0])
         )
         dual = fit_dual(constraints, tol=1e-7)
-        ipf = fit_ipf(constraints, max_sweeps=3000)
+        ipf = dense_fit_ipf(constraints, max_sweeps=3000)
         assert np.allclose(dual.model.joint(), ipf.model.joint(), atol=1e-5)
 
 
@@ -83,7 +84,7 @@ class TestSubsetMarginProperties:
             table, [names[0], names[1]]
         )
         constraints.set_subset_margin([names[0], names[1]], target)
-        fit = fit_ipf(constraints, max_sweeps=3000)
+        fit = fit_dual(constraints)
         fitted = fit.model.marginal([names[0], names[1]])
         assert np.allclose(fitted, target, atol=1e-7)
 
@@ -95,13 +96,13 @@ class TestSubsetMarginProperties:
 
         names = table.schema.names
         first_order = ConstraintSet.first_order(table)
-        independent = fit_ipf(first_order)
+        independent = fit_dual(first_order)
         constrained = first_order.copy()
         constrained.set_subset_margin(
             [names[0], names[1]],
             constrained.subset_margin_from_table(table, [names[0], names[1]]),
         )
-        fitted = fit_ipf(constrained, max_sweeps=3000)
+        fitted = fit_dual(constrained)
         assert entropy(fitted.model.joint()) <= entropy(
             independent.model.joint()
         ) + 1e-9
