@@ -7,7 +7,7 @@ Usage::
     repro table1             # Table 1 significance scan
     repro table2             # Table 2 a-value iteration
     repro discover           # full Figure-3 run on the paper data
-    repro discover --csv data.csv --save kb.json   # fit and save (format 3)
+    repro discover --csv data.csv --save kb.json   # fit and save (format 4)
     repro discover --workers 4                  # sharded scans, same answers
     repro update --kb kb.json --csv delta.csv      # warm-started update
     repro rules              # IF-THEN rules from the paper data
@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     discover_parser.add_argument(
         "--save",
         help=(
-            "save the fitted knowledge base (format 3, with the audit "
+            "save the fitted knowledge base (format 4, with the audit "
             "trail, so it can be updated later with 'repro update')"
         ),
     )

@@ -40,9 +40,10 @@ import numpy as np
 
 from repro.core.query import Query
 from repro.core.rules import RuleGenerator, RuleSet
+from repro.core.serialization import canonical_bytes
 from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
-from repro.data.io import schema_from_dict, schema_to_dict
+from repro.data.io import schema_from_dict, schema_to_dict, table_to_dict
 from repro.data.schema import Schema
 from repro.data.streaming import TableBuilder, describe_schema_mismatch
 from repro.discovery.config import DiscoveryConfig
@@ -75,7 +76,9 @@ Assignment = Mapping[str, str | int]
 #   2 — identical layout plus the explicit "format_version" marker.
 #   3 — adds the revision history and (when available) the discovery audit
 #       trail with its training table, making loaded KBs updatable.
-FORMAT_VERSION = 3
+#   4 — the audit trail's table holds only its nonzero cells (row-major
+#       positions plus counts) instead of the whole nested count tensor.
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -267,8 +270,8 @@ class ProbabilisticKnowledgeBase:
         """True when this knowledge base can absorb new data.
 
         Requires a discovery trace with its training table: one from
-        :meth:`from_data`, or one a format-3 file saved with its audit
-        trail.
+        :meth:`from_data`, or one a file of format 3 or later saved with
+        its audit trail.
         """
         return self.discovery is not None and self.discovery.table is not None
 
@@ -300,7 +303,7 @@ class ProbabilisticKnowledgeBase:
                 "this knowledge base cannot be updated: it has no "
                 "discovery trace (built with from_model, or loaded from "
                 "a pre-format-3 file); refit with from_data or load a "
-                "format-3 file saved with its audit trail"
+                "file of format 3 or later saved with its audit trail"
             )
         previous = self.discovery
         delta = _as_table(data, previous.table.schema)
@@ -492,7 +495,8 @@ class ProbabilisticKnowledgeBase:
         """Inverse of :meth:`to_dict`.
 
         Accepts the current format and every older one (v1 dicts predate
-        the ``format_version`` field and are migrated on read).  Dicts
+        the ``format_version`` field; v3 dicts store the training table as
+        a nested count tensor; all are migrated on read).  Dicts
         written by a *newer* library version are rejected with a clear
         error rather than misread.
         """
@@ -544,20 +548,20 @@ class ProbabilisticKnowledgeBase:
         The write goes to a temporary sibling file and is renamed into
         place, so a crash mid-write cannot truncate an existing file —
         which, since format 3 carries the training table, may be the only
-        copy of the accumulated data.  ``include_audit=False`` writes the
-        model only — see :meth:`to_dict` for the trade-off.
+        copy of the accumulated data.  The bytes are the canonical JSON
+        the store writes (:func:`repro.core.serialization.canonical_bytes`).
+        ``include_audit=False`` writes the model only — see :meth:`to_dict`
+        for the trade-off.
         """
         path = Path(path)
-        payload = json.dumps(
-            self.to_dict(include_audit=include_audit), indent=2
-        )
+        payload = canonical_bytes(self.to_dict(include_audit=include_audit))
         # A unique temp name per call: concurrent savers must not share
         # one scratch file, or the rename could install interleaved JSON.
         descriptor, temporary = tempfile.mkstemp(
             dir=path.parent, prefix=path.name + ".", suffix=".tmp"
         )
         try:
-            with os.fdopen(descriptor, "w") as handle:
+            with os.fdopen(descriptor, "wb") as handle:
                 handle.write(payload)
             # mkstemp creates 0600 scratch files; keep the destination's
             # existing permissions (or a fresh umask-honoring default)
@@ -578,7 +582,7 @@ class ProbabilisticKnowledgeBase:
     @classmethod
     def load(cls, path: str | Path) -> "ProbabilisticKnowledgeBase":
         """Read a knowledge base from a JSON file."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_bytes()))
 
 
 def _as_table(data, schema: Schema) -> ContingencyTable:
@@ -619,8 +623,34 @@ def _migrate_v2_to_v3(data: dict) -> dict:
     return data
 
 
+def _migrate_v3_to_v4(data: dict) -> dict:
+    """v3 stored the audit trail's table as a nested count tensor; v4
+    stores its nonzero cells (see :func:`repro.data.io.table_to_dict`)."""
+    data = dict(data)
+    data["format_version"] = 4
+    discovery = data.get("discovery")
+    if discovery is None:
+        return data
+    try:
+        table = discovery["table"]
+        schema = schema_from_dict(table["schema"])
+        counts = np.array(table["counts"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise DataError(f"malformed format-3 table: {error}") from None
+    if counts.dtype.kind not in "iu":
+        raise DataError("malformed format-3 table: counts are not integers")
+    # ContingencyTable checks the shape against the schema and the signs.
+    dense = ContingencyTable(schema, counts)
+    data["discovery"] = {**discovery, "table": table_to_dict(dense)}
+    return data
+
+
 # One entry per historical version, applied in sequence on read.
-_MIGRATIONS = {1: _migrate_v1_to_v2, 2: _migrate_v2_to_v3}
+_MIGRATIONS = {
+    1: _migrate_v1_to_v2,
+    2: _migrate_v2_to_v3,
+    3: _migrate_v3_to_v4,
+}
 
 
 def _migrate(data: dict) -> dict:

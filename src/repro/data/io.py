@@ -8,7 +8,6 @@ contingency tables — between runs and into the knowledge-base format.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
@@ -100,28 +99,72 @@ def schema_from_dict(data: dict) -> Schema:
 
 
 def table_to_dict(table: ContingencyTable) -> dict:
-    """JSON-ready dict for a contingency table."""
+    """JSON-ready dict for a contingency table: its nonzero cells.
+
+    ``index`` holds the row-major positions of the nonzero cells in the
+    schema's shape, ascending (a position is the mixed-radix code of a
+    distinct row), and ``counts`` their counts.  The dict grows with the
+    distinct rows observed, not with the ``2^n`` cells of the table.
+    """
+    flat = table.counts.ravel()
+    index = np.flatnonzero(flat)
     return {
         "schema": schema_to_dict(table.schema),
-        "counts": table.counts.tolist(),
+        "index": index.tolist(),
+        "counts": flat[index].tolist(),
     }
 
 
 def table_from_dict(data: dict) -> ContingencyTable:
-    """Inverse of :func:`table_to_dict`."""
+    """Inverse of :func:`table_to_dict`.
+
+    Raises :class:`DataError` unless ``index`` and ``counts`` are lists of
+    JSON integers of one length (no floats, no bools), the positions lie
+    in the schema's shape and strictly ascend, and every count is
+    positive.
+    """
     try:
         schema = schema_from_dict(data["schema"])
-        counts = np.array(data["counts"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as error:
+        index = _int_array(data["index"], "index")
+        counts = _int_array(data["counts"], "counts")
+    except (KeyError, TypeError) as error:
         raise DataError(f"malformed table dict: {error}") from None
-    return ContingencyTable(schema, counts)
+    if len(index) != len(counts):
+        raise DataError(
+            f"malformed table dict: {len(index)} index entries but "
+            f"{len(counts)} counts"
+        )
+    if len(index) and (index[0] < 0 or index[-1] >= schema.num_cells):
+        raise DataError(
+            f"malformed table dict: a cell index lies outside the "
+            f"{schema.num_cells} cells of the schema"
+        )
+    if (np.diff(index) <= 0).any():
+        raise DataError(
+            "malformed table dict: cell indices are not strictly ascending"
+        )
+    if (counts <= 0).any():
+        raise DataError("malformed table dict: a stored count is not positive")
+    dense = np.zeros(schema.num_cells, dtype=np.int64)
+    dense[index] = counts
+    return ContingencyTable(schema, dense.reshape(schema.shape))
 
 
-def write_table_json(table: ContingencyTable, path: str | Path) -> None:
-    """Write a contingency table to a JSON file."""
-    Path(path).write_text(json.dumps(table_to_dict(table), indent=2))
-
-
-def read_table_json(path: str | Path) -> ContingencyTable:
-    """Read a contingency table from a JSON file."""
-    return table_from_dict(json.loads(Path(path).read_text()))
+def _int_array(values, field: str) -> np.ndarray:
+    """A list of JSON integers as an int64 array; DataError otherwise."""
+    if not isinstance(values, list):
+        raise DataError(
+            f"malformed table dict: {field!r} is a "
+            f"{type(values).__name__}, not a list"
+        )
+    if not set(map(type, values)) <= {int}:
+        raise DataError(
+            f"malformed table dict: {field!r} holds a value that is not "
+            f"an integer"
+        )
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DataError(
+            f"malformed table dict: {field!r} holds an integer beyond int64"
+        ) from None

@@ -95,8 +95,8 @@ class LiveKnowledgeBase:
         if not kb.can_update:
             raise DataError(
                 "LiveKnowledgeBase needs an updatable knowledge base (built "
-                "with from_data, or loaded from a format-3 file with its "
-                "audit trail)"
+                "with from_data, or loaded from a file of format 3 or later "
+                "with its audit trail)"
             )
         self.kb = kb
         self.policy = policy or UpdatePolicy()

@@ -373,7 +373,8 @@ def _check_feasible(constraints: ConstraintSet, tol: float) -> None:
     attribute are disjoint events inside that value.  A fit meeting every
     target to within ``tol`` misses each bound by at most ``tol`` for each
     target in it, so an excess beyond that float tolerance means no fit
-    can converge.  One pass over the cells.
+    can converge.  Cells on three or more attributes are also bounded by
+    pairs of constrained entries inside them (:func:`_check_pairs_inside`).
     """
     groups: dict[tuple, list] = {}  # (attributes, name, value) -> [margin, sum, keys]
     for cell in constraints.cells:
@@ -403,6 +404,57 @@ def _check_feasible(constraints: ConstraintSet, tol: float) -> None:
                 f"cell constraints {keys} share {name}={value} but their "
                 f"targets sum to {total:.6g}, above its margin {margin:.6g}"
             )
+    for cell in constraints.cells:
+        if len(cell.attributes) > 2:
+            _check_pairs_inside(cell, constraints, tol)
+
+
+def _check_pairs_inside(cell, constraints: ConstraintSet, tol: float) -> None:
+    """The Fréchet bound that two constrained entries inside ``cell`` put
+    on its target.
+
+    Entries are subset-margin entries and other cells on attributes of
+    ``cell`` with its values there.  Two such events ``E1``, ``E2`` that
+    share at most one attribute ``A`` (value ``v``) both lie in ``A=v``,
+    so ``P(E1 ∩ E2) ≥ P(E1) + P(E2) − P(A=v)`` (``− 1`` when they share
+    none), and each attribute of ``cell`` outside both lowers that by its
+    margin's complement.  The slack is the cell's, as in
+    :func:`_check_feasible`.
+    """
+    at = dict(zip(cell.attributes, cell.values))
+    entries = []  # (kind, attributes, probability)
+    for names, target in constraints.subset_margins.items():
+        if all(name in at for name in names):
+            values = tuple(at[name] for name in names)
+            entries.append(("subset-margin entry", names, float(target[values])))
+    for other in constraints.cells:
+        if other is not cell and all(
+            at.get(name) == value
+            for name, value in zip(other.attributes, other.values)
+        ):
+            entries.append(("cell constraint", other.attributes, other.probability))
+    for i, first in enumerate(entries):
+        for second in entries[i + 1:]:
+            (_, names_a, p_a), (_, names_b, p_b) = first, second
+            shared = [name for name in names_a if name in names_b]
+            if len(shared) > 1:
+                continue
+            lowest = p_a + p_b - 1.0
+            for name in shared:
+                lowest += 1.0 - float(constraints.margin(name)[at[name]])
+            for name in cell.attributes:
+                if name not in names_a and name not in names_b:
+                    lowest += float(constraints.margin(name)[at[name]]) - 1.0
+            if lowest - cell.probability > (len(cell.attributes) + 1) * tol:
+                text_a, text_b = (
+                    f"{kind} {names}={tuple(at[n] for n in names)} at {p:.6g}"
+                    for kind, names, p in (first, second)
+                )
+                raise ConstraintError(
+                    f"cell constraint {cell.key} has target "
+                    f"{cell.probability:.6g}, below {lowest:.6g}, the least "
+                    f"that {text_a} and {text_b} leave it (Fréchet bound)"
+                )
 
 
 def _is_single(part) -> bool:

@@ -1,7 +1,9 @@
 """Tests for the versioned knowledge-base serialization format."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.knowledge_base import (
@@ -32,8 +34,8 @@ def _v2_dict(kb):
 
 
 class TestFormatVersion:
-    def test_current_version_is_three(self):
-        assert FORMAT_VERSION == 3
+    def test_current_version_is_four(self):
+        assert FORMAT_VERSION == 4
 
     def test_to_dict_stamps_version(self, kb):
         assert kb.to_dict()["format_version"] == FORMAT_VERSION
@@ -169,3 +171,96 @@ class TestAuditTrailRoundTrip:
         revision = loaded.update(delta)
         assert revision.mode == "warm"
         assert loaded.sample_size == table.total + 400
+
+
+class TestFormatThreeFile:
+    """A file written by format 3's ``kb.save``: the paper KB after one
+    update of 40 smoker/yes/yes and 60 non-smoker/no/no rows, its
+    training table stored as the nested count tensor."""
+
+    FILE = Path(__file__).parent / "data" / "paper_kb_format3.json"
+
+    @pytest.fixture
+    def legacy(self):
+        assert json.loads(self.FILE.read_text())["format_version"] == 3
+        return ProbabilisticKnowledgeBase.load(self.FILE)
+
+    def test_loads_updatable(self, legacy):
+        assert legacy.can_update
+        assert [r.mode for r in legacy.revisions] == ["initial", "warm"]
+        assert legacy.sample_size == legacy.discovery.table.total == 3528
+        nested = json.loads(self.FILE.read_text())["discovery"]["table"]
+        assert legacy.discovery.table.counts.tolist() == nested["counts"]
+
+    def test_answers_match_a_format_four_round_trip(self, legacy, tmp_path):
+        path = tmp_path / "kb.json"
+        legacy.save(path)
+        fresh = ProbabilisticKnowledgeBase.load(path)
+        given = {"SMOKING": "smoker"}
+        assert fresh.model.fingerprint() == legacy.model.fingerprint()
+        assert fresh.query(QUERIES[1]) == legacy.query(QUERIES[1])
+        assert (
+            fresh.p("CANCER=yes").given("SMOKING=smoker").value()
+            == legacy.p("CANCER=yes").given("SMOKING=smoker").value()
+        )
+        assert np.array_equal(
+            fresh.distribution("CANCER", given),
+            legacy.distribution("CANCER", given),
+        )
+        assert fresh.most_probable(given) == legacy.most_probable(given)
+        assert (
+            fresh.rules(min_probability=0.5).describe()
+            == legacy.rules(min_probability=0.5).describe()
+        )
+
+    def test_updates_warm_and_resaves_as_format_four(self, legacy, tmp_path):
+        revision = legacy.update(
+            [("smoker", "yes", "yes")] * 30 + [("non-smoker", "no", "no")] * 20
+        )
+        assert revision.mode == "warm"
+        assert legacy.sample_size == 3578
+        path = tmp_path / "kb.json"
+        legacy.save(path)
+        saved = json.loads(path.read_text())
+        assert saved["format_version"] == FORMAT_VERSION == 4
+        assert set(saved["discovery"]["table"]) == {"schema", "index", "counts"}
+        assert ProbabilisticKnowledgeBase.load(path).to_dict() == (
+            legacy.to_dict()
+        )
+
+
+class TestMigrationToFormatFour:
+    def _v3_dict(self, kb):
+        data = kb.to_dict()
+        data["format_version"] = 3
+        table = kb.discovery.table
+        data["discovery"]["table"] = {
+            "schema": data["discovery"]["table"]["schema"],
+            "counts": table.counts.tolist(),
+        }
+        return data
+
+    def test_v3_dict_migrates_exactly(self, kb):
+        legacy = self._v3_dict(kb)
+        snapshot = json.dumps(legacy, sort_keys=True)
+        clone = ProbabilisticKnowledgeBase.from_dict(legacy)
+        assert json.dumps(legacy, sort_keys=True) == snapshot  # not mutated
+        assert clone.to_dict() == kb.to_dict()
+        assert clone.discovery.table == kb.discovery.table
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[1, 2], [3, 4]], "does not match schema shape"),
+            ([[[-1, 2], [3, 4]], [[1, 2], [3, 4]], [[1, 2], [3, 4]]], "non-negative"),
+            ("many", "malformed format-3 table"),
+            ([[1, 2], [3]], "malformed format-3 table"),
+            ([[[1.0, 2], [3, 4]]] * 3, "counts are not integers"),
+            ([[[True, False]] * 2] * 3, "counts are not integers"),
+        ],
+    )
+    def test_bad_v3_table_rejected(self, kb, counts, message):
+        legacy = self._v3_dict(kb)
+        legacy["discovery"]["table"]["counts"] = counts
+        with pytest.raises(DataError, match=message):
+            ProbabilisticKnowledgeBase.from_dict(legacy)

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
 from repro.data.io import (
     read_dataset_csv,
-    read_table_json,
     schema_from_dict,
     schema_to_dict,
     table_from_dict,
     table_to_dict,
     write_dataset_csv,
-    write_table_json,
 )
+from repro.data.schema import Attribute, Schema
 from repro.exceptions import DataError
 
 
@@ -77,11 +77,68 @@ class TestJSON:
     def test_table_round_trip(self, table):
         assert table_from_dict(table_to_dict(table)) == table
 
-    def test_table_file_round_trip(self, table, tmp_path):
-        path = tmp_path / "table.json"
-        write_table_json(table, path)
-        assert read_table_json(path) == table
-
     def test_table_malformed(self):
         with pytest.raises(DataError, match="malformed"):
             table_from_dict({"schema": {"attributes": []}})
+
+    def test_table_dict_holds_the_nonzero_cells(self, table):
+        data = table_to_dict(table)
+        flat = table.counts.ravel()
+        assert data["index"] == np.flatnonzero(flat).tolist()
+        assert data["counts"] == flat[flat > 0].tolist()
+
+    def test_sparse_wide_table_stores_only_its_nonzero_cells(self):
+        schema = Schema(
+            [Attribute(f"A{i}", ("0", "1")) for i in range(20)]
+        )
+        rng = np.random.default_rng(20)
+        cells = np.sort(rng.choice(schema.num_cells, size=37, replace=False))
+        counts = np.zeros(schema.num_cells, dtype=np.int64)
+        counts[cells] = rng.integers(1, 1000, size=37)
+        table = ContingencyTable(schema, counts.reshape(schema.shape))
+        data = table_to_dict(table)
+        assert data["index"] == cells.tolist()
+        assert data["counts"] == counts[cells].tolist()
+        assert table_from_dict(data) == table
+
+
+def _table_dict(index, counts) -> dict:
+    """A table dict over two binary attributes (4 cells)."""
+    schema = Schema([Attribute("A", ("x", "y")), Attribute("B", ("u", "v"))])
+    return {"schema": schema_to_dict(schema), "index": index, "counts": counts}
+
+
+class TestMalformedTableDict:
+    def test_well_formed_reads(self):
+        table = table_from_dict(_table_dict([0, 3], [5, 2]))
+        assert table.counts.tolist() == [[5, 0], [0, 2]]
+
+    @pytest.mark.parametrize(
+        "index, counts, message",
+        [
+            ([0, 1], [5], "2 index entries but 1 counts"),
+            ([0, 1.0], [5, 2], "'index' holds a value that is not an int"),
+            ([0, 1], [5, 2.0], "'counts' holds a value that is not an int"),
+            ([0, True], [5, 2], "'index' holds a value that is not an int"),
+            ([0, 1], [True, 2], "'counts' holds a value that is not an int"),
+            ([0, "1"], [5, 2], "'index' holds a value that is not an int"),
+            ([0, 2**63], [5, 2], "beyond int64"),
+            ([0, 4], [5, 2], "outside the 4 cells"),
+            ([-1, 2], [5, 2], "outside the 4 cells"),
+            ([2, 1], [5, 2], "not strictly ascending"),
+            ([1, 1], [5, 2], "not strictly ascending"),
+            ([0, 1], [5, 0], "not positive"),
+            ([0, 1], [-5, 2], "not positive"),
+            ([[0, 1]], [5], "not an int"),
+            ({"0": 5}, [5], "not a list"),
+        ],
+    )
+    def test_rejected(self, index, counts, message):
+        with pytest.raises(DataError, match=message):
+            table_from_dict(_table_dict(index, counts))
+
+    def test_missing_field_rejected(self):
+        data = _table_dict([0], [5])
+        del data["index"]
+        with pytest.raises(DataError, match="malformed table dict"):
+            table_from_dict(data)

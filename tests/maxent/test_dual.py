@@ -320,6 +320,50 @@ class TestConflicts:
         with pytest.raises(ConstraintError, match="Fréchet bound"):
             fit_dual(constraints)
 
+    def test_cell_below_its_subset_margins_fails_before_newton(
+        self, monkeypatch
+    ):
+        # Subset margins (X0, X1)=(1, 1) at 0.151 and (X0, X2)=(1, 2) at
+        # 0.141 both lie in X0=1 at 0.285, so their intersection, the zero
+        # cell (X0, X1, X2)=(1, 1, 2), holds at least 0.007.
+        def step(component):
+            raise AssertionError("a Newton step ran on an infeasible set")
+
+        monkeypatch.setattr(dual_module._Component, "step", step)
+        constraints, _ = _random_case(0, 3, 0, 2, 1, False, False)
+        [cell] = constraints.cells
+        assert cell.key == (("X0", "X1", "X2"), (1, 1, 2))
+        assert cell.probability == 0.0
+        with pytest.raises(ConstraintError, match="Fréchet bound") as caught:
+            fit_dual(constraints)
+        assert str(cell.key) in str(caught.value)
+
+    def test_cell_below_two_cells_inside_it_fails_before_newton(
+        self, monkeypatch
+    ):
+        # Cells (X0, X1)=(0, 0) and (X2, X3)=(0, 0) share no attribute, so
+        # the cell on all four attributes holds at least 0.4 + 0.4 - 1 - 0.
+        def step(component):
+            raise AssertionError("a Newton step ran on an infeasible set")
+
+        monkeypatch.setattr(dual_module._Component, "step", step)
+        schema = _schema([2, 2, 2, 2])
+        constraints = ConstraintSet(schema)
+        for name in schema.names:
+            constraints.set_margin(name, [0.6, 0.4])
+        constraints.add_cell(CellConstraint(("X0", "X1"), (0, 0), 0.55))
+        constraints.add_cell(CellConstraint(("X2", "X3"), (0, 0), 0.55))
+        key = (("X0", "X1", "X2", "X3"), (0, 0, 0, 0))
+        constraints.add_cell(CellConstraint(*key, 0.05))
+        with pytest.raises(ConstraintError, match="below 0.1, the least"):
+            fit_dual(constraints)
+
+    def test_pair_bound_passes_a_cell_at_its_fitted_value(self):
+        # Targets read off one joint meet every bound: the fit runs.
+        constraints, _ = _random_case(0, 3, 1, 2, 0, False, False)
+        assert any(len(c.attributes) == 3 for c in constraints.cells)
+        assert fit_dual(constraints, tol=1e-12).converged
+
     def test_zero_initial_mass_is_rejected(self, paper_constraints):
         initial = MaxEntModel(paper_constraints.schema, a0=0.0)
         ours = _outcome(fit_dual, paper_constraints, initial)

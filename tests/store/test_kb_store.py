@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.knowledge_base import ProbabilisticKnowledgeBase
+from repro.core.knowledge_base import (
+    FORMAT_VERSION,
+    ProbabilisticKnowledgeBase,
+    _migrate,
+)
 from repro.core.serialization import canonical_json, content_hash
 from repro.data.streaming import TableBuilder
 from repro.eval.paper import paper_table
@@ -219,7 +223,11 @@ class TestDiff:
 
 
 class TestStoresWrittenBefore:
-    """Stores written when save encoded the document twice still resolve."""
+    """A store written in format 3 still loads, diffs and re-saves.
+
+    Its artifacts are migrated on read; re-saving writes format-4
+    artifacts beside them and leaves the format-3 rows in place.
+    """
 
     LEGACY = Path(__file__).parent / "data" / "legacy_store.sql"
 
@@ -232,25 +240,43 @@ class TestStoresWrittenBefore:
         with KBStore(path) as store:
             yield store
 
+    @staticmethod
+    def _artifact_shas(store) -> set:
+        with sqlite3.connect(store.path) as connection:
+            rows = connection.execute("SELECT sha256 FROM artifacts")
+            return {sha for (sha,) in rows}
+
     def test_load_and_diff_resolve(self, legacy):
         history = legacy.history("paper")
         assert [record.number for record in history] == [0, 1]
         for record in history:
+            stored = legacy.artifact(record.artifact_sha)
+            assert stored["format_version"] == 3
             kb = legacy.load("paper", revision=record.number)
             document = kb.to_dict()
             document.pop("revisions")
-            assert content_hash(document) == record.artifact_sha
+            assert document == _migrate(stored)
         diff = legacy.diff("paper", 0, 1)
         assert diff.artifact_a == history[0].artifact_sha
         assert diff.artifact_b == history[1].artifact_sha
         assert diff.sample_size_b == diff.sample_size_a + len(NEW_ROWS)
 
-    def test_resaving_keeps_every_address(self, legacy, store):
-        for record in legacy.history("paper"):
-            kb = legacy.load("paper", revision=record.number)
-            assert store.save("paper", kb) == record.artifact_sha
-            assert store.artifact(record.artifact_sha) == legacy.artifact(
-                record.artifact_sha
-            )
-        latest = legacy.describe("paper").latest_artifact
-        assert legacy.save("paper", legacy.load("paper")) == latest
+    def test_resaving_keeps_every_address(self, legacy):
+        history = legacy.history("paper")
+        before = self._artifact_shas(legacy)
+        sha = legacy.save("paper", legacy.load("paper"))
+        assert self._artifact_shas(legacy) == before | {sha}
+        assert sha not in before
+        assert legacy.artifact(sha)["format_version"] == FORMAT_VERSION
+        # Re-saving the format-4 state is idempotent.
+        assert legacy.save("paper", legacy.load("paper")) == sha
+        assert self._artifact_shas(legacy) == before | {sha}
+        # The format-3 rows keep their addresses and still load.
+        assert legacy.history("paper") == history
+        for record in history:
+            document = legacy.artifact(record.artifact_sha)
+            kb = ProbabilisticKnowledgeBase.from_dict(document)
+            assert kb.sample_size == record.sample_size
+        assert legacy.load("paper", revision=0).sample_size == (
+            history[0].sample_size
+        )

@@ -178,7 +178,7 @@ class TestUpdateCommand:
         kb_path = tmp_path / "kb.json"
         assert main(["discover", "--save", str(kb_path)]) == 0
         assert "knowledge base saved" in capsys.readouterr().out
-        assert json.loads(kb_path.read_text())["format_version"] == 3
+        assert json.loads(kb_path.read_text())["format_version"] == 4
 
         delta_path = tmp_path / "delta.csv"
         self._write_csv(schema, table, rng, delta_path, 400)

@@ -11,9 +11,11 @@ constraint sets, checking the paper's structural guarantees:
 - Appendix-A conversions round-trip.
 """
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.data.contingency import ContingencyTable
@@ -60,6 +62,23 @@ def tables(draw, min_total=30):
     cells = schema.num_cells
     counts = draw(
         st.lists(st.integers(1, 60), min_size=cells, max_size=cells)
+    )
+    array = np.array(counts, dtype=np.int64).reshape(schema.shape)
+    return ContingencyTable(schema, array)
+
+
+@st.composite
+def sparse_tables(draw):
+    """Random tables over mixed arities whose cells are often, or all,
+    empty."""
+    schema = draw(schemas(max_attributes=4, max_values=4))
+    cells = schema.num_cells
+    counts = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 60)),
+            min_size=cells,
+            max_size=cells,
+        )
     )
     array = np.array(counts, dtype=np.int64).reshape(schema.shape)
     return ContingencyTable(schema, array)
@@ -202,11 +221,24 @@ class TestConversionRoundTrips:
         ) == dataset.to_contingency()
 
     @SETTINGS
-    @given(tables())
+    @given(sparse_tables())
+    @example(
+        ContingencyTable.zeros(
+            Schema(
+                [
+                    Attribute("A", ("a0", "a1")),
+                    Attribute("B", ("b0", "b1", "b2")),
+                    Attribute("C", ("c0", "c1", "c2", "c3")),
+                ]
+            )
+        )
+    )
     def test_table_json_round_trip(self, table):
         from repro.data.io import table_from_dict, table_to_dict
 
-        assert table_from_dict(table_to_dict(table)) == table
+        data = json.loads(json.dumps(table_to_dict(table)))
+        assert table_from_dict(data) == table
+        assert len(data["index"]) == np.count_nonzero(table.counts)
 
 
 class TestDiscoveryInvariants:
