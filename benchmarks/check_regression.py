@@ -5,13 +5,11 @@ Usage::
 
     python benchmarks/run_all.py --json candidate.json --smoke --skip-suite
     python benchmarks/check_regression.py \
-        --registry runs.db --candidate candidate.json \
+        --baseline BENCH_discovery.json --candidate candidate.json \
         --output perf-regression-diff.json
 
-Baselines come from a :class:`repro.store.RunRegistry` (``--registry``):
-every ``benchmark`` run recorded with the candidate's ``smoke`` flag.  A
-flat ``BENCH_discovery.json`` trajectory becomes a registry with
-``repro runs import``.
+Baselines come from a trajectory file (``--baseline``): every record
+with the candidate's ``smoke`` flag, once each, in timestamp order.
 
 Checks, against the baseline trajectory records:
 
@@ -78,12 +76,34 @@ ABSOLUTE_FLOORS = (
 
 
 def read_records(path: Path) -> list[dict]:
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        raise SystemExit(f"error: cannot read {path}: {error}") from None
     if not isinstance(data, list):
         data = [data]
     if not data:
         raise SystemExit(f"error: {path} holds no trajectory records")
+    if not all(isinstance(record, dict) for record in data):
+        raise SystemExit(f"error: {path} holds a non-record entry")
     return data
+
+
+def baseline_records(records: list[dict], smoke: bool) -> list[dict]:
+    """The records comparable to a candidate with this ``smoke`` flag.
+
+    Toy-size and full-size timings are never comparable, so only records
+    with the same flag count.  A record listed twice counts once, and
+    the result is ordered by timestamp (ties keep file order), so the
+    latest baseline outcome of a scenario is the last one.
+    """
+    unique: dict[str, dict] = {}
+    for record in records:
+        if bool(record.get("smoke", False)) == bool(smoke):
+            unique.setdefault(json.dumps(record, sort_keys=True), record)
+    return sorted(
+        unique.values(), key=lambda record: str(record.get("timestamp", ""))
+    )
 
 
 def lookup(record: dict, dotted: str):
@@ -225,10 +245,10 @@ def compare_scenarios(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--registry",
+        "--baseline",
         required=True,
         metavar="PATH",
-        help="run registry (SQLite) holding the baseline benchmark runs",
+        help="trajectory file holding the baseline records",
     )
     parser.add_argument(
         "--candidate",
@@ -249,18 +269,13 @@ def main(argv: list[str] | None = None) -> int:
 
     candidate = read_records(Path(args.candidate))[-1]
     smoke = candidate.get("smoke", False)
-    # Only same-mode records are comparable: baseline_records(smoke)
-    # returns same-flag benchmark runs, so with no matching baseline the
-    # ratio rows report "no comparable baseline" rather than judging
-    # toy-size timings against full-size ones (or vice versa).
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.store import RunRegistry
-
-    with RunRegistry(args.registry) as registry:
-        baseline = registry.baseline_records(smoke)
+    # With no same-mode baseline the ratio rows report "no comparable
+    # baseline" rather than judging toy-size timings against full-size
+    # ones (or vice versa).
+    baseline = baseline_records(read_records(Path(args.baseline)), smoke)
     if not baseline:
         print(
-            f"warning: {args.registry} holds no smoke={smoke} benchmark "
+            f"warning: {args.baseline} holds no smoke={smoke} benchmark "
             f"runs; every ratio will report 'no comparable baseline'",
             file=sys.stderr,
         )
@@ -288,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         if row["status"] == "regressed"
     ]
 
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.eval.scorecard import (
         build_scorecard,
         scenario_entries_from_trajectory,

@@ -9,7 +9,7 @@ Usage::
     python benchmarks/run_all.py --json --skip-suite   # metrics only
     python benchmarks/run_all.py --json --smoke --skip-suite \
         --tier stress                            # nightly stress matrix
-    python benchmarks/run_all.py --json --smoke --registry runs.db \
+    python benchmarks/run_all.py --json --smoke \
         --scorecard scorecard.md                 # + cross-run scorecard
 
 ``--json`` measures the discovery hot path directly — per-order scan time
@@ -28,9 +28,9 @@ appends one record to a trajectory file (default ``BENCH_discovery.json``
 at the repo root).  The file is a JSON list, one record per invocation,
 so successive runs chart scan performance, parallel speedups, and
 conformance quality over time — ``check_regression.py`` gates PRs
-against it.  With ``--registry`` the record also lands in the run
-registry (SQLite), and ``--scorecard`` renders the cross-run scenario
-scorecard (:mod:`repro.eval.scorecard`) from everything recorded there.
+against it.  ``--scorecard`` renders the cross-run scenario scorecard
+(:mod:`repro.eval.scorecard`) from the trajectory file, this record
+included.
 """
 
 from __future__ import annotations
@@ -46,6 +46,24 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_TRAJECTORY = REPO_ROOT / "BENCH_discovery.json"
+
+
+def current_git_sha() -> str:
+    """The checked-out commit, or "" when unknown (no git, no checkout)."""
+    sha = os.environ.get("GITHUB_SHA")
+    if sha:
+        return sha
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            cwd=REPO_ROOT,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return ""
+    return result.stdout.strip() if result.returncode == 0 else ""
 
 
 def run_suite(smoke: bool) -> int:
@@ -196,23 +214,21 @@ def measure_scenarios(smoke: bool, tiers=None) -> list[dict]:
     return [outcome_to_dict(outcome) for outcome in outcomes]
 
 
-def write_scorecard(registry_path: str, scorecard_path: Path) -> None:
-    """Render the cross-run scenario scorecard from the run registry.
+def write_scorecard(history: list, scorecard_path: Path) -> None:
+    """Render the cross-run scenario scorecard from trajectory records.
 
-    Reads every scenario outcome the registry holds (including the ones
-    the current invocation just recorded), writes the markdown report to
-    ``scorecard_path`` and the JSON document next to it (``.json``).
+    Reads every scenario outcome in ``history`` (the trajectory file,
+    including the record the current invocation just appended), writes
+    the markdown report to ``scorecard_path`` and the JSON document next
+    to it (``.json``).
     """
     from repro.eval.scorecard import (
         build_scorecard,
         render_scorecard_markdown,
-        scenario_entries_from_registry,
+        scenario_entries_from_trajectory,
     )
-    from repro.store import RunRegistry
 
-    with RunRegistry(registry_path) as registry:
-        entries = scenario_entries_from_registry(registry)
-    scorecard = build_scorecard(entries)
+    scorecard = build_scorecard(scenario_entries_from_trajectory(history))
     scorecard_path.write_text(render_scorecard_markdown(scorecard))
     json_path = scorecard_path.with_suffix(".json")
     json_path.write_text(json.dumps(scorecard, indent=2) + "\n")
@@ -224,7 +240,8 @@ def write_scorecard(registry_path: str, scorecard_path: Path) -> None:
     )
 
 
-def append_trajectory(path: Path, record: dict) -> None:
+def append_trajectory(path: Path, record: dict) -> list:
+    """Append ``record`` to the trajectory at ``path``; returns the list."""
     history: list = []
     if path.exists():
         try:
@@ -235,6 +252,7 @@ def append_trajectory(path: Path, record: dict) -> None:
             history = [history]
     history.append(record)
     path.write_text(json.dumps(history, indent=2) + "\n")
+    return history
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -261,15 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the pytest benchmark suite, only emit metrics",
     )
     parser.add_argument(
-        "--registry",
-        metavar="PATH",
-        help=(
-            "also record the trajectory record in this run registry "
-            "(SQLite; created if missing) under a content-derived run_id "
-            "— the source check_regression.py --registry compares against"
-        ),
-    )
-    parser.add_argument(
         "--tier",
         action="append",
         choices=["smoke", "full", "stress", "all"],
@@ -282,15 +291,14 @@ def main(argv: list[str] | None = None) -> int:
         "--scorecard",
         metavar="PATH",
         help=(
-            "with --registry: write the cross-run scenario scorecard "
-            "(markdown at PATH, JSON next to it) after recording the run"
+            "with --json: write the cross-run scenario scorecard of the "
+            "trajectory (markdown at PATH, JSON next to it) after "
+            "appending the record"
         ),
     )
     args = parser.parse_args(argv)
-    if args.registry and args.json is None:
-        parser.error("--registry requires --json (it records the metrics)")
-    if args.scorecard and not args.registry:
-        parser.error("--scorecard requires --registry (it aggregates runs)")
+    if args.scorecard and args.json is None:
+        parser.error("--scorecard requires --json (it reads the trajectory)")
 
     status = 0
     if not args.skip_suite:
@@ -302,8 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.smoke:
             os.environ["REPRO_BENCH_SMOKE"] = "1"
         sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.store import current_git_sha
-
         started = time.time()
         metrics = measure_discovery(args.smoke)
         parallel = measure_parallel(args.smoke)
@@ -323,28 +329,9 @@ def main(argv: list[str] | None = None) -> int:
             "scenarios": scenarios,
         }
         path = Path(args.json)
-        append_trajectory(path, record)
-        if args.registry:
-            from repro.store import RunRegistry, config_hash
-
-            with RunRegistry(args.registry) as registry:
-                run = registry.record(
-                    kind="benchmark",
-                    metrics=record,
-                    smoke=args.smoke,
-                    cpus=parallel["cpus"],
-                    config_hash=config_hash(
-                        {"suite": "run_all", "smoke": args.smoke}
-                    ),
-                    git_sha=record["git_sha"] or "",
-                    created_at=record["timestamp"],
-                )
-            print(
-                f"run {run.run_id} recorded in {args.registry}",
-                file=sys.stderr,
-            )
-            if args.scorecard:
-                write_scorecard(args.registry, Path(args.scorecard))
+        history = append_trajectory(path, record)
+        if args.scorecard:
+            write_scorecard(history, Path(args.scorecard))
         failed = [
             f"{entry['scenario']}: {failure}"
             for entry in scenarios

@@ -70,7 +70,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.significance.kernels import OrderScanKernel
-from repro.store import KBDiff, KBStore, RunRegistry
+from repro.store import KBDiff, KBStore
 from repro.significance.mml import (
     MMLPriors,
     evaluate_cell,
@@ -110,7 +110,6 @@ __all__ = [
     "RuleEngine",
     "RuleGenerator",
     "RuleSet",
-    "RunRegistry",
     "Scenario",
     "ScenarioOutcome",
     "Schema",

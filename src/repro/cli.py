@@ -21,7 +21,7 @@ Usage::
     repro scenarios run --smoke --json -        # conformance matrix (CI gate)
     repro scenarios run --smoke --workers 2     # parallel-equivalence pass
     repro scenarios run --tier stress --smoke   # nightly stress matrix
-    repro scorecard --registry runs.db          # cross-run scenario scorecard
+    repro scorecard BENCH_discovery.json        # cross-run scenario scorecard
     repro serve                                 # serve the paper KB over HTTP
     repro serve --kb prod=kb.json --port 8741   # serve saved knowledge bases
     repro discover --store kb.db --name prod    # fit into the durable store
@@ -29,13 +29,12 @@ Usage::
     repro history prod --store kb.db            # list persisted revisions
     repro diff prod 0 2 --store kb.db           # diff two revisions
     repro serve --store kb.db                   # serve + persist every update
-    repro runs import BENCH_discovery.json --registry runs.db
-    repro runs list --registry runs.db          # recorded benchmark/scenario runs
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.core.knowledge_base import ProbabilisticKnowledgeBase
@@ -44,6 +43,7 @@ from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import discover
 from repro.eval import harness
 from repro.eval.paper import paper_table
+from repro.exceptions import DataError, ReproError
 
 
 def _worker_count(text: str) -> int:
@@ -168,56 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     diff_parser.add_argument("revision_b", type=int, help="newer revision")
     diff_parser.add_argument(
         "--store", required=True, help="durable store path (SQLite)"
-    )
-
-    runs_parser = subparsers.add_parser(
-        "runs",
-        help="inspect or populate the benchmark/scenario run registry",
-    )
-    runs_sub = runs_parser.add_subparsers(dest="action", required=True)
-    runs_list = runs_sub.add_parser(
-        "list", help="show recorded runs (id, kind, when, cpus, smoke)"
-    )
-    runs_list.add_argument(
-        "--registry", required=True, help="run-registry path (SQLite)"
-    )
-    runs_list.add_argument(
-        "--kind", help="only runs of this kind (benchmark, scenario)"
-    )
-    runs_list.add_argument(
-        "--smoke",
-        action="store_true",
-        help="only smoke-mode runs",
-    )
-    runs_list.add_argument(
-        "--full",
-        action="store_true",
-        help="only full-size runs",
-    )
-    runs_list.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the run records as JSON instead of a table",
-    )
-    runs_import = runs_sub.add_parser(
-        "import",
-        help=(
-            "one-shot import of a flat BENCH_discovery.json trajectory "
-            "into the registry (idempotent: run_ids derive from content)"
-        ),
-    )
-    runs_import.add_argument(
-        "trajectory", help="flat trajectory JSON file to import"
-    )
-    runs_import.add_argument(
-        "--registry", required=True, help="run-registry path (SQLite)"
-    )
-    runs_show = runs_sub.add_parser(
-        "show", help="print one run's full metrics document as JSON"
-    )
-    runs_show.add_argument("run_id", help="run id (see 'repro runs list')")
-    runs_show.add_argument(
-        "--registry", required=True, help="run-registry path (SQLite)"
     )
 
     rules_parser = subparsers.add_parser(
@@ -364,14 +314,6 @@ def main(argv: list[str] | None = None) -> int:
             "(default 1 = serial; conformance metrics are bit-identical)"
         ),
     )
-    scenarios_run.add_argument(
-        "--registry",
-        metavar="PATH",
-        help=(
-            "record every scenario outcome in this run registry "
-            "(SQLite; created if missing) under a content-derived run_id"
-        ),
-    )
 
     scorecard_parser = subparsers.add_parser(
         "scorecard",
@@ -381,10 +323,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     scorecard_parser.add_argument(
-        "--registry",
-        required=True,
-        metavar="PATH",
-        help="run registry (SQLite) holding recorded scenario outcomes",
+        "files",
+        nargs="+",
+        metavar="FILE",
+        help=(
+            "run_all --json trajectories or scenarios run --json outcome "
+            "lists, oldest first"
+        ),
     )
     scorecard_parser.add_argument(
         "--output",
@@ -463,6 +408,14 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError, json.JSONDecodeError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args) -> int:
     if args.command == "figure1":
         print(harness.reproduce_figure1())
     elif args.command == "figure2":
@@ -515,11 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "update":
         return _run_update(args)
     elif args.command == "history":
-        return _run_store_command(_run_history, args)
+        return _run_history(args)
     elif args.command == "diff":
-        return _run_store_command(_run_diff, args)
-    elif args.command == "runs":
-        return _run_store_command(_run_runs, args)
+        return _run_diff(args)
     elif args.command == "rules":
         table = _load_table(args.csv)
         kb = ProbabilisticKnowledgeBase.from_data(table)
@@ -571,18 +522,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run_serve(args) -> int:
-    import json
-
-    from repro.exceptions import ReproError
-
-    try:
-        return _run_serve_inner(args)
-    except (ReproError, OSError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _run_serve_inner(args) -> int:
     import asyncio
 
     from repro.serve import ReproServer, ServeConfig
@@ -640,18 +579,6 @@ def _run_serve_inner(args) -> int:
 
 
 def _run_update(args) -> int:
-    import json
-
-    from repro.exceptions import ReproError
-
-    try:
-        return _run_update_inner(args)
-    except (ReproError, OSError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _run_update_inner(args) -> int:
     if bool(args.kb) == bool(args.store):
         print(
             "error: pass exactly one of --kb FILE or --store PATH",
@@ -715,8 +642,6 @@ def _run_update_inner(args) -> int:
 
 def _only_stored_name(store) -> str:
     """--store without --name: unambiguous only for a single-KB store."""
-    from repro.exceptions import DataError
-
     names = store.names()
     if len(names) != 1:
         raise DataError(
@@ -732,21 +657,7 @@ def _default_store_name(csv_path: str | None) -> str:
     return Path(csv_path).stem if csv_path else "paper"
 
 
-def _run_store_command(inner, args) -> int:
-    import json
-
-    from repro.exceptions import ReproError
-
-    try:
-        return inner(args)
-    except (ReproError, OSError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
 def _run_history(args) -> int:
-    import json
-
     from repro.eval.tables import format_table
     from repro.store import KBStore
 
@@ -812,94 +723,7 @@ def _run_diff(args) -> int:
     return 0
 
 
-def _run_runs(args) -> int:
-    import json
-
-    from repro.eval.tables import format_table
-    from repro.store import RunRegistry
-
-    with RunRegistry(args.registry) as registry:
-        if args.action == "import":
-            added = registry.import_trajectory(args.trajectory)
-            total = len(registry.runs())
-            print(
-                f"imported {added} new runs from {args.trajectory} "
-                f"({total} total in {args.registry})"
-            )
-            return 0
-        if args.action == "show":
-            record = registry.get(args.run_id)
-            print(
-                json.dumps(
-                    {
-                        "run_id": record.run_id,
-                        "kind": record.kind,
-                        "created_at": record.created_at,
-                        "smoke": record.smoke,
-                        "cpus": record.cpus,
-                        "config_hash": record.config_hash,
-                        "git_sha": record.git_sha,
-                        "metrics": record.metrics,
-                    },
-                    indent=2,
-                )
-            )
-            return 0
-        smoke = True if args.smoke else (False if args.full else None)
-        records = registry.runs(kind=args.kind, smoke=smoke)
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "run_id": record.run_id,
-                        "kind": record.kind,
-                        "created_at": record.created_at,
-                        "smoke": record.smoke,
-                        "cpus": record.cpus,
-                        "config_hash": record.config_hash,
-                        "git_sha": record.git_sha,
-                    }
-                    for record in records
-                ],
-                indent=2,
-            )
-        )
-        return 0
-    headers = ["run_id", "kind", "created_at", "smoke", "cpus", "git"]
-    print(
-        format_table(
-            headers,
-            [
-                [
-                    record.run_id,
-                    record.kind,
-                    record.created_at,
-                    "yes" if record.smoke else "no",
-                    record.cpus,
-                    record.git_sha[:10] if record.git_sha else "-",
-                ]
-                for record in records
-            ],
-        )
-    )
-    print(f"{len(records)} runs")
-    return 0
-
-
 def _run_query(args) -> int:
-    import json
-
-    from repro.exceptions import ReproError
-
-    try:
-        return _run_query_inner(args)
-    except (ReproError, OSError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _run_query_inner(args) -> int:
     from pathlib import Path
 
     from repro.core.query import parse_assignment
@@ -946,44 +770,27 @@ def _run_query_inner(args) -> int:
     return 0
 
 
-def _run_scenarios(args) -> int:
-    from repro.exceptions import ReproError
-
-    try:
-        return _run_scenarios_inner(args)
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
 def _run_scorecard(args) -> int:
-    from repro.exceptions import ReproError
-
-    try:
-        return _run_scorecard_inner(args)
-    except (ReproError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _run_scorecard_inner(args) -> int:
-    import json
     from pathlib import Path
 
     from repro.eval.scorecard import (
         build_scorecard,
         render_scorecard_markdown,
-        scenario_entries_from_registry,
+        scenario_entries_from_trajectory,
     )
-    from repro.store import RunRegistry
 
-    smoke = None
-    if args.smoke and not args.full:
-        smoke = True
-    elif args.full and not args.smoke:
-        smoke = False
-    with RunRegistry(args.registry) as registry:
-        entries = scenario_entries_from_registry(registry, smoke=smoke)
+    records: list = []
+    for path in args.files:
+        data = json.loads(Path(path).read_text())
+        data = data if isinstance(data, list) else [data]
+        if not all(isinstance(record, dict) for record in data):
+            raise DataError(
+                f"{path} holds no trajectory records or scenario outcomes"
+            )
+        records.extend(data)
+    entries = scenario_entries_from_trajectory(records)
+    if args.smoke != args.full:
+        entries = [e for e in entries if e["smoke"] == args.smoke]
     scorecard = build_scorecard(entries)
     markdown = render_scorecard_markdown(scorecard)
     if args.output:
@@ -1003,8 +810,7 @@ def _run_scorecard_inner(args) -> int:
     return 0
 
 
-def _run_scenarios_inner(args) -> int:
-    import json
+def _run_scenarios(args) -> int:
     import os
 
     from repro.eval.conformance import conformance_report
@@ -1058,17 +864,6 @@ def _run_scenarios_inner(args) -> int:
         workers=args.workers,
         tiers=args.tier if args.tier else None,
     )
-    if args.registry:
-        from repro.scenarios import record_outcomes
-        from repro.store import RunRegistry
-
-        with RunRegistry(args.registry) as registry:
-            records = record_outcomes(registry, outcomes)
-        print(
-            f"recorded {len(records)} scenario runs in {args.registry}: "
-            + ", ".join(record.run_id for record in records),
-            file=sys.stderr,
-        )
     if args.json is not None:
         payload = json.dumps(
             [outcome_to_dict(outcome) for outcome in outcomes], indent=2

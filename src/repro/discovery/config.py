@@ -13,12 +13,13 @@ from repro.maxent.constraints import (
 from repro.significance.mml import MMLPriors
 
 #: Solver names accepted by :class:`DiscoveryConfig`.
-SOLVERS = ("dual", "gevarter")
+SOLVERS = ("dual",)
 
-# The name stored before the Newton fit, still accepted: ``"ipf"`` fits
-# with ``"dual"``, which reaches the same fixed point.  The name itself is
-# kept, so re-saving a stored knowledge base keeps its content address.
-_LEGACY_SOLVERS = ("ipf",)
+# Names stored by earlier versions, still accepted: ``"ipf"`` and
+# ``"gevarter"`` fit with ``"dual"``, which reaches the same fixed point.
+# The name itself is kept, so re-saving a stored knowledge base keeps its
+# content address.
+_LEGACY_SOLVERS = ("ipf", "gevarter")
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,13 @@ class DiscoveryConfig:
     priors:
         MML hypothesis priors; the default cancels the prior terms (Eq 63).
     solver:
-        ``"dual"`` (Newton on the max-ent dual,
-        :func:`~repro.maxent.dual.fit_dual`) or ``"gevarter"`` (the
-        paper's sequential scalar updates with full traces).  Both reach
-        the same fixed point.  ``"ipf"``, the name stored before the
-        Newton fit, is accepted and fits with ``"dual"``.
+        ``"dual"``: Newton on the max-ent dual,
+        :func:`~repro.maxent.dual.fit_dual`.  ``"ipf"`` and
+        ``"gevarter"``, names stored by earlier versions, are accepted
+        and fit with ``"dual"``.
     tol / max_sweeps:
         Solver convergence settings for each refit: the max constraint
-        violation, and the budget of Newton iterations (Gevarter sweeps).
+        violation, and the budget of Newton iterations.
     max_constraints:
         Safety cap on the total number of cell constraints adopted;
         ``None`` means unlimited (the scan itself terminates because each

@@ -38,7 +38,6 @@ from repro.maxent.dual import (
     fit_dual,
     warm_start_model,
 )
-from repro.maxent.gevarter import fit_gevarter
 from repro.maxent.model import FactoredJoint, MaxEntModel
 from repro.significance.kernels import OrderScanKernel
 from repro.significance.mml import (
@@ -489,21 +488,12 @@ class DiscoveryEngine:
     def _fit(self, constraints: ConstraintSet, warm_start: MaxEntModel):
         config = self.config
         fit_start = time.perf_counter()
-        if config.solver == "gevarter":
-            fit = fit_gevarter(
-                constraints,
-                initial=warm_start,
-                tol=config.tol,
-                max_sweeps=config.max_sweeps,
-                record_trace=False,
-            )
-        else:
-            fit = fit_dual(
-                constraints,
-                initial=warm_start,
-                tol=config.tol,
-                max_sweeps=config.max_sweeps,
-            )
+        fit = fit_dual(
+            constraints,
+            initial=warm_start,
+            tol=config.tol,
+            max_sweeps=config.max_sweeps,
+        )
         self.profile.add_fit(
             time.perf_counter() - fit_start,
             fit.sweeps,

@@ -35,15 +35,14 @@ class DiscoveryProfile:
     read.
 
     ``fit_sweeps`` sums the fits' iterations
-    (:attr:`~repro.maxent.dual.FitResult.sweeps`): Newton iterations for
-    the default ``"dual"`` solver, sweeps for Gevarter's; the rendered row
-    still calls them sweeps.  ``fit_cells`` counts the tensor cells the
+    (:attr:`~repro.maxent.dual.FitResult.sweeps`), Newton iterations; the
+    rendered row still calls them sweeps.  ``fit_cells`` counts the tensor cells the
     fit worked on, summed over iterations and fits
     (:attr:`~repro.maxent.dual.FitResult.cells_swept`): an iteration works
     on one small tensor per connected component of the constraint graph
     and skips the components already converged, so this is
     what shows the fit's cost following the adopted structure rather than
-    the joint's size.  The Gevarter solver does not report it.
+    the joint's size.
     ``scan_model_cells`` is the scans' counterpart: the component-tensor
     cells each candidate-pool scan (scan and verify stages alike)
     reduced to form its marginals

@@ -17,7 +17,6 @@ from repro.eval.paper import paper_schema, paper_table
 from repro.eval.scorecard import (
     build_scorecard,
     render_scorecard_markdown,
-    scenario_entries_from_registry,
     scenario_entries_from_trajectory,
 )
 from repro.eval.tables import format_table, markdown_table
@@ -32,6 +31,5 @@ __all__ = [
     "render_baseline_comparison",
     "render_conformance_matrix",
     "render_scorecard_markdown",
-    "scenario_entries_from_registry",
     "scenario_entries_from_trajectory",
 ]

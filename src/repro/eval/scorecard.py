@@ -2,13 +2,12 @@
 
 One conformance run produces one JSON document; a trajectory of runs
 produces a pile of them.  The scorecard is the aggregation layer: it
-reads every scenario outcome recorded in a
-:class:`~repro.store.runs.RunRegistry` (both dedicated ``scenario`` runs
-and the per-scenario entries embedded in ``benchmark`` trajectory
-records), groups them by scenario, and renders one markdown/JSON table
-with pass/fail and trend columns — the report
-``benchmarks/check_regression.py`` embeds and the ``repro scorecard``
-CLI prints.
+reads the scenario outcomes in those flat records (the per-scenario
+entries embedded in ``benchmarks/run_all.py --json`` trajectory records,
+and the outcome lists ``repro scenarios run --json`` writes), groups
+them by scenario, and renders one markdown/JSON table with pass/fail and
+trend columns — the report ``benchmarks/check_regression.py`` embeds and
+the ``repro scorecard`` CLI prints.
 
 The trend column compares each scenario's two most recent outcomes:
 ``regressed`` (passed, now failing), ``improved`` (failed, now passing),
@@ -24,7 +23,6 @@ from repro.eval.tables import markdown_table
 __all__ = [
     "build_scorecard",
     "render_scorecard_markdown",
-    "scenario_entries_from_registry",
     "scenario_entries_from_trajectory",
 ]
 
@@ -50,41 +48,20 @@ def _outcome_entry(metrics: dict, created_at: str, git_sha: str) -> dict:
     }
 
 
-def scenario_entries_from_registry(
-    registry, smoke: bool | None = None
-) -> list[dict]:
-    """Every recorded scenario outcome, oldest first.
-
-    Scans both record kinds a :class:`~repro.store.runs.RunRegistry`
-    holds: dedicated ``scenario`` runs (whose metrics document is one
-    outcome dict) and ``benchmark`` trajectory runs (whose metrics embed
-    a ``scenarios`` list).  ``smoke`` filters by sample-size mode; None
-    keeps both.
-    """
-    entries: list[dict] = []
-    for record in registry.runs(kind="scenario", smoke=smoke):
-        entries.append(
-            _outcome_entry(record.metrics, record.created_at, record.git_sha)
-        )
-    for record in registry.runs(kind="benchmark", smoke=smoke):
-        for metrics in record.metrics.get("scenarios", ()):
-            entries.append(
-                _outcome_entry(metrics, record.created_at, record.git_sha)
-            )
-    entries.sort(key=lambda e: (e["created_at"], e["scenario"]))
-    return entries
-
-
 def scenario_entries_from_trajectory(records: Iterable[dict]) -> list[dict]:
-    """Scorecard entries from raw trajectory records, oldest first.
+    """Scorecard entries from flat run records, oldest first.
 
     Takes the record dicts ``benchmarks/run_all.py --json`` appends (each
-    embeds a ``scenarios`` list and a ``timestamp``) — the path
-    ``check_regression.py`` uses to score a baseline-plus-candidate set
-    without a registry on disk.
+    embeds a ``scenarios`` list and a ``timestamp``) and the outcome
+    dicts ``repro scenarios run --json`` writes (each names one
+    ``scenario``).  A bare outcome carries no timestamp, so it sorts
+    before every timestamped record, in the order given.
     """
     entries: list[dict] = []
     for record in records:
+        if "scenario" in record:
+            entries.append(_outcome_entry(record, "", ""))
+            continue
         created_at = str(record.get("timestamp", ""))
         git_sha = str(record.get("git_sha", ""))
         for metrics in record.get("scenarios") or ():
@@ -111,7 +88,7 @@ def build_scorecard(entries: Iterable[dict]) -> dict:
     Returns a JSON-ready document: per-scenario rows (latest metrics,
     run count, pass/fail, trend) plus fleet-level totals.  Entries are
     expected oldest-first, as
-    :func:`scenario_entries_from_registry` returns them.
+    :func:`scenario_entries_from_trajectory` returns them.
     """
     by_scenario: dict[str, list[dict]] = {}
     for entry in entries:

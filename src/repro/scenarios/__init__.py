@@ -24,7 +24,6 @@ from repro.scenarios.runner import (
     BaselineScore,
     ScenarioOutcome,
     outcome_to_dict,
-    record_outcomes,
     run_matrix,
     run_scenario,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "default_slo",
     "get_scenario",
     "outcome_to_dict",
-    "record_outcomes",
     "run_matrix",
     "run_scenario",
     "scenario_names",

@@ -55,7 +55,6 @@ __all__ = [
     "check_gates",
     "check_slo",
     "outcome_to_dict",
-    "record_outcomes",
     "run_matrix",
     "run_scenario",
 ]
@@ -345,39 +344,6 @@ def run_matrix(
         )
         for scenario in scenarios
     ]
-
-
-def record_outcomes(registry, outcomes: Sequence[ScenarioOutcome]) -> list:
-    """Write conformance outcomes through a run registry.
-
-    Each outcome becomes one ``scenario`` run whose metrics document is
-    :func:`outcome_to_dict` and whose config hash covers the scenario's
-    *statistical* discovery configuration (the registry's
-    :func:`~repro.store.runs.config_hash` excludes machine-local knobs,
-    so the same scenario run on different machines stays comparable).
-    Returns the :class:`~repro.store.records.RunRecord` rows.
-    """
-    # Imported lazily: the scenario registry must stay importable
-    # without the persistence layer on the path of every caller.
-    from repro.store.runs import config_hash, current_git_sha
-
-    git_sha = current_git_sha()
-    cpus = os.cpu_count() or 1
-    records = []
-    for outcome in outcomes:
-        records.append(
-            registry.record(
-                kind="scenario",
-                metrics=outcome_to_dict(outcome),
-                smoke=outcome.smoke,
-                cpus=cpus,
-                config_hash=config_hash(
-                    DiscoveryConfig(max_order=outcome.max_order)
-                ),
-                git_sha=git_sha,
-            )
-        )
-    return records
 
 
 def outcome_to_dict(outcome: ScenarioOutcome) -> dict:

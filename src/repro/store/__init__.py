@@ -1,16 +1,12 @@
 """repro.store — the durable persistence layer.
 
 Replaces ad-hoc JSON blobs with a SQLite-backed store whose schema is
-derived from typed record models (:mod:`repro.store.records`):
-
-- :class:`KBStore` persists named knowledge bases with full revision
-  history and content-addressed model artifacts — ``repro history NAME``
-  lists revisions, ``repro diff NAME REV1 REV2`` diffs two of them, and
-  a reloaded knowledge base is byte-identical in canonical JSON to the
-  saved one.
-- :class:`RunRegistry` records benchmark and scenario runs under
-  content-derived run_ids; ``benchmarks/check_regression.py`` sources
-  its comparable baselines from it.
+derived from typed record models (:mod:`repro.store.records`).
+:class:`KBStore` persists named knowledge bases with full revision
+history and content-addressed model artifacts — ``repro history NAME``
+lists revisions, ``repro diff NAME REV1 REV2`` diffs two of them, and a
+reloaded knowledge base is byte-identical in canonical JSON to the saved
+one.
 
 Quick start::
 
@@ -26,13 +22,7 @@ Quick start::
 """
 
 from repro.store.kb_store import KBDiff, KBStore
-from repro.store.records import (
-    ArtifactRecord,
-    KBRecord,
-    RevisionRecord,
-    RunRecord,
-)
-from repro.store.runs import RunRegistry, config_hash, current_git_sha
+from repro.store.records import ArtifactRecord, KBRecord, RevisionRecord
 
 __all__ = [
     "ArtifactRecord",
@@ -40,8 +30,4 @@ __all__ = [
     "KBRecord",
     "KBStore",
     "RevisionRecord",
-    "RunRecord",
-    "RunRegistry",
-    "config_hash",
-    "current_git_sha",
 ]

@@ -2,10 +2,10 @@
 
 One :class:`StoreDB` owns a connection, ensures the DDL derived from the
 record models exists, and serializes access behind a lock so the serving
-layer can persist from executor threads.  :class:`~repro.store.kb_store.KBStore`
-and :class:`~repro.store.runs.RunRegistry` are thin front-ends over it —
-they can share one database file (the CLI's ``--store PATH`` does) or
-live in separate files; every ``CREATE TABLE`` is ``IF NOT EXISTS``.
+layer can persist from executor threads.
+:class:`~repro.store.kb_store.KBStore` is the front-end over it; every
+``CREATE TABLE`` is ``IF NOT EXISTS``, so a file that also holds other
+tables opens unchanged.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ __all__ = [
     "ArtifactRecord",
     "KBRecord",
     "RevisionRecord",
-    "RunRecord",
     "create_table_sql",
     "from_row",
     "record_columns",
@@ -213,26 +212,3 @@ class RevisionRecord:
     constraints_dropped: list
     artifact_sha: str | None
     created_at: str
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One recorded benchmark or scenario run.
-
-    ``run_id`` is derived from the record's content (see
-    :meth:`repro.store.runs.RunRegistry.record`), so recording the same
-    run twice — e.g. re-importing a flat trajectory file — is a no-op.
-    ``metrics`` carries the full metrics document (for benchmark runs,
-    the entire trajectory record ``run_all --json`` emits).
-    """
-
-    __table__ = "runs"
-
-    run_id: str = field(metadata={"pk": True})
-    kind: str
-    created_at: str
-    smoke: bool
-    cpus: int
-    config_hash: str
-    git_sha: str
-    metrics: dict

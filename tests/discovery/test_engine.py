@@ -121,20 +121,14 @@ class TestConfig:
         result = discover(table, DiscoveryConfig(max_constraints=2))
         assert len(result.found) == 2
 
-    def test_gevarter_solver_agrees(self, table):
-        dual_result = discover(table, DiscoveryConfig(solver="dual"))
-        gevarter_result = discover(table, DiscoveryConfig(solver="gevarter"))
-        assert [c.key for c in dual_result.found] == [
-            c.key for c in gevarter_result.found
-        ]
-        assert np.allclose(
-            dual_result.model.joint(), gevarter_result.model.joint(), atol=1e-6
-        )
+    @pytest.mark.parametrize("name", ["ipf", "gevarter"])
+    def test_stored_ipf_solver_fits_with_dual(self, table, name):
+        # Configs stored by earlier versions name "ipf" or "gevarter";
+        # they load, fit and update with the dual solver and save back
+        # unchanged.
+        from repro.core.knowledge_base import ProbabilisticKnowledgeBase
 
-    def test_stored_ipf_solver_fits_with_dual(self, table):
-        # Configs stored before the Newton fit name it "ipf"; they load,
-        # fit with the dual solver and save back unchanged.
-        stored = {**DiscoveryConfig().to_dict(), "solver": "ipf"}
+        stored = {**DiscoveryConfig().to_dict(), "solver": name}
         config = DiscoveryConfig.from_dict(stored)
         assert config.to_dict() == stored
         assert DiscoveryConfig().solver == "dual"
@@ -142,6 +136,14 @@ class TestConfig:
         dual = discover(table, DiscoveryConfig())
         assert [c.key for c in legacy.found] == [c.key for c in dual.found]
         assert np.array_equal(legacy.model.joint(), dual.model.joint())
+        kbs = [
+            ProbabilisticKnowledgeBase.from_data(table, c)
+            for c in (config, DiscoveryConfig())
+        ]
+        for kb in kbs:
+            kb.update(table)
+        assert kbs[0].discovery.config.to_dict() == stored
+        assert np.array_equal(kbs[0].model.joint(), kbs[1].model.joint())
 
     def test_invalid_config(self):
         with pytest.raises(DataError):

@@ -5,10 +5,8 @@ import json
 from repro.eval.scorecard import (
     build_scorecard,
     render_scorecard_markdown,
-    scenario_entries_from_registry,
     scenario_entries_from_trajectory,
 )
-from repro.store import RunRegistry
 
 
 def outcome(
@@ -38,55 +36,6 @@ def outcome(
     }
 
 
-def record_outcome(registry, metrics, created_at, sha="abc1234"):
-    registry.record(
-        kind="scenario",
-        metrics=metrics,
-        smoke=True,
-        cpus=1,
-        config_hash="deadbeef",
-        git_sha=sha,
-        created_at=created_at,
-    )
-
-
-class TestRegistryEntries:
-    def test_empty_registry_yields_no_entries(self):
-        with RunRegistry(":memory:") as registry:
-            assert scenario_entries_from_registry(registry) == []
-
-    def test_scenario_and_benchmark_records_both_counted(self):
-        with RunRegistry(":memory:") as registry:
-            record_outcome(
-                registry, outcome("alpha"), "2026-01-01T00:00:00Z"
-            )
-            registry.record(
-                kind="benchmark",
-                metrics={
-                    "scenarios": [outcome("alpha"), outcome("beta")],
-                },
-                smoke=True,
-                cpus=1,
-                config_hash="cafecafe",
-                git_sha="def5678",
-                created_at="2026-01-02T00:00:00Z",
-            )
-            entries = scenario_entries_from_registry(registry)
-        assert [e["scenario"] for e in entries] == [
-            "alpha",
-            "alpha",
-            "beta",
-        ]
-        # Oldest first, so trend comparisons read history forward.
-        assert entries[0]["created_at"] < entries[1]["created_at"]
-
-    def test_smoke_filter_passes_through(self):
-        with RunRegistry(":memory:") as registry:
-            record_outcome(registry, outcome(), "2026-01-01T00:00:00Z")
-            assert scenario_entries_from_registry(registry, smoke=False) == []
-            assert len(scenario_entries_from_registry(registry, smoke=True)) == 1
-
-
 class TestTrajectoryEntries:
     def test_reads_run_all_records(self):
         records = [
@@ -104,6 +53,32 @@ class TestTrajectoryEntries:
 
     def test_record_without_scenarios_is_skipped(self):
         assert scenario_entries_from_trajectory([{"timestamp": "x"}]) == []
+
+    def test_reads_scenarios_run_outcomes(self):
+        # ``repro scenarios run --json`` writes bare outcome dicts, with
+        # no timestamp: they keep the order given, before any record.
+        entries = scenario_entries_from_trajectory(
+            [
+                {
+                    "timestamp": "2026-01-01T00:00:00Z",
+                    "git_sha": "abc1234",
+                    "scenarios": [outcome("alpha", passed=False)],
+                },
+                outcome("alpha", passed=True),
+                outcome("beta", passed=False),
+            ]
+        )
+        assert [(e["scenario"], e["passed"]) for e in entries] == [
+            ("alpha", True),
+            ("beta", False),
+            ("alpha", False),
+        ]
+        assert [e["created_at"] for e in entries] == [
+            "",
+            "",
+            "2026-01-01T00:00:00Z",
+        ]
+        assert entries[-1]["git_sha"] == "abc1234"
 
 
 class TestBuildScorecard:

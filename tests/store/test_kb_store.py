@@ -91,6 +91,44 @@ class TestSaveLoad:
             kb.to_dict()
         )
 
+    def test_file_with_a_runs_table_opens_loads_and_saves(self, tmp_path):
+        # Earlier versions kept benchmark runs in a ``runs`` table of the
+        # same file; the store neither needs nor touches it.
+        path = tmp_path / "kb.db"
+        with KBStore(path) as store:
+            store.save("paper", build_kb())
+        run = (
+            "0123456789abcdef",
+            "benchmark",
+            "2026-01-01T00:00:00Z",
+            1,
+            4,
+            "",
+            "",
+            '{"smoke":true}',
+        )
+        with sqlite3.connect(path) as connection:
+            connection.execute(
+                "CREATE TABLE runs (run_id TEXT NOT NULL, kind TEXT NOT "
+                "NULL, created_at TEXT NOT NULL, smoke INTEGER NOT NULL, "
+                "cpus INTEGER NOT NULL, config_hash TEXT NOT NULL, git_sha "
+                "TEXT NOT NULL, metrics TEXT NOT NULL, PRIMARY KEY (run_id))"
+            )
+            connection.execute(
+                "INSERT INTO runs VALUES (?, ?, ?, ?, ?, ?, ?, ?)", run
+            )
+        connection.close()
+        with KBStore(path) as store:
+            kb = store.load("paper")
+            revision = update_kb(kb)
+            store.save("paper", kb)
+            assert store.describe("paper").latest_revision == revision.number
+        with sqlite3.connect(path) as connection:
+            assert connection.execute("SELECT * FROM runs").fetchall() == [
+                run
+            ]
+        connection.close()
+
 
 class TestRevisionHistory:
     def test_every_save_appends_unseen_revisions(self, store):

@@ -10,7 +10,6 @@ from repro.store.records import (
     ArtifactRecord,
     KBRecord,
     RevisionRecord,
-    RunRecord,
     create_table_sql,
     from_row,
     record_columns,
@@ -64,7 +63,6 @@ class TestDDLDerivation:
         assert table_name(KBRecord) == "kbs"
         assert table_name(ArtifactRecord) == "artifacts"
         assert table_name(RevisionRecord) == "revisions"
-        assert table_name(RunRecord) == "runs"
 
     def test_missing_table_name_rejected(self):
         @dataclass(frozen=True)

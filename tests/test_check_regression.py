@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_TRAJECTORY = REPO_ROOT / "BENCH_discovery.json"
 
 
 @pytest.fixture(scope="module")
@@ -56,32 +57,24 @@ def write(path, records):
     return str(path)
 
 
-def imported(tmp_path, records):
-    """A run registry holding ``records``, imported from a trajectory."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.store import RunRegistry
-
-    trajectory = write(tmp_path / "base.json", records)
-    path = tmp_path / "base.db"
-    with RunRegistry(path) as registry:
-        registry.import_trajectory(trajectory)
-    return str(path)
+def baseline_file(tmp_path, records):
+    return write(tmp_path / "base.json", records)
 
 
 class TestRatioComparison:
     def test_within_tolerance_passes(self, gate, tmp_path):
-        baseline = imported(tmp_path, [record(warm=8.0)])
+        baseline = baseline_file(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=6.0)])
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_degradation_over_tolerance_fails(self, gate, tmp_path, capsys):
-        baseline = imported(tmp_path, [record(warm=8.0)])
+        baseline = baseline_file(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=4.0)])
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 1
         )
         assert "scan_speedup_warm" in capsys.readouterr().err
@@ -89,17 +82,17 @@ class TestRatioComparison:
     def test_baseline_is_minimum_over_matching_records(self, gate, tmp_path):
         # Two baseline runs, one slow: the candidate only has to beat the
         # *worst* baseline by the tolerance, damping one-off noise.
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path, [record(warm=9.0), record(warm=5.0)]
         )
         candidate = write(tmp_path / "cand.json", [record(warm=4.0)])
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_smoke_and_full_records_not_mixed(self, gate, tmp_path):
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path,
             [record(smoke=False, warm=20.0), record(smoke=True, warm=6.0)],
         )
@@ -107,14 +100,14 @@ class TestRatioComparison:
             tmp_path / "cand.json", [record(smoke=True, warm=5.5)]
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_no_matching_mode_means_no_ratio_floor(self, gate, tmp_path):
         # A full-size-only baseline sets no floor for a smoke candidate:
         # toy-size timings are never judged against full-size ones.
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path, [record(smoke=False, warm=20.0)]
         )
         candidate = write(
@@ -124,7 +117,7 @@ class TestRatioComparison:
         assert (
             gate.main(
                 [
-                    "--registry",
+                    "--baseline",
                     baseline,
                     "--candidate",
                     candidate,
@@ -143,36 +136,36 @@ class TestRatioComparison:
     def test_parallel_ratios_skipped_on_single_cpu_candidate(
         self, gate, tmp_path, capsys
     ):
-        baseline = imported(tmp_path, [record(parallel_cold=3.0)])
+        baseline = baseline_file(tmp_path, [record(parallel_cold=3.0)])
         candidate = write(
             tmp_path / "cand.json",
             [record(cpus=1, parallel_cold=0.6)],
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
         assert "skipped" in capsys.readouterr().out
 
     def test_single_cpu_baseline_sets_no_parallel_floor(self, gate, tmp_path):
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path, [record(cpus=1, parallel_cold=0.9)]
         )
         candidate = write(
             tmp_path / "cand.json", [record(cpus=4, parallel_cold=0.5)]
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
 
     def test_parallel_regression_on_multicore_fails(self, gate, tmp_path):
-        baseline = imported(tmp_path, [record(parallel_cold=3.0)])
+        baseline = baseline_file(tmp_path, [record(parallel_cold=3.0)])
         candidate = write(
             tmp_path / "cand.json", [record(parallel_cold=1.0)]
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 1
         )
 
@@ -191,7 +184,7 @@ class TestRatioComparison:
             "query_speedup": 9.0,
             "wire_bytes_per_scan": 1,
         }
-        baseline = imported(tmp_path, [old])
+        baseline = baseline_file(tmp_path, [old])
         candidate = write(
             tmp_path / "cand.json", [record(smoke=False, parallel_cold=2.9)]
         )
@@ -199,7 +192,7 @@ class TestRatioComparison:
         assert (
             gate.main(
                 [
-                    "--registry",
+                    "--baseline",
                     baseline,
                     "--candidate",
                     candidate,
@@ -240,7 +233,7 @@ class TestServingGate:
     def test_faster_single_client_is_not_flagged(self, gate, tmp_path):
         # Single-client RPS rising 5x drops throughput_ratio from ~2.8 to
         # ~0.9; that is a faster lone request, not a regression.
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path, [serving_record(300.0, 830.0)]
         )
         candidate = write(
@@ -250,7 +243,7 @@ class TestServingGate:
         assert (
             gate.main(
                 [
-                    "--registry",
+                    "--baseline",
                     baseline,
                     "--candidate",
                     candidate,
@@ -270,7 +263,7 @@ class TestServingGate:
     def test_served_vs_inprocess_drop_over_tolerance_fails(
         self, gate, tmp_path, capsys
     ):
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path, [serving_record(300.0, 900.0)]
         )
         # Same host speed, 40% less served throughput.
@@ -278,7 +271,7 @@ class TestServingGate:
             tmp_path / "cand.json", [serving_record(300.0, 540.0)]
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 1
         )
         assert "served_vs_inprocess" in capsys.readouterr().err
@@ -286,12 +279,12 @@ class TestServingGate:
 
 class TestScenarioGates:
     def test_gate_regression_fails(self, gate, tmp_path, capsys):
-        baseline = imported(tmp_path, [record()])
+        baseline = baseline_file(tmp_path, [record()])
         candidate = write(
             tmp_path / "cand.json", [record(scenario_passed=False)]
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 1
         )
         assert "independence" in capsys.readouterr().err
@@ -299,90 +292,106 @@ class TestScenarioGates:
     def test_known_bad_baseline_scenario_does_not_block(self, gate, tmp_path):
         # A scenario already failing in the committed baseline is not a
         # *regression*; the gate only fails on newly-failing scenarios.
-        baseline = imported(
+        baseline = baseline_file(
             tmp_path, [record(scenario_passed=False)]
         )
         candidate = write(
             tmp_path / "cand.json", [record(scenario_passed=False)]
         )
         assert (
-            gate.main(["--registry", baseline, "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
 
 
-class TestRegistryBaseline:
-    """Recorded and imported runs reach the same verdict."""
+class TestFlatBaseline:
+    """The baseline is the trajectory file, filtered by the smoke flag."""
 
-    def _registry(self, tmp_path, records):
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.store import RunRegistry
+    def _report(self, gate, tmp_path, baseline, candidate_record):
+        candidate = write(tmp_path / "cand.json", [candidate_record])
+        output = tmp_path / "diff.json"
+        status = gate.main(
+            [
+                "--baseline",
+                str(baseline),
+                "--candidate",
+                candidate,
+                "--output",
+                str(output),
+            ]
+        )
+        return status, json.loads(output.read_text())
 
-        path = tmp_path / "runs.db"
-        with RunRegistry(path) as registry:
-            for entry in records:
-                registry.record(
-                    kind="benchmark",
-                    metrics=entry,
-                    smoke=entry.get("smoke", False),
-                    cpus=(entry.get("parallel") or {}).get("cpus", 0),
-                    created_at=entry["timestamp"],
-                )
-        return str(path)
+    def test_smoke_candidate_compares_against_committed_smoke_records(
+        self, gate
+    ):
+        records = json.loads(COMMITTED_TRAJECTORY.read_text())
+        baseline = gate.baseline_records(records, smoke=True)
+        assert len(baseline) == 3
+        assert all(record["smoke"] is True for record in baseline)
+        assert [r["timestamp"] for r in baseline] == sorted(
+            r["timestamp"] for r in baseline
+        )
 
-    @pytest.mark.parametrize("warm", [6.0, 4.0])
-    def test_same_verdict_as_flat_file(self, gate, tmp_path, warm):
+    def test_full_candidate_compares_against_committed_full_records(
+        self, gate, tmp_path
+    ):
+        records = json.loads(COMMITTED_TRAJECTORY.read_text())
+        assert len(gate.baseline_records(records, smoke=False)) == 2
+        candidate = [r for r in records if not r["smoke"]][-1]
+        status, report = self._report(
+            gate, tmp_path, COMMITTED_TRAJECTORY, candidate
+        )
+        assert status == 0
+        assert report["baseline_records_compared"] == 2
+
+    def test_duplicate_records_count_once(self, gate, tmp_path):
         records = [record(warm=8.0), record(warm=9.0)]
-        baseline = imported(tmp_path, records)
-        registry = self._registry(tmp_path, records)
-        candidate = write(tmp_path / "cand.json", [record(warm=warm)])
-        flat_exit = gate.main(
-            [
-                "--registry",
-                baseline,
-                "--candidate",
-                candidate,
-                "--output",
-                str(tmp_path / "flat.json"),
-            ]
-        )
-        registry_exit = gate.main(
-            [
-                "--registry",
-                registry,
-                "--candidate",
-                candidate,
-                "--output",
-                str(tmp_path / "reg.json"),
-            ]
-        )
-        assert registry_exit == flat_exit
-        flat = json.loads((tmp_path / "flat.json").read_text())
-        reg = json.loads((tmp_path / "reg.json").read_text())
-        assert reg["passed"] == flat["passed"]
-        assert reg["ratios"] == flat["ratios"]
-        assert reg["scenarios"] == flat["scenarios"]
+        once = baseline_file(tmp_path, records)
+        twice = write(tmp_path / "twice.json", records + records)
+        _, single = self._report(gate, tmp_path, once, record(warm=4.0))
+        _, doubled = self._report(gate, tmp_path, twice, record(warm=4.0))
+        assert doubled == single
+        assert doubled["baseline_records_compared"] == 2
 
-    def test_exactly_one_baseline_source_required(self, gate, tmp_path):
+    def test_out_of_order_records_are_read_by_timestamp(self, gate, tmp_path):
+        # The later record failed the scenario; read in file order the
+        # earlier, passing one would look like the latest baseline.
+        older = record(scenario_passed=True)
+        newer = {**record(scenario_passed=False), "timestamp": "2026-02-01T00:00:00Z"}
+        in_order = baseline_file(tmp_path, [older, newer])
+        reversed_ = write(tmp_path / "reversed.json", [newer, older])
+        candidate = record(scenario_passed=False)
+        status, report = self._report(gate, tmp_path, in_order, candidate)
+        assert status == 0
+        assert report["scenarios"][0]["status"] == "failing (also in baseline)"
+        assert self._report(gate, tmp_path, reversed_, candidate) == (
+            status,
+            report,
+        )
+
+    def test_baseline_file_required(self, gate, tmp_path):
         candidate = write(tmp_path / "cand.json", [record()])
         with pytest.raises(SystemExit):
             gate.main(["--candidate", candidate])
-        # The flat-file flag is gone; a trajectory is imported first.
-        baseline = write(tmp_path / "base.json", [record()])
-        with pytest.raises(SystemExit):
-            gate.main(["--baseline", baseline, "--candidate", candidate])
 
-    def test_empty_registry_warns_and_passes_without_floors(
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", "[]"])
+    def test_unreadable_baseline_exits_with_an_error(
+        self, gate, tmp_path, content
+    ):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(content)
+        candidate = write(tmp_path / "cand.json", [record()])
+        with pytest.raises(SystemExit, match="^error: "):
+            gate.main(["--baseline", str(baseline), "--candidate", candidate])
+
+    def test_no_same_mode_records_warns_and_passes_without_floors(
         self, gate, tmp_path, capsys
     ):
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.store import RunRegistry
-
-        path = tmp_path / "empty.db"
-        RunRegistry(path).close()
+        baseline = baseline_file(tmp_path, [record(smoke=False)])
         candidate = write(tmp_path / "cand.json", [record(warm=0.1)])
         assert (
-            gate.main(["--registry", str(path), "--candidate", candidate])
+            gate.main(["--baseline", baseline, "--candidate", candidate])
             == 0
         )
         captured = capsys.readouterr()
@@ -392,12 +401,12 @@ class TestRegistryBaseline:
 
 class TestReportArtifact:
     def test_output_written_with_verdict(self, gate, tmp_path):
-        baseline = imported(tmp_path, [record(warm=8.0)])
+        baseline = baseline_file(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=4.0)])
         output = tmp_path / "diff.json"
         gate.main(
             [
-                "--registry",
+                "--baseline",
                 baseline,
                 "--candidate",
                 candidate,
@@ -413,12 +422,12 @@ class TestReportArtifact:
         assert report["regressions"]
 
     def test_custom_tolerance(self, gate, tmp_path):
-        baseline = imported(tmp_path, [record(warm=8.0)])
+        baseline = baseline_file(tmp_path, [record(warm=8.0)])
         candidate = write(tmp_path / "cand.json", [record(warm=4.5)])
         assert (
             gate.main(
                 [
-                    "--registry",
+                    "--baseline",
                     baseline,
                     "--candidate",
                     candidate,

@@ -406,7 +406,7 @@ class TestScenariosCommand:
 
 
 class TestScorecardCommand:
-    def _record_run(self, registry_path, scenario="independence"):
+    def _record_run(self, path, scenario="independence"):
         assert (
             main(
                 [
@@ -416,40 +416,31 @@ class TestScorecardCommand:
                     "--scenario",
                     scenario,
                     "--no-baselines",
-                    "--registry",
-                    registry_path,
+                    "--json",
+                    str(path),
                 ]
             )
             == 0
         )
+        return str(path)
 
-    def test_empty_registry_renders_placeholder(self, capsys, tmp_path):
-        registry = str(tmp_path / "runs.db")
-        from repro.store import RunRegistry
-
-        RunRegistry(registry).close()
-        assert main(["scorecard", "--registry", registry]) == 0
+    def test_empty_outcome_list_renders_placeholder(self, capsys, tmp_path):
+        path = tmp_path / "outcomes.json"
+        path.write_text("[]")
+        assert main(["scorecard", str(path)]) == 0
         assert "No scenario outcomes recorded." in capsys.readouterr().out
 
     def test_scorecard_aggregates_recorded_runs(self, capsys, tmp_path):
         import json
 
-        registry = str(tmp_path / "runs.db")
-        self._record_run(registry)
-        self._record_run(registry, scenario="single-pairwise")
+        first = self._record_run(tmp_path / "one.json")
+        second = self._record_run(
+            tmp_path / "two.json", scenario="single-pairwise"
+        )
         capsys.readouterr()
         json_path = tmp_path / "scorecard.json"
         assert (
-            main(
-                [
-                    "scorecard",
-                    "--registry",
-                    registry,
-                    "--json",
-                    str(json_path),
-                ]
-            )
-            == 0
+            main(["scorecard", first, second, "--json", str(json_path)]) == 0
         )
         output = capsys.readouterr().out
         assert "# Scenario scorecard" in output
@@ -460,51 +451,72 @@ class TestScorecardCommand:
         assert card["failing"] == []
 
     def test_check_flag_fails_on_failing_scenario(self, capsys, tmp_path):
-        registry = str(tmp_path / "runs.db")
-        self._record_run(registry)
-        from repro.store import RunRegistry
+        import json
 
-        with RunRegistry(registry) as store:
-            store.record(
-                kind="scenario",
-                metrics={
-                    "scenario": "independence",
-                    "passed": False,
-                    "gate_failures": ["precision 0.000 < 1.000"],
-                },
-                smoke=True,
-                cpus=1,
-                config_hash="cafecafe",
-                git_sha="abc1234",
-                created_at="2099-01-01T00:00:00Z",
-            )
-        capsys.readouterr()
-        assert main(["scorecard", "--registry", registry]) == 0
-        assert main(["scorecard", "--registry", registry, "--check"]) == 1
-        assert "regressed" in capsys.readouterr().err
-
-    def test_markdown_output_file(self, capsys, tmp_path):
-        registry = str(tmp_path / "runs.db")
-        self._record_run(registry)
-        capsys.readouterr()
-        target = tmp_path / "scorecard.md"
-        assert (
-            main(
+        passed = self._record_run(tmp_path / "one.json")
+        trajectory = tmp_path / "later.json"
+        trajectory.write_text(
+            json.dumps(
                 [
-                    "scorecard",
-                    "--registry",
-                    registry,
-                    "--output",
-                    str(target),
+                    {
+                        "timestamp": "2099-01-01T00:00:00Z",
+                        "smoke": True,
+                        "scenarios": [
+                            {
+                                "scenario": "independence",
+                                "passed": False,
+                                "gate_failures": ["precision 0.000 < 1.000"],
+                            }
+                        ],
+                    }
                 ]
             )
-            == 0
         )
+        capsys.readouterr()
+        assert main(["scorecard", passed, str(trajectory)]) == 0
+        assert main(["scorecard", passed, str(trajectory), "--check"]) == 1
+        assert "regressed" in capsys.readouterr().err
+
+    def test_smoke_and_full_filters(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "outcomes.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"scenario": "small", "smoke": True, "passed": True},
+                    {"scenario": "large", "smoke": False, "passed": True},
+                ]
+            )
+        )
+        assert main(["scorecard", str(path), "--smoke"]) == 0
+        output = capsys.readouterr().out
+        assert "small" in output and "large" not in output
+        assert main(["scorecard", str(path), "--full"]) == 0
+        output = capsys.readouterr().out
+        assert "large" in output and "small" not in output
+
+    def test_markdown_output_file(self, capsys, tmp_path):
+        path = self._record_run(tmp_path / "one.json")
+        capsys.readouterr()
+        target = tmp_path / "scorecard.md"
+        assert main(["scorecard", path, "--output", str(target)]) == 0
         assert "# Scenario scorecard" in target.read_text()
+
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", None])
+    def test_malformed_file_fails_cleanly(self, capsys, tmp_path, content):
+        path = tmp_path / "broken.json"
+        if content is not None:  # None: the file does not exist
+            path.write_text(content)
+        assert main(["scorecard", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestStoreCommands:
-    """The durable-store surface: --store/--name, history, diff, runs."""
+    """The durable-store surface: --store/--name, history, diff."""
 
     def _delta_csv(self, tmp_path, n=200, seed=11):
         import numpy as np
@@ -596,82 +608,6 @@ class TestStoreCommands:
         capsys.readouterr()
         assert main(["history", "ghost", "--store", store]) == 1
         assert "no knowledge base named" in capsys.readouterr().err
-
-    def test_runs_import_list_show_round_trip(self, capsys, tmp_path):
-        import json
-        from pathlib import Path
-
-        registry = str(tmp_path / "runs.db")
-        trajectory = (
-            Path(__file__).resolve().parent.parent / "BENCH_discovery.json"
-        )
-        assert (
-            main(["runs", "import", str(trajectory), "--registry", registry])
-            == 0
-        )
-        assert "imported" in capsys.readouterr().out
-        # Idempotent: the re-import inserts nothing.
-        assert (
-            main(["runs", "import", str(trajectory), "--registry", registry])
-            == 0
-        )
-        assert "imported 0 new runs" in capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "runs",
-                    "list",
-                    "--registry",
-                    registry,
-                    "--smoke",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        rows = json.loads(capsys.readouterr().out)
-        assert rows and all(row["smoke"] for row in rows)
-        assert (
-            main(["runs", "show", rows[0]["run_id"], "--registry", registry])
-            == 0
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert document["kind"] == "benchmark"
-        assert document["metrics"]
-
-    def test_runs_show_unknown_id_fails_cleanly(self, capsys, tmp_path):
-        registry = str(tmp_path / "runs.db")
-        assert main(["runs", "show", "feedface", "--registry", registry]) == 1
-        assert "no run" in capsys.readouterr().err
-
-    def test_scenarios_run_records_through_registry(self, capsys, tmp_path):
-        import json
-        import sqlite3
-
-        registry = str(tmp_path / "runs.db")
-        assert (
-            main(
-                [
-                    "scenarios",
-                    "run",
-                    "--smoke",
-                    "--scenario",
-                    "independence",
-                    "--no-baselines",
-                    "--registry",
-                    registry,
-                ]
-            )
-            == 0
-        )
-        assert "recorded 1 scenario runs" in capsys.readouterr().err
-        rows = sqlite3.connect(registry).execute(
-            "SELECT kind, smoke, metrics FROM runs"
-        ).fetchall()
-        assert len(rows) == 1
-        kind, smoke, metrics = rows[0]
-        assert kind == "scenario" and smoke == 1
-        assert json.loads(metrics)["scenario"] == "independence"
 
 
 def test_requires_command():

@@ -141,22 +141,13 @@ class TestTrajectoryRecord:
     def test_record_is_stamped_with_git_sha_and_cpus(
         self, run_all, stubbed, tmp_path, monkeypatch
     ):
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        import repro.store
-        from repro.store import RunRegistry
-
-        monkeypatch.setattr(repro.store, "current_git_sha", lambda: "abc123")
+        monkeypatch.setattr(run_all, "current_git_sha", lambda: "abc123")
         monkeypatch.setattr(run_all.os, "cpu_count", lambda: 6)
         target = tmp_path / "traj.json"
         assert run_all.main(["--json", str(target), "--skip-suite"]) == 0
         record = json.loads(target.read_text())[-1]
         assert record["git_sha"] == "abc123"
         assert record["cpus"] == 6
-        # An imported trajectory keeps both stamps.
-        with RunRegistry(tmp_path / "runs.db") as registry:
-            assert registry.import_trajectory(target) == 1
-            run = registry.runs(kind="benchmark")[0]
-            assert (run.git_sha, run.cpus) == ("abc123", 6)
 
     def test_records_append_across_invocations(
         self, run_all, stubbed, tmp_path
@@ -181,68 +172,46 @@ class TestTrajectoryRecord:
         assert len(history) == 2
 
 
-class TestRegistry:
-    def test_registry_records_the_trajectory_record(
-        self, run_all, stubbed, tmp_path, capsys
-    ):
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.store import RunRegistry
-
-        target = tmp_path / "traj.json"
-        registry_path = tmp_path / "runs.db"
-        assert (
-            run_all.main(
-                [
-                    "--json",
-                    str(target),
-                    "--smoke",
-                    "--skip-suite",
-                    "--registry",
-                    str(registry_path),
-                ]
-            )
-            == 0
+class TestGitSha:
+    def test_current_git_sha_in_this_checkout(self, run_all, monkeypatch):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        sha = run_all.current_git_sha()
+        # Either a real 40-hex sha (we run inside the repo) or "" when
+        # git is unavailable; never an exception.
+        assert sha == "" or (
+            len(sha) == 40 and all(c in "0123456789abcdef" for c in sha)
         )
-        assert "recorded in" in capsys.readouterr().err
-        record = json.loads(target.read_text())[-1]
-        with RunRegistry(registry_path) as registry:
-            runs = registry.runs(kind="benchmark")
-            assert len(runs) == 1
-            assert runs[0].metrics == record
-            assert runs[0].smoke is True
-            assert runs[0].cpus == 4
-            assert runs[0].created_at == record["timestamp"]
-            # The registry run is exactly what the regression gate reads.
-            assert registry.baseline_records(True) == [record]
 
-    def test_rerunning_with_identical_record_is_idempotent(
-        self, run_all, stubbed, tmp_path, monkeypatch
+    def test_github_sha_env_wins(self, run_all, monkeypatch):
+        monkeypatch.setenv("GITHUB_SHA", "feedface")
+        assert run_all.current_git_sha() == "feedface"
+
+
+class TestScorecard:
+    def test_scorecard_reads_the_trajectory(
+        self, run_all, stubbed, tmp_path
     ):
-        sys.path.insert(0, str(REPO_ROOT / "src"))
-        from repro.store import RunRegistry
-
-        monkeypatch.setattr(
-            run_all.time, "strftime", lambda *a: "2026-01-01T00:00:00Z"
-        )
         target = tmp_path / "traj.json"
-        registry_path = tmp_path / "runs.db"
+        scorecard = tmp_path / "scorecard.md"
         argv = [
             "--json",
             str(target),
             "--skip-suite",
-            "--registry",
-            str(registry_path),
+            "--scorecard",
+            str(scorecard),
         ]
         assert run_all.main(argv) == 0
         assert run_all.main(argv) == 0
-        # Flat file appends; the content-addressed registry does not.
-        assert len(json.loads(target.read_text())) == 2
-        with RunRegistry(registry_path) as registry:
-            assert len(registry.runs()) == 1
+        assert "# Scenario scorecard" in scorecard.read_text()
+        card = json.loads(scorecard.with_suffix(".json").read_text())
+        # Both appended records count, the second one included.
+        assert card["total_outcomes"] == 2
+        [row] = card["scenarios"]
+        assert (row["scenario"], row["runs"]) == ("independence", 2)
 
-    def test_registry_requires_json(self, run_all, stubbed, tmp_path):
+    def test_scorecard_requires_json(self, run_all, stubbed, tmp_path):
         with pytest.raises(SystemExit):
-            run_all.main(["--registry", str(tmp_path / "runs.db")])
+            run_all.main(["--scorecard", str(tmp_path / "scorecard.md")])
 
 
 class TestGateMiss:
