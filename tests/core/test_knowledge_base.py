@@ -11,6 +11,7 @@ from repro.data.contingency import ContingencyTable
 from repro.data.dataset import Dataset
 from repro.data.schema import Attribute, Schema
 from repro.discovery.config import DiscoveryConfig
+from repro.discovery.engine import discover
 from repro.exceptions import DataError
 
 
@@ -194,6 +195,16 @@ class TestIncrementalUpdate:
         kb.discovery.config = replace(kb.discovery.config, max_constraints=2)
         kb.update(delta)
         assert len(kb.discovery.constraints.cells) <= 2
+
+    def test_gevarter_solver_update(self, table, delta):
+        config = DiscoveryConfig(max_order=2, solver="gevarter", tol=1e-9)
+        kb = ProbabilisticKnowledgeBase.from_data(table, config)
+        revision = kb.update(delta)
+        assert revision.mode in ("warm", "cold")
+        cold = discover(table + delta, config)
+        assert kb.discovery.constraints.cell_keys() == (
+            cold.constraints.cell_keys()
+        )
 
     def test_empty_update_is_noop(self, kb, schema, table):
         fingerprint = kb.model.fingerprint()

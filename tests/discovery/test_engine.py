@@ -121,6 +121,16 @@ class TestConfig:
         result = discover(table, DiscoveryConfig(max_constraints=2))
         assert len(result.found) == 2
 
+    def test_gevarter_solver_agrees(self, table):
+        dual_result = discover(table, DiscoveryConfig(solver="dual"))
+        gevarter_result = discover(table, DiscoveryConfig(solver="gevarter"))
+        assert [c.key for c in dual_result.found] == [
+            c.key for c in gevarter_result.found
+        ]
+        assert np.allclose(
+            dual_result.model.joint(), gevarter_result.model.joint(), atol=1e-6
+        )
+
     @pytest.mark.parametrize("name", ["ipf", "gevarter"])
     def test_stored_ipf_solver_fits_with_dual(self, table, name):
         # Configs stored by earlier versions name "ipf" or "gevarter";
